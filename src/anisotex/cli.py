@@ -120,7 +120,6 @@ def cmd_analyze(args) -> int:
         directions.append((u, v))
     sfs = []
     exponents = {}
-    warnings = 0
     for d in directions:
         sf = besov.structure_function(field, d, args.p)
         sfs.append(sf)
@@ -131,7 +130,6 @@ def cmd_analyze(args) -> int:
         except besov.DegenerateDirectionError as e:
             exponents[key] = {"error": str(e)}
             print(f"warning: direction {key}: {e}", file=sys.stderr)
-            warnings += 1
     fileio.write_structure_functions(args.out + ".csv", sfs)
     fileio.write_json(args.out + ".json", exponents)
     print(json.dumps(exponents))

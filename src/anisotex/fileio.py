@@ -76,22 +76,34 @@ def write_field(path, field: SampledField) -> None:
     _atomic_write(path, writer)
 
 
+def _read_exact(fh, size, path, what):
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what} ({len(data)} of {size} bytes)")
+    return data
+
+
 def read_field(path) -> SampledField:
     """Read an ANIF container back into a SampledField."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != ANIF_MAGIC:
             raise ValueError(f"{path}: not an ANIF file (magic {magic!r})")
-        version, n = struct.unpack("<II", fh.read(8))
+        version, n = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
         if version != ANIF_VERSION:
             raise ValueError(f"{path}: unsupported ANIF version {version}")
-        (jlen,) = struct.unpack("<I", fh.read(4))
-        spec = spec_from_dict(json.loads(fh.read(jlen).decode("utf-8")))
+        (jlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+        # the size check comes before any read sized by the header, so a
+        # corrupt n or JSON length cannot request more memory than the file
+        expected = fh.tell() + jlen + 8 * n * n
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise ValueError(f"{path}: truncated or oversized: header implies {expected} bytes "
+                             f"(n = {n}, spec {jlen} bytes), file has {actual}")
+        spec = spec_from_dict(json.loads(_read_exact(fh, jlen, path, "spec").decode("utf-8")))
         if spec.grid_n != n:
             raise ValueError(f"{path}: header n={n} disagrees with spec grid_n={spec.grid_n}")
-        data = fh.read(8 * n * n)
-        if len(data) != 8 * n * n:
-            raise ValueError(f"{path}: truncated sample payload")
+        data = _read_exact(fh, 8 * n * n, path, "sample payload")
         values = np.frombuffer(data, dtype="<f8").reshape(n, n).astype(float)
     return SampledField(values=values, spec=spec)
 

@@ -6,6 +6,11 @@ indexed by scale pairs (j1, j2) together with the mixed approximation
 blocks needed for perfect reconstruction. Per-block normalized l^p
 statistics feed a scale-ratio scan whose maximizer estimates the
 anisotropy ratio of the texture.
+
+Each filter step is a polyphase periodic filter: it reads the even and
+odd samples along the axis as strided views and writes the two output
+phases by strided assignment, with no gather or scatter. Every step
+halves the axis, so depth J needs the grid size n divisible by 2^J.
 """
 from __future__ import annotations
 
@@ -31,27 +36,41 @@ def _qmf(h):
     return g
 
 
+def _phase(arr, r, axis):
+    """Strided view of the samples whose index along ``axis`` has parity r."""
+    idx = [slice(None)] * arr.ndim
+    idx[axis] = slice(r, None, 2)
+    return arr[tuple(idx)]
+
+
 def _dwt_step(arr, h, g, axis):
-    a = np.moveaxis(arr, axis, -1)
-    N = a.shape[-1]
-    idx = (2 * np.arange(N // 2)[:, None] + np.arange(len(h))[None, :]) % N
-    windows = a[..., idx]
-    lo = windows @ h
-    hi = windows @ g
-    return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
+    # lo[k] = sum_m h[m] arr[(2k + m) mod N]: tap m reads phase m % 2
+    # advanced by m // 2 samples (periodically), likewise hi with g.
+    even, odd = _phase(arr, 0, axis), _phase(arr, 1, axis)
+    lo = h[0] * even + h[1] * odd
+    hi = g[0] * even + g[1] * odd
+    for m in range(2, len(h)):
+        x = np.roll(_phase(arr, m % 2, axis), -(m // 2), axis=axis)
+        lo += h[m] * x
+        hi += g[m] * x
+    return lo, hi
 
 
 def _idwt_step(lo, hi, h, g, axis):
-    lo = np.moveaxis(lo, axis, -1)
-    hi = np.moveaxis(hi, axis, -1)
-    N2 = lo.shape[-1]
-    N = 2 * N2
-    out = np.zeros(lo.shape[:-1] + (N,))
-    base = 2 * np.arange(N2)
-    for m in range(len(h)):
-        idx = (base + m) % N
-        np.add.at(out, (..., idx), h[m] * lo + g[m] * hi)
-    return np.moveaxis(out, -1, axis)
+    # out[(2k + m) mod N] += h[m] lo[k] + g[m] hi[k]: tap m writes phase
+    # m % 2 delayed by m // 2 samples (periodically).
+    shape = list(lo.shape)
+    shape[axis] *= 2
+    out = np.empty(shape)
+    delayed = [(lo, hi)] + [(np.roll(lo, q, axis=axis), np.roll(hi, q, axis=axis))
+                            for q in range(1, len(h) // 2)]
+    for r in (0, 1):
+        phase = _phase(out, r, axis)
+        phase[...] = h[r] * lo + g[r] * hi
+        for m in range(r + 2, len(h), 2):
+            lo_q, hi_q = delayed[m // 2]
+            phase += h[m] * lo_q + g[m] * hi_q
+    return out
 
 
 def _wavedec(arr, h, g, depth, axis):
@@ -99,7 +118,8 @@ def hyperbolic_transform(field_or_values, filt="d4", levels=None) -> HyperbolicP
     """Full separable transform with independent dyadic depths per axis.
 
     Rows are decomposed to depth J2 (axis 1), then every piece is
-    decomposed to depth J1 along axis 0; boundaries are periodic.
+    decomposed to depth J1 along axis 0; boundaries are periodic. A depth
+    J needs n divisible by 2^J.
     """
     values = field_or_values.values if isinstance(field_or_values, SampledField) else np.asarray(field_or_values, dtype=float)
     n = values.shape[0]
@@ -113,7 +133,7 @@ def hyperbolic_transform(field_or_values, filt="d4", levels=None) -> HyperbolicP
         levels = (default_levels(n), default_levels(n))
     J1, J2 = levels
     for J in (J1, J2):
-        if not 1 <= J <= int(math.log2(n)):
+        if not 1 <= J <= int(math.log2(n)) or n % 2 ** J:
             raise ValueError(f"infeasible levels {levels} for n = {n}")
 
     row_approx, row_details = _wavedec(values, h, g, J2, axis=1)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,3 +21,18 @@ def ramp_field():
     spec = FieldSpec.make(1.0, 0.5, grid_n=n, seed=0)
     i = np.arange(n) / n
     return SampledField(values=np.tile(i[:, None], (1, n)), spec=spec)
+
+
+def _huge_header():
+    spec = json.dumps({"alpha0": 0.6, "hurst": 0.4, "rho": "power_sum",
+                       "grid_n": 2 ** 31, "seed": 0}).encode("utf-8")
+    return b"ANIF" + struct.pack("<III", 1, 2 ** 31, len(spec)) + spec
+
+
+@pytest.fixture(params=[b"ANIF", b"ANIF\x01\x00", _huge_header()],
+                ids=["after_magic", "mid_header", "n_2_31"])
+def malformed_anif(request, tmp_path):
+    """An ANIF file cut off in its header, or whose header claims n = 2^31."""
+    path = tmp_path / "bad.anif"
+    path.write_bytes(request.param)
+    return path

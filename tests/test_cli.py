@@ -158,6 +158,12 @@ class TestHywave:
                    "--out", str(tmp_path / "hw")])
         assert rc == 2
 
+    def test_malformed_file_exit_2(self, malformed_anif, tmp_path, capsys):
+        rc = main(["hywave", "--in", str(malformed_anif), "--out", str(tmp_path / "hw")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err
+
 
 class TestSelftest:
     def test_quick_passes(self, capsys):

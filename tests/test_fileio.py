@@ -60,6 +60,10 @@ class TestAnif:
         with pytest.raises(ValueError, match="truncated"):
             fileio.read_field(path)
 
+    def test_malformed_header(self, malformed_anif):
+        with pytest.raises(ValueError, match="truncated"):
+            fileio.read_field(malformed_anif)
+
 
 class TestCsvRoundTrips:
     def test_structure_functions(self, field, tmp_path):

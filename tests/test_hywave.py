@@ -13,6 +13,7 @@ from anisotex import (
     scale_statistics,
     synthesize,
 )
+from anisotex import hywave
 from anisotex.hywave import FREQ_ANCHOR, ScaleStats, default_ratio_grid
 
 
@@ -21,6 +22,27 @@ def random_field(n=64, seed=0):
     v = rng.standard_normal((n, n))
     v[0, 0] = 0.0
     return v
+
+
+def reference_dwt_step(arr, h, g, axis):
+    """Periodic analysis step by window gather (reference for the kernel)."""
+    a = np.moveaxis(arr, axis, -1)
+    N = a.shape[-1]
+    idx = (2 * np.arange(N // 2)[:, None] + np.arange(len(h))[None, :]) % N
+    windows = a[..., idx]
+    return np.moveaxis(windows @ h, -1, axis), np.moveaxis(windows @ g, -1, axis)
+
+
+def reference_idwt_step(lo, hi, h, g, axis):
+    """Periodic synthesis step by scatter-add (reference for the kernel)."""
+    lo = np.moveaxis(lo, axis, -1)
+    hi = np.moveaxis(hi, axis, -1)
+    N2 = lo.shape[-1]
+    out = np.zeros(lo.shape[:-1] + (2 * N2,))
+    base = 2 * np.arange(N2)
+    for m in range(len(h)):
+        np.add.at(out, (..., (base + m) % (2 * N2)), h[m] * lo + g[m] * hi)
+    return np.moveaxis(out, -1, axis)
 
 
 class TestTransform:
@@ -62,12 +84,37 @@ class TestTransform:
         assert float(np.max(np.abs(pyr.approx))) < 1e-10
         assert pyr.detail[target][1, 2] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("filt", ["haar", "d4"])
+    @pytest.mark.parametrize("levels", [(1, 1), (5, 3), (6, 6)])
+    def test_matches_reference_kernels(self, filt, levels, monkeypatch):
+        v = random_field(64, seed=6)
+        for values in (v, v.T):
+            pyr = hyperbolic_transform(values, filt=filt, levels=levels)
+            rec = inverse_hyperbolic_transform(pyr)
+            with monkeypatch.context() as m:
+                m.setattr(hywave, "_dwt_step", reference_dwt_step)
+                m.setattr(hywave, "_idwt_step", reference_idwt_step)
+                ref = hyperbolic_transform(values, filt=filt, levels=levels)
+                ref_rec = inverse_hyperbolic_transform(ref)
+            tol = dict(rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(pyr.approx, ref.approx, **tol)
+            for name in ("detail", "detail_approx", "approx_detail"):
+                blocks, ref_blocks = getattr(pyr, name), getattr(ref, name)
+                assert blocks.keys() == ref_blocks.keys()
+                for key in ref_blocks:
+                    np.testing.assert_allclose(blocks[key], ref_blocks[key], **tol)
+            np.testing.assert_allclose(rec, ref_rec, **tol)
+            np.testing.assert_allclose(rec, values, **tol)
+
     def test_infeasible_levels(self):
         v = random_field(64)
         with pytest.raises(ValueError, match="infeasible"):
             hyperbolic_transform(v, filt="haar", levels=(7, 2))
         with pytest.raises(ValueError, match="infeasible"):
             hyperbolic_transform(v, filt="haar", levels=(0, 2))
+        # 96 = 3 * 2^5: depth 6 does not halve evenly
+        with pytest.raises(ValueError, match="infeasible"):
+            hyperbolic_transform(random_field(96), filt="d4", levels=(6, 6))
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError, match="filter"):
