@@ -51,13 +51,25 @@ def spec_to_dict(spec: FieldSpec) -> dict:
     }
 
 
-def spec_from_dict(d: dict) -> FieldSpec:
+def spec_from_dict(d) -> FieldSpec:
+    """Rebuild a spec from its decoded JSON; raises ValueError unless it is an
+    object with usable ``alpha0``, ``hurst`` and ``grid_n``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in ("alpha0", "hurst", "grid_n") if k not in d]
+    if missing:
+        raise ValueError(f"spec lacks {', '.join(missing)}")
+    try:
+        alpha0, hurst, grid_n = float(d["alpha0"]), float(d["hurst"]), int(d["grid_n"])
+        seed = int(d.get("seed", 0))
+    except (TypeError, OverflowError) as e:  # null, list or infinite values
+        raise ValueError(f"spec value of the wrong type: {e}") from None
     return FieldSpec(
-        anisotropy=Anisotropy.diagonal(float(d["alpha0"])),
-        hurst=float(d["hurst"]),
+        anisotropy=Anisotropy.diagonal(alpha0),
+        hurst=hurst,
         rho=str(d.get("rho", "power_sum")),
-        grid_n=int(d["grid_n"]),
-        seed=int(d.get("seed", 0)),
+        grid_n=grid_n,
+        seed=seed,
     )
 
 
@@ -100,7 +112,11 @@ def read_field(path) -> SampledField:
         if actual != expected:
             raise ValueError(f"{path}: truncated or oversized: header implies {expected} bytes "
                              f"(n = {n}, spec {jlen} bytes), file has {actual}")
-        spec = spec_from_dict(json.loads(_read_exact(fh, jlen, path, "spec").decode("utf-8")))
+        text = _read_exact(fh, jlen, path, "spec").decode("utf-8")
+        try:
+            spec = spec_from_dict(json.loads(text))
+        except ValueError as e:
+            raise ValueError(f"{path}: bad spec: {e}") from None
         if spec.grid_n != n:
             raise ValueError(f"{path}: header n={n} disagrees with spec grid_n={spec.grid_n}")
         data = _read_exact(fh, 8 * n * n, path, "sample payload")

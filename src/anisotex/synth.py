@@ -22,6 +22,7 @@ mid lags where the deficit is negligible.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -88,24 +89,41 @@ class SpectralGrid:
         return TWO_PI * self.freq_index
 
 
-_MASS_CACHE = {}
-
 _M_BOX = 3       # full alias box |m| <= 3
 _M_STRIP = 8     # axis-aligned strips out to |m| = 8, integral tails beyond
 _AXIS_BAND = 4   # base cells within 4 of an axis get tensor Gauss integrals
 _CORE = 8        # base cells within 8 of the origin get 4x4 subdivision
 
 
-def _folded_mass(alpha0, hurst, n):
-    """Alias-folded spectral masses for the power-sum weight (cached)."""
-    key = (float(alpha0), float(hurst), int(n))
-    if key in _MASS_CACHE:
-        return _MASS_CACHE[key]
+def _cell_integrals(lam1, lam2, qq, k1, k2, sub):
+    """Integrals of rho^{-qq} over the frequency cells centred at
+    2 pi (k1[i], k2[j]), each split into sub x sub squares with 10 x 10
+    tensor Gauss nodes per square; one batched evaluation for all cells."""
+    xg, wg = _gauss(10)
+    h = math.pi / sub
+    offs = ((TWO_PI * (np.arange(sub) + 0.5) / sub - math.pi)[:, None] + h * xg).ravel()
+    w = np.tile(h * wg, sub)
+    R1 = np.abs(TWO_PI * k1[:, None] + offs) ** (1.0 / lam1)
+    R2 = np.abs(TWO_PI * k2[:, None] + offs) ** (1.0 / lam2)
+    return (R1[:, None, :, None] + R2[None, :, None, :]) ** (-qq) @ w @ w
 
+
+@functools.lru_cache(maxsize=4)
+def _folded_mass(alpha0, hurst, n):
+    """Alias-folded spectral masses for the power-sum weight, FFT order.
+
+    The mass is even in k1 and in k2 (the shift set is symmetric and
+    |xi + L m| = |-xi - L m|), so the alias fold, the base cells, the
+    axis-band integrals and the tails are built on the quarter k >= 0
+    only and unfolded to FFT order by indexing with |k|; the result is
+    exactly even. Grids are kept in a bounded LRU cache (4 keys) and
+    returned read-only, since every caller shares them.
+    """
     lam1, lam2 = alpha0, 2.0 - alpha0
     qq = 2.0 * (hurst + 1.0)
     L = TWO_PI * n
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    half = n // 2
+    k = np.arange(half + 1)  # quarter k >= 0; index half is the Nyquist row
     xi = TWO_PI * k
 
     ms = np.arange(-_M_STRIP, _M_STRIP + 1)
@@ -113,45 +131,29 @@ def _folded_mass(alpha0, hurst, n):
     P2 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam2)
     o = _M_STRIP  # index offset: column o + m holds shift m
 
-    mass = np.zeros((n, n))
+    mass = np.zeros((half + 1, half + 1))
+    term = np.empty_like(mass)  # reused: a fresh large temporary per shift costs page faults
     for m1 in range(-_M_STRIP, _M_STRIP + 1):
         for m2 in range(-_M_STRIP, _M_STRIP + 1):
             if m1 == 0 and m2 == 0:
                 continue
             if abs(m1) > _M_BOX and abs(m2) > _M_BOX:
                 continue  # far corners are negligible
-            mass += (P1[:, o + m1][:, None] + P2[:, o + m2][None, :]) ** (-qq)
+            np.add(P1[:, o + m1][:, None], P2[:, o + m2][None, :], out=term)
+            mass += np.power(term, -qq, out=term)
     mass *= TWO_PI ** 2
 
     # base cell, midpoint far from the axes
     with np.errstate(divide="ignore"):
         base = TWO_PI ** 2 * (P1[:, o][:, None] + P2[:, o][None, :]) ** (-qq)
-    base[0, 0] = 0.0
-
-    xg, wg = _gauss(10)
-
-    def cell_integral(c1, c2, sub):
-        e1 = c1 - math.pi + TWO_PI * np.arange(sub + 1) / sub
-        e2 = c2 - math.pi + TWO_PI * np.arange(sub + 1) / sub
-        tot = 0.0
-        for i in range(sub):
-            t1 = 0.5 * (e1[i + 1] - e1[i]) * xg + 0.5 * (e1[i] + e1[i + 1])
-            w1 = 0.5 * (e1[i + 1] - e1[i]) * wg
-            for jj in range(sub):
-                t2 = 0.5 * (e2[jj + 1] - e2[jj]) * xg + 0.5 * (e2[jj] + e2[jj + 1])
-                w2 = 0.5 * (e2[jj + 1] - e2[jj]) * wg
-                r = np.abs(t1[:, None]) ** (1.0 / lam1) + np.abs(t2[None, :]) ** (1.0 / lam2)
-                tot += float((w1[:, None] * w2[None, :] * r ** (-qq)).sum())
-        return tot
-
-    half = n // 2
-    for k1 in range(-half + 1, half):
-        for k2 in range(-half + 1, half):
-            if k1 == 0 and k2 == 0:
-                continue
-            if abs(k1) <= _AXIS_BAND or abs(k2) <= _AXIS_BAND:
-                sub = 4 if (abs(k1) <= _CORE and abs(k2) <= _CORE) else 1
-                base[k1 % n, k2 % n] = cell_integral(TWO_PI * k1, TWO_PI * k2, sub)
+    # cells within _AXIS_BAND of an axis: Gauss integrals, subdivided in the core
+    band, outer = k[:_AXIS_BAND + 1], k[_CORE + 1:]
+    base[:_AXIS_BAND + 1, _CORE + 1:] = _cell_integrals(lam1, lam2, qq, band, outer, 1)
+    base[_CORE + 1:, :_AXIS_BAND + 1] = _cell_integrals(lam1, lam2, qq, outer, band, 1)
+    core = k[:_CORE + 1]
+    in_band = (core[:, None] <= _AXIS_BAND) | (core[None, :] <= _AXIS_BAND)
+    base[:_CORE + 1, :_CORE + 1][in_band] = \
+        _cell_integrals(lam1, lam2, qq, core, core, 4)[in_band]
     mass += base
 
     def tail_int(c_vals, lam):
@@ -170,8 +172,8 @@ def _folded_mass(alpha0, hurst, n):
                 break
         return 2.0 * tot / L
 
-    col_tail = np.zeros(n)
-    row_tail = np.zeros(n)
+    col_tail = np.zeros(half + 1)
+    row_tail = np.zeros(half + 1)
     for m in range(-_M_BOX, _M_BOX + 1):
         col_tail += tail_int(P1[:, o + m], lam2)
         row_tail += tail_int(P2[:, o + m], lam1)
@@ -181,8 +183,10 @@ def _folded_mass(alpha0, hurst, n):
     mass[0, 0] = 0.0
     mass[half, :] = 0.0
     mass[:, half] = 0.0
-    _MASS_CACHE[key] = mass
-    return mass
+    q = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+    full = mass[np.ix_(q, q)]
+    full.flags.writeable = False
+    return full
 
 
 def spectral_grid(spec: FieldSpec) -> SpectralGrid:

@@ -23,16 +23,27 @@ def ramp_field():
     return SampledField(values=np.tile(i[:, None], (1, n)), spec=spec)
 
 
-def _huge_header():
-    spec = json.dumps({"alpha0": 0.6, "hurst": 0.4, "rho": "power_sum",
-                       "grid_n": 2 ** 31, "seed": 0}).encode("utf-8")
-    return b"ANIF" + struct.pack("<III", 1, 2 ** 31, len(spec)) + spec
+def _header(spec, n):
+    spec = json.dumps(spec).encode("utf-8")
+    return b"ANIF" + struct.pack("<III", 1, n, len(spec)) + spec
 
 
-@pytest.fixture(params=[b"ANIF", b"ANIF\x01\x00", _huge_header()],
-                ids=["after_magic", "mid_header", "n_2_31"])
+_HUGE = {"alpha0": 0.6, "hurst": 0.4, "rho": "power_sum", "grid_n": 2 ** 31, "seed": 0}
+
+
+@pytest.fixture(params=[(b"ANIF", "truncated"), (b"ANIF\x01\x00", "truncated"),
+                        (_header(_HUGE, 2 ** 31), "truncated"),
+                        (_header({}, 64) + bytes(8 * 64 * 64), "bad spec: spec lacks alpha0"),
+                        (_header([1, 2], 64) + bytes(8 * 64 * 64), "bad spec: spec must be"),
+                        (_header({"alpha0": None, "hurst": 0.4, "grid_n": 64}, 64)
+                         + bytes(8 * 64 * 64), "bad spec: spec value of the wrong type")],
+                ids=["after_magic", "mid_header", "n_2_31", "empty_spec", "list_spec",
+                     "null_alpha0"])
 def malformed_anif(request, tmp_path):
-    """An ANIF file cut off in its header, or whose header claims n = 2^31."""
+    """(path, expected message) for an ANIF file cut off in its header, whose
+    header claims n = 2^31, or a well-sized 64^2 file whose spec JSON is an
+    empty object, a list or has a null value."""
+    data, message = request.param
     path = tmp_path / "bad.anif"
-    path.write_bytes(request.param)
-    return path
+    path.write_bytes(data)
+    return path, message

@@ -61,8 +61,9 @@ class TestAnif:
             fileio.read_field(path)
 
     def test_malformed_header(self, malformed_anif):
-        with pytest.raises(ValueError, match="truncated"):
-            fileio.read_field(malformed_anif)
+        path, message = malformed_anif
+        with pytest.raises(ValueError, match=message):
+            fileio.read_field(path)
 
 
 class TestCsvRoundTrips:

@@ -78,7 +78,131 @@ class TestSynthesize:
         assert worker_count(default=2) >= 1
 
 
+def reference_folded_mass(alpha0, hurst, n):
+    """The original cell-by-cell mass builder, kept as the reference for
+    the vectorized one: full alias fold over all n x n modes, one
+    ``cell_integral`` call per axis-band cell."""
+    two_pi = 2.0 * math.pi
+    m_box, m_strip, axis_band, core = 3, 8, 4, 8
+    lam1, lam2 = alpha0, 2.0 - alpha0
+    qq = 2.0 * (hurst + 1.0)
+    L = two_pi * n
+    xi = two_pi * np.fft.fftfreq(n, d=1.0 / n)
+
+    ms = np.arange(-m_strip, m_strip + 1)
+    P1 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam1)
+    P2 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam2)
+    o = m_strip
+
+    mass = np.zeros((n, n))
+    for m1 in range(-m_strip, m_strip + 1):
+        for m2 in range(-m_strip, m_strip + 1):
+            if (m1 == 0 and m2 == 0) or (abs(m1) > m_box and abs(m2) > m_box):
+                continue
+            mass += (P1[:, o + m1][:, None] + P2[:, o + m2][None, :]) ** (-qq)
+    mass *= two_pi ** 2
+
+    with np.errstate(divide="ignore"):
+        base = two_pi ** 2 * (P1[:, o][:, None] + P2[:, o][None, :]) ** (-qq)
+    base[0, 0] = 0.0
+
+    xg, wg = np.polynomial.legendre.leggauss(10)
+
+    def cell_integral(c1, c2, sub):
+        e1 = c1 - math.pi + two_pi * np.arange(sub + 1) / sub
+        e2 = c2 - math.pi + two_pi * np.arange(sub + 1) / sub
+        tot = 0.0
+        for i in range(sub):
+            t1 = 0.5 * (e1[i + 1] - e1[i]) * xg + 0.5 * (e1[i] + e1[i + 1])
+            w1 = 0.5 * (e1[i + 1] - e1[i]) * wg
+            for jj in range(sub):
+                t2 = 0.5 * (e2[jj + 1] - e2[jj]) * xg + 0.5 * (e2[jj] + e2[jj + 1])
+                w2 = 0.5 * (e2[jj + 1] - e2[jj]) * wg
+                r = np.abs(t1[:, None]) ** (1.0 / lam1) + np.abs(t2[None, :]) ** (1.0 / lam2)
+                tot += float((w1[:, None] * w2[None, :] * r ** (-qq)).sum())
+        return tot
+
+    half = n // 2
+    for k1 in range(-half + 1, half):
+        for k2 in range(-half + 1, half):
+            if k1 == 0 and k2 == 0:
+                continue
+            if abs(k1) <= axis_band or abs(k2) <= axis_band:
+                sub = 4 if (abs(k1) <= core and abs(k2) <= core) else 1
+                base[k1 % n, k2 % n] = cell_integral(two_pi * k1, two_pi * k2, sub)
+    mass += base
+
+    def tail_int(c_vals, lam):
+        xg8, wg8 = np.polynomial.legendre.leggauss(8)
+        tot = np.zeros_like(c_vals)
+        lo = (m_strip + 0.5) * L
+        for _ in range(60):
+            hi = 2.0 * lo
+            u = 0.5 * (hi - lo) * xg8 + 0.5 * (hi + lo)
+            w = 0.5 * (hi - lo) * wg8
+            seg = ((c_vals[:, None] + u[None, :] ** (1.0 / lam)) ** (-qq)) @ w
+            tot += seg
+            lo = hi
+            if float(seg.max()) < 1e-16 * float(tot.max() + 1e-300):
+                break
+        return 2.0 * tot / L
+
+    col_tail = np.zeros(n)
+    row_tail = np.zeros(n)
+    for m in range(-m_box, m_box + 1):
+        col_tail += tail_int(P1[:, o + m], lam2)
+        row_tail += tail_int(P2[:, o + m], lam1)
+    mass += two_pi ** 2 * col_tail[:, None]
+    mass += two_pi ** 2 * row_tail[None, :]
+
+    mass[0, 0] = 0.0
+    mass[half, :] = 0.0
+    mass[:, half] = 0.0
+    return mass
+
+
 class TestSpectralGrid:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("alpha0,hurst", [(0.6, 0.4), (0.25, 0.2), (1.4, 0.5)])
+    def test_mass_matches_reference_builder(self, alpha0, hurst, n):
+        from anisotex.synth import _folded_mass
+        mass = _folded_mass(alpha0, hurst, n)
+        ref = reference_folded_mass(alpha0, hurst, n)
+        assert np.array_equal(mass == 0.0, ref == 0.0)
+        assert_allclose(mass, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha0,hurst", [(0.6, 0.4), (0.25, 0.2), (1.4, 0.5)])
+    def test_mass_exactly_even(self, alpha0, hurst):
+        from anisotex.synth import _folded_mass
+        n = 128
+        mass = _folded_mass(alpha0, hurst, n)
+        neg = (-np.arange(n)) % n
+        assert np.array_equal(mass, mass[neg][:, neg])
+
+    def test_mass_cache_bounded(self):
+        from anisotex.synth import _folded_mass
+        cap = _folded_mass.cache_parameters()["maxsize"]
+        assert cap is not None
+        for i in range(cap + 3):
+            _folded_mass(0.6, 0.3 + 0.01 * i, 32)
+        assert _folded_mass.cache_info().currsize <= cap
+
+    def test_repeated_key_not_rebuilt(self):
+        from anisotex.synth import _folded_mass
+        first = _folded_mass(0.6, 0.35, 32)
+        misses = _folded_mass.cache_info().misses
+        assert _folded_mass(0.6, 0.35, 32) is first
+        assert _folded_mass.cache_info().misses == misses
+        assert not first.flags.writeable  # shared by every caller
+
+    def test_ensemble_builds_grid_once(self):
+        from anisotex.synth import _folded_mass
+        _folded_mass.cache_clear()
+        synthesize_ensemble(FieldSpec.make(0.8, 0.45, grid_n=64, seed=3), 6, workers=3)
+        info = _folded_mass.cache_info()
+        assert info.misses == 1
+        assert info.hits == 6
+
     def test_amplitude_invariants(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=0)
         A = spectral_grid(spec).amplitudes
