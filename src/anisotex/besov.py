@@ -209,12 +209,13 @@ def critical_exponent(field: SampledField, D: Anisotropy, p) -> float:
     Measures the directional exponent h_i along each eigenvector of D
     (snapped to the lattice) and returns min(lambda_1 h_1, lambda_2 h_2).
     """
-    out = math.inf
-    for lam, vec in zip(D.eigenvalues, D.eigenvectors):
-        sf = structure_function(field, vec, p)
-        de = directional_exponent(sf)
-        out = min(out, lam * de.h)
-    return float(out)
+    hs = _exponents(field, D.eigenvectors, p)
+    return float(min(lam * h for lam, h in zip(D.eigenvalues, hs)))
+
+
+def _exponents(field: SampledField, directions, p):
+    """Directional exponent h along each direction, in order."""
+    return [directional_exponent(structure_function(field, d, p)).h for d in directions]
 
 
 def tent_prediction(alpha: float, alpha0: float, hurst: float) -> float:
@@ -242,13 +243,7 @@ class ExponentScan:
 ALPHA_SCAN_RANGE = (0.2, 1.8)
 
 
-def _axis_exponents(field: SampledField, p):
-    """(h along (1,0), h along (0,1)) for one field."""
-    h = []
-    for vec in ((1.0, 0.0), (0.0, 1.0)):
-        sf = structure_function(field, vec, p)
-        h.append(directional_exponent(sf).h)
-    return h
+_AXES = ((1.0, 0.0), (0.0, 1.0))
 
 
 def scan_anisotropy(fields, alpha_grid, p, workers=None) -> ExponentScan:
@@ -282,9 +277,9 @@ def scan_anisotropy(fields, alpha_grid, p, workers=None) -> ExponentScan:
     w = worker_count() if workers is None else max(1, workers)
     if w > 1 and len(fields) > 1:
         with ThreadPoolExecutor(max_workers=w) as pool:
-            hs = np.array(list(pool.map(lambda f: _axis_exponents(f, p), fields)))
+            hs = np.array(list(pool.map(lambda f: _exponents(f, _AXES, p), fields)))
     else:
-        hs = np.array([_axis_exponents(f, p) for f in fields])  # (reps, 2)
+        hs = np.array([_exponents(f, _AXES, p) for f in fields])  # (reps, 2)
     al = np.asarray(alphas)
     per = np.minimum(al[None, :] * hs[:, [0]], (2.0 - al)[None, :] * hs[:, [1]])
     mean = per.mean(axis=0)

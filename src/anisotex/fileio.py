@@ -139,6 +139,15 @@ def _write_csv(path, header, rows):
     _atomic_write(path, writer)
 
 
+def _read_csv(path, header):
+    """Rows of a CSV table, split on commas, after checking its header row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        got = fh.readline().strip().split(",")
+        if got != header:
+            raise ValueError(f"{path}: unexpected header {got}")
+        return [line.strip().split(",") for line in fh]
+
+
 def write_structure_functions(path, sfs) -> None:
     """Columns: direction_u, direction_v, p, t, S (one observation per row)."""
     rows = []
@@ -152,14 +161,9 @@ def write_structure_functions(path, sfs) -> None:
 def read_structure_functions(path):
     """Group rows back into StructureFunction tables (per direction and p)."""
     groups = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["direction_u", "direction_v", "p", "t", "S"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for line in fh:
-            su, sv, sp, st, ss = line.strip().split(",")
-            key = (int(su), int(sv), float(sp))
-            groups.setdefault(key, []).append((float(st), float(ss)))
+    for su, sv, sp, st, ss in _read_csv(path, ["direction_u", "direction_v", "p", "t", "S"]):
+        key = (int(su), int(sv), float(sp))
+        groups.setdefault(key, []).append((float(st), float(ss)))
     out = []
     for (u, v, p), pairs in groups.items():
         pairs.sort()
@@ -179,15 +183,11 @@ def write_scan(path, scan: ExponentScan) -> None:
 
 def read_scan(path) -> ExponentScan:
     alphas, means, errs = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["alpha", "exponent_mean", "exponent_stderr"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for line in fh:
-            a, m, e = map(float, line.strip().split(","))
-            alphas.append(a)
-            means.append(m)
-            errs.append(e)
+    for row in _read_csv(path, ["alpha", "exponent_mean", "exponent_stderr"]):
+        a, m, e = map(float, row)
+        alphas.append(a)
+        means.append(m)
+        errs.append(e)
     peak = max(means)
     argmax = next(a for a, m in zip(alphas, means) if m >= peak - 1e-9)
     return ExponentScan(alphas=tuple(alphas), exponents=tuple(means), stderrs=tuple(errs),
@@ -205,14 +205,9 @@ def write_scale_statistics(path, stats: ScaleStats) -> None:
 def read_scale_statistics(path, grid_n, levels) -> ScaleStats:
     table = {}
     p = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["j1", "j2", "p", "log2_stat"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for line in fh:
-            s1, s2, sp, sv = line.strip().split(",")
-            table[(int(s1), int(s2))] = float(sv)
-            p = float(sp)
+    for s1, s2, sp, sv in _read_csv(path, ["j1", "j2", "p", "log2_stat"]):
+        table[(int(s1), int(s2))] = float(sv)
+        p = float(sp)
     return ScaleStats(grid_n=grid_n, levels=levels, p=p, log2_stat=table)
 
 
@@ -224,14 +219,10 @@ def write_ratio_scan(path, scan: RatioScan) -> None:
 
 def read_ratio_scan(path) -> RatioScan:
     ratios, rates = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["ratio", "decay_rate"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for line in fh:
-            r, d = map(float, line.strip().split(","))
-            ratios.append(r)
-            rates.append(d)
+    for row in _read_csv(path, ["ratio", "decay_rate"]):
+        r, d = map(float, row)
+        ratios.append(r)
+        rates.append(d)
     best_i = int(np.argmax(rates))
     return RatioScan(ratios=tuple(ratios), decay_rates=tuple(rates),
                      best_ratio=ratios[best_i], slope_at_best=rates[best_i])

@@ -1,11 +1,13 @@
 """Tensor-product wavelet analysis with independent dilations per axis.
 
-The transform applies a 1-D orthonormal periodic wavelet decomposition to
-depth J1 along axis 0 and depth J2 along axis 1, producing detail blocks
-indexed by scale pairs (j1, j2) together with the mixed approximation
-blocks needed for perfect reconstruction. Per-block normalized l^p
-statistics feed a scale-ratio scan whose maximizer estimates the
-anisotropy ratio of the texture.
+The transform is the outer product of two 1-D orthonormal periodic
+wavelet decompositions, to depth J1 along axis 0 and depth J2 along
+axis 1. Its coefficients are one dict of blocks indexed by the depth
+pair (j1, j2), 0 <= j1 <= J1 and 0 <= j2 <= J2, where depth 0 along an
+axis stands for the approximation at full depth and depth j >= 1 for the
+detail at depth j. Per-block normalized l^p statistics of the detail x
+detail blocks (j1, j2 >= 1) feed a scale-ratio scan whose maximizer
+estimates the anisotropy ratio of the texture.
 
 Each filter step is a polyphase periodic filter: it reads the even and
 odd samples along the axis as strided views and writes the two output
@@ -74,17 +76,17 @@ def _idwt_step(lo, hi, h, g, axis):
 
 
 def _wavedec(arr, h, g, depth, axis):
-    details = []
-    cur = arr
+    """[approx, d_1, ..., d_depth]: the list index is the depth, 0 the approximation."""
+    pieces = [arr]
     for _ in range(depth):
-        cur, d = _dwt_step(cur, h, g, axis)
-        details.append(d)
-    return cur, details
+        pieces[0], d = _dwt_step(pieces[0], h, g, axis)
+        pieces.append(d)
+    return pieces
 
 
-def _waverec(approx, details, h, g, axis):
-    cur = approx
-    for d in reversed(details):
+def _waverec(pieces, h, g, axis):
+    cur = pieces[0]
+    for d in reversed(pieces[1:]):
         cur = _idwt_step(cur, d, h, g, axis)
     return cur
 
@@ -93,20 +95,26 @@ def _waverec(approx, details, h, g, axis):
 class HyperbolicPyramid:
     """Coefficients of the separable transform with independent dilations.
 
-    ``detail[(j1, j2)]`` holds the detail x detail block at depths
-    (j1, j2), of shape (n/2^j1, n/2^j2). The mixed blocks
-    ``detail_approx[j1]`` (detail along axis 0, approximation along
-    axis 1), ``approx_detail[j2]``, and the final ``approx`` complete an
-    orthonormal decomposition of the field.
+    ``blocks[(j1, j2)]`` for 0 <= j1 <= J1 and 0 <= j2 <= J2 (keys run
+    with j2 outer, j1 inner). Along axis i, depth 0 is the approximation
+    at full depth J_i, of length n/2^J_i, and depth j >= 1 is the detail
+    at depth j, of length n/2^j. So ``blocks[(0, 0)]`` is the
+    approximation, the blocks with j1, j2 >= 1 are the detail x detail
+    blocks, and together all blocks form an orthonormal decomposition of
+    the field.
     """
 
     grid_n: int
     filter: str
     levels: tuple
-    detail: dict = field(repr=False)
-    detail_approx: dict = field(repr=False)
-    approx_detail: dict = field(repr=False)
-    approx: np.ndarray = field(repr=False)
+    blocks: dict = field(repr=False)
+
+    # read-only views for the benchmark harness (bench/workloads.py counts
+    # coefficients through them); package code reads ``blocks`` directly
+    approx = property(lambda self: self.blocks[(0, 0)])
+    detail = property(lambda self: {k: b for k, b in self.blocks.items() if 0 not in k})
+    detail_approx = property(lambda self: {j: self.blocks[(j, 0)] for j in range(1, self.levels[0] + 1)})
+    approx_detail = property(lambda self: {j: self.blocks[(0, j)] for j in range(1, self.levels[1] + 1)})
 
 
 def default_levels(n: int) -> int:
@@ -136,19 +144,9 @@ def hyperbolic_transform(field_or_values, filt="d4", levels=None) -> HyperbolicP
         if not 1 <= J <= int(math.log2(n)) or n % 2 ** J:
             raise ValueError(f"infeasible levels {levels} for n = {n}")
 
-    row_approx, row_details = _wavedec(values, h, g, J2, axis=1)
-    detail = {}
-    approx_col, col_details = _wavedec(row_approx, h, g, J1, axis=0)
-    detail_approx_axis0 = {j1: d for j1, d in enumerate(col_details, start=1)}
-    approx_detail = {}
-    for j2, block in enumerate(row_details, start=1):
-        acol, dd = _wavedec(block, h, g, J1, axis=0)
-        approx_detail[j2] = acol
-        for j1, d in enumerate(dd, start=1):
-            detail[(j1, j2)] = d
-    return HyperbolicPyramid(grid_n=n, filter=filt, levels=(J1, J2), detail=detail,
-                             detail_approx=detail_approx_axis0,
-                             approx_detail=approx_detail, approx=approx_col)
+    blocks = {(j1, j2): b for j2, piece in enumerate(_wavedec(values, h, g, J2, axis=1))
+              for j1, b in enumerate(_wavedec(piece, h, g, J1, axis=0))}
+    return HyperbolicPyramid(grid_n=n, filter=filt, levels=(J1, J2), blocks=blocks)
 
 
 def inverse_hyperbolic_transform(pyr: HyperbolicPyramid) -> np.ndarray:
@@ -156,25 +154,14 @@ def inverse_hyperbolic_transform(pyr: HyperbolicPyramid) -> np.ndarray:
     h = FILTERS[pyr.filter]
     g = _qmf(h)
     J1, J2 = pyr.levels
-    row_approx = _waverec(pyr.approx, [pyr.detail_approx[j] for j in range(1, J1 + 1)], h, g, axis=0)
-    row_details = []
-    for j2 in range(1, J2 + 1):
-        block = _waverec(pyr.approx_detail[j2],
-                         [pyr.detail[(j1, j2)] for j1 in range(1, J1 + 1)], h, g, axis=0)
-        row_details.append(block)
-    return _waverec(row_approx, row_details, h, g, axis=1)
+    cols = [_waverec([pyr.blocks[(j1, j2)] for j1 in range(J1 + 1)], h, g, axis=0)
+            for j2 in range(J2 + 1)]
+    return _waverec(cols, h, g, axis=1)
 
 
 def coefficient_energy(pyr: HyperbolicPyramid) -> float:
     """Sum of squares over every stored coefficient."""
-    tot = float(np.sum(pyr.approx ** 2))
-    for d in pyr.detail.values():
-        tot += float(np.sum(d ** 2))
-    for d in pyr.detail_approx.values():
-        tot += float(np.sum(d ** 2))
-    for d in pyr.approx_detail.values():
-        tot += float(np.sum(d ** 2))
-    return tot
+    return sum(float(np.sum(b ** 2)) for b in pyr.blocks.values())
 
 
 @dataclass(frozen=True)
@@ -187,24 +174,12 @@ class ScaleStats:
     log2_stat: dict  # (j1, j2) -> log2((mean |d|^p)^{1/p}); -inf for empty blocks
 
 
-def _block_stat(d, p):
-    if p == math.inf:
-        return float(np.max(np.abs(d)))
-    return float(np.mean(np.abs(d) ** p) ** (1.0 / p))
-
-
 def scale_statistics(pyr: HyperbolicPyramid, p) -> ScaleStats:
-    """Per-coefficient l^p statistic of each detail block, in log2.
+    """Per-coefficient l^p statistic of each detail x detail block, in log2.
 
     All-zero blocks report -inf and are excluded from the ratio scan.
     """
-    if not (p == math.inf or p >= 1):
-        raise ValueError(f"order p must be >= 1 or inf, got {p}")
-    out = {}
-    for key, d in pyr.detail.items():
-        v = _block_stat(d, p)
-        out[key] = math.log2(v) if v > 0 else -math.inf
-    return ScaleStats(grid_n=pyr.grid_n, levels=pyr.levels, p=float(p), log2_stat=out)
+    return pooled_scale_statistics([pyr], p)
 
 
 def pooled_scale_statistics(pyramids, p) -> ScaleStats:
@@ -218,11 +193,13 @@ def pooled_scale_statistics(pyramids, p) -> ScaleStats:
     if not (p == math.inf or p >= 1):
         raise ValueError(f"order p must be >= 1 or inf, got {p}")
     out = {}
-    for key in ref.detail:
+    for key in ref.blocks:
+        if 0 in key:
+            continue
         if p == math.inf:
-            v = max(float(np.max(np.abs(pyr.detail[key]))) for pyr in pyramids)
+            v = max(float(np.max(np.abs(pyr.blocks[key]))) for pyr in pyramids)
         else:
-            v = np.mean([np.mean(np.abs(pyr.detail[key]) ** p) for pyr in pyramids]) ** (1.0 / p)
+            v = np.mean([np.mean(np.abs(pyr.blocks[key]) ** p) for pyr in pyramids]) ** (1.0 / p)
         out[key] = math.log2(v) if v > 0 else -math.inf
     return ScaleStats(grid_n=ref.grid_n, levels=ref.levels, p=float(p), log2_stat=out)
 

@@ -202,18 +202,21 @@ def spectral_grid(spec: FieldSpec) -> SpectralGrid:
 # synthesis
 # ---------------------------------------------------------------------------
 
-_HALF_CACHE = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _half_plane(n):
-    """Mode list of the half plane {k2 > 0} u {k2 = 0, k1 > 0}, row-major in k1."""
-    if n not in _HALF_CACHE:
-        half = n // 2
-        rng = np.arange(-half + 1, half)
-        K1, K2 = np.meshgrid(rng, rng, indexing="ij")
-        sel = (K2 > 0) | ((K2 == 0) & (K1 > 0))
-        _HALF_CACHE[n] = (K1[sel], K2[sel])
-    return _HALF_CACHE[n]
+    """Mode list of the half plane {k2 > 0} u {k2 = 0, k1 > 0}, row-major in k1.
+
+    Kept in a bounded LRU cache (4 sizes) and returned read-only, since
+    every caller shares the arrays.
+    """
+    half = n // 2
+    rng = np.arange(-half + 1, half)
+    K1, K2 = np.meshgrid(rng, rng, indexing="ij")
+    sel = (K2 > 0) | ((K2 == 0) & (K1 > 0))
+    k1s, k2s = K1[sel], K2[sel]
+    k1s.flags.writeable = False
+    k2s.flags.writeable = False
+    return k1s, k2s
 
 
 def spectral_coefficients(spec: FieldSpec) -> np.ndarray:
@@ -327,22 +330,29 @@ def _radial_integral(a_arr, b_arr, alpha0, hurst, jmax):
     T = 2.0 ** _J_MIN
     total += 0.5 * a_arr ** 2 * T ** (2 * lam1 - H2) / (2 * lam1 - H2)
     total += 0.5 * b_arr ** 2 * T ** (2 * lam2 - H2) / (2 * lam2 - H2)
+    _add_radial_panels(total, a_arr, b_arr, alpha0, hurst, _J_MIN, jmax)
+    R = 2.0 ** (jmax + 1)
+    total += R ** (-H2) / H2  # exact mean tail; oscillatory remainder decays faster
+    return total
+
+
+def _add_radial_panels(total, a_arr, b_arr, alpha0, hurst, j_lo, j_hi):
+    """Add the dyadic panels [2^j, 2^(j+1)], j = j_lo..j_hi, of the radial
+    integrand into ``total`` in place, with oscillation-adapted Gauss nodes."""
+    lam1, lam2 = alpha0, 2.0 - alpha0
+    H2 = 2.0 * hurst
     amax = float(a_arr.max())
     bmax = float(b_arr.max())
-    for j in range(_J_MIN, jmax + 1):
+    for j in range(j_lo, j_hi + 1):
         lo, hi = 2.0 ** j, 2.0 ** (j + 1)
         osc = (amax * (hi ** lam1 - lo ** lam1) + bmax * (hi ** lam2 - lo ** lam2)) / TWO_PI
         nn = _pick_nodes(int(20 + math.ceil(2.5 * min(osc, 1e6))))
         xg, wg = _gauss(nn)
         r = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * wg
-        ra = r ** lam1
-        rb = r ** lam2
-        f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a_arr, ra), np.outer(b_arr, rb))
+        f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a_arr, r ** lam1),
+                                                 np.outer(b_arr, r ** lam2))
         total += f @ w
-    R = 2.0 ** (jmax + 1)
-    total += R ** (-H2) / H2  # exact mean tail; oscillatory remainder decays faster
-    return total
 
 
 _C_PANELS = 30
@@ -425,34 +435,14 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
                 f"R^(-2*hurst)): x={x}, alpha0={alpha0}, hurst={hurst}, "
                 f"head={head}, jmax={jmax}"
             )
-        ext = _radial_integral_extension(a, b, alpha0, hurst, jmax, new_jmax)
+        # panels (jmax, new_jmax] plus the mean-tail adjustment
+        ext = np.zeros_like(a)
+        _add_radial_panels(ext, a, b, alpha0, hurst, jmax + 1, new_jmax)
+        ext += (2.0 ** (new_jmax + 1)) ** (-2.0 * hurst) / (2.0 * hurst)
+        ext -= (2.0 ** (jmax + 1)) ** (-2.0 * hurst) / (2.0 * hurst)
         head += pref * float(np.sum(wt * ext))
         jmax = new_jmax
     return head
-
-
-def _radial_integral_extension(a_arr, b_arr, alpha0, hurst, old_jmax, new_jmax):
-    """Panels (old_jmax, new_jmax] plus the mean-tail adjustment."""
-    a_arr = np.asarray(a_arr, dtype=float)
-    b_arr = np.asarray(b_arr, dtype=float)
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    H2 = 2.0 * hurst
-    total = np.zeros_like(a_arr)
-    amax = float(a_arr.max())
-    bmax = float(b_arr.max())
-    for j in range(old_jmax + 1, new_jmax + 1):
-        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-        osc = (amax * (hi ** lam1 - lo ** lam1) + bmax * (hi ** lam2 - lo ** lam2)) / TWO_PI
-        nn = _pick_nodes(int(20 + math.ceil(2.5 * min(osc, 1e6))))
-        xg, wg = _gauss(nn)
-        r = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * wg
-        f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a_arr, r ** lam1),
-                                                 np.outer(b_arr, r ** lam2))
-        total += f @ w
-    total += (2.0 ** (new_jmax + 1)) ** (-H2) / H2
-    total -= (2.0 ** (old_jmax + 1)) ** (-H2) / H2
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,27 @@ def reference_idwt_step(lo, hi, h, g, axis):
 class TestTransform:
     def test_constant_field_all_details_zero(self, zero_field):
         pyr = hyperbolic_transform(zero_field, filt="haar")
-        assert all(np.all(b == 0.0) for b in pyr.detail.values())
+        assert all(np.all(b == 0.0) for key, b in pyr.blocks.items() if key != (0, 0))
 
     def test_block_shapes(self):
         v = random_field(64)
-        pyr = hyperbolic_transform(v, filt="haar", levels=(3, 4))
-        for (j1, j2), block in pyr.detail.items():
-            assert block.shape == (64 >> j1, 64 >> j2)
-        assert set(pyr.detail) == {(a, b) for a in range(1, 4) for b in range(1, 5)}
+        J1, J2 = 3, 4
+        pyr = hyperbolic_transform(v, filt="haar", levels=(J1, J2))
+        # exactly {0..J1} x {0..J2}, j2 outer: statistics and ray sums follow this order
+        assert list(pyr.blocks) == [(a, b) for b in range(J2 + 1) for a in range(J1 + 1)]
+        for (j1, j2), block in pyr.blocks.items():
+            assert block.shape == (64 >> (j1 or J1), 64 >> (j2 or J2))
+
+    def test_legacy_views_are_slices_of_blocks(self):
+        pyr = hyperbolic_transform(random_field(64), filt="d4", levels=(2, 5))
+        b = pyr.blocks
+        assert pyr.approx is b[(0, 0)]
+        detail = {(j1, j2): b[(j1, j2)] for j2 in range(1, 6) for j1 in range(1, 3)}
+        assert pyr.detail == detail and list(pyr.detail) == list(detail)
+        assert pyr.detail_approx == {j1: b[(j1, 0)] for j1 in (1, 2)}
+        assert pyr.approx_detail == {j2: b[(0, j2)] for j2 in range(1, 6)}
+        with pytest.raises(AttributeError):
+            pyr.approx = b[(0, 0)]
 
     @pytest.mark.parametrize("filt", ["haar", "d4"])
     def test_perfect_reconstruction_white_noise(self, filt):
@@ -74,15 +87,14 @@ class TestTransform:
         # a field equal to one tensor basis function has exactly one unit coefficient
         base = hyperbolic_transform(np.zeros((64, 64)), filt="haar", levels=(4, 4))
         target = (2, 3)
-        base.detail[target][1, 2] = 1.0
+        base.blocks[target][1, 2] = 1.0
         v = inverse_hyperbolic_transform(base)
         assert v[0, 0] == pytest.approx(0.0, abs=1e-12)  # support away from origin
         pyr = hyperbolic_transform(v, filt="haar", levels=(4, 4))
-        for key, block in pyr.detail.items():
+        for key, block in pyr.blocks.items():
             expect = 1.0 if key == target else 0.0
             assert float(np.max(np.abs(block))) == pytest.approx(expect, abs=1e-10)
-        assert float(np.max(np.abs(pyr.approx))) < 1e-10
-        assert pyr.detail[target][1, 2] == pytest.approx(1.0, rel=1e-12)
+        assert pyr.blocks[target][1, 2] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("filt", ["haar", "d4"])
     @pytest.mark.parametrize("levels", [(1, 1), (5, 3), (6, 6)])
@@ -97,12 +109,9 @@ class TestTransform:
                 ref = hyperbolic_transform(values, filt=filt, levels=levels)
                 ref_rec = inverse_hyperbolic_transform(ref)
             tol = dict(rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(pyr.approx, ref.approx, **tol)
-            for name in ("detail", "detail_approx", "approx_detail"):
-                blocks, ref_blocks = getattr(pyr, name), getattr(ref, name)
-                assert blocks.keys() == ref_blocks.keys()
-                for key in ref_blocks:
-                    np.testing.assert_allclose(blocks[key], ref_blocks[key], **tol)
+            assert list(pyr.blocks) == list(ref.blocks)
+            for key, block in ref.blocks.items():
+                np.testing.assert_allclose(pyr.blocks[key], block, **tol)
             np.testing.assert_allclose(rec, ref_rec, **tol)
             np.testing.assert_allclose(rec, values, **tol)
 
@@ -132,7 +141,7 @@ class TestScaleStatistics:
     def test_constant_magnitude_block(self):
         pyr = hyperbolic_transform(random_field(64), filt="haar", levels=(3, 3))
         c = 0.37
-        pyr.detail[(2, 2)][:] = c
+        pyr.blocks[(2, 2)][:] = c
         for p in (1.0, 2.0, 4.0, math.inf):
             stats = scale_statistics(pyr, p)
             assert stats.log2_stat[(2, 2)] == pytest.approx(math.log2(c), rel=1e-12)

@@ -187,6 +187,17 @@ class TestSpectralGrid:
             _folded_mass(0.6, 0.3 + 0.01 * i, 32)
         assert _folded_mass.cache_info().currsize <= cap
 
+    def test_half_plane_cache_bounded(self):
+        from anisotex.synth import _half_plane
+        cap = _half_plane.cache_parameters()["maxsize"]
+        assert cap is not None
+        for i in range(cap + 3):
+            _half_plane(8 + 2 * i)
+        assert _half_plane.cache_info().currsize <= cap
+        k1s, k2s = _half_plane(8)
+        assert _half_plane(8)[0] is k1s  # a hit returns the shared arrays
+        assert not k1s.flags.writeable and not k2s.flags.writeable
+
     def test_repeated_key_not_rebuilt(self):
         from anisotex.synth import _folded_mass
         first = _folded_mass(0.6, 0.35, 32)
