@@ -60,8 +60,21 @@ def _parse_spec(text, size=None, seed=None):
     return FieldSpec.make(alpha0, hurst, grid_n=n, seed=sd)
 
 
+# one synthesis peaks at 44 B per grid sample (measured, n = 512..2048) and
+# the worker pool adds transients: budget 64 B, plus 8 B per field kept
+MAX_SYNTH_BYTES = 4 * 2 ** 30
+
+
+def _check_synth_memory(spec, reps=1):
+    need = spec.grid_n ** 2 * (64 + 8 * reps)
+    if need > MAX_SYNTH_BYTES:
+        raise ValueError(f"n={spec.grid_n} with {reps} realization(s) needs about "
+                         f"{need / 2 ** 30:.1f} GiB, over the {MAX_SYNTH_BYTES >> 30} GiB limit")
+
+
 def cmd_simulate(args) -> int:
     spec = FieldSpec.make(args.alpha0, args.hurst, grid_n=args.size, seed=args.seed)
+    _check_synth_memory(spec)
     field = synth.synthesize(spec)
     fileio.write_field(args.out, field)
     print(json.dumps(fileio.spec_to_dict(spec)))
@@ -86,6 +99,7 @@ def cmd_scan(args) -> int:
         fields = _load_fields(args.inputs)
     elif args.spec:
         spec = _parse_spec(args.spec)
+        _check_synth_memory(spec, args.reps)
         fields = synth.synthesize_ensemble(spec, args.reps)
     else:
         raise ValueError("provide field files with --in or a --spec with --reps")

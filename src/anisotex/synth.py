@@ -15,6 +15,11 @@ continuum scaling laws down to fine lags. Without it, the steep-exponent
 axis of an anisotropic weight loses its sub-grid spectral ridge and the
 sampled field is measurably too smooth along that axis.
 
+A realization is stored only as its half-plane coefficients in the
+(n, n/2 + 1) rfft layout: fields come from one real ``irfft2``, and point
+values from X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1), summed
+separably over per-axis phases (never a modes x points matrix).
+
 Remaining known bias: the zero-frequency cell (|xi| < pi) cannot be
 represented by a periodic model, so variances at large lags (|x| beyond
 roughly 0.3) fall below the continuum oracle. Estimation uses small and
@@ -80,13 +85,7 @@ class SpectralGrid:
     """
 
     n: int
-    freq_index: np.ndarray = field(repr=False)  # integer frequencies, FFT order
     amplitudes: np.ndarray = field(repr=False)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Per-axis frequencies xi = 2 pi k, FFT index order."""
-        return TWO_PI * self.freq_index
 
 
 _M_BOX = 3       # full alias box |m| <= 3
@@ -194,8 +193,7 @@ def spectral_grid(spec: FieldSpec) -> SpectralGrid:
     if spec.rho != "power_sum":
         raise ValueError(f"synthesis supports the power_sum weight only, got {spec.rho!r}")
     mass = _folded_mass(spec.alpha0, spec.hurst, spec.grid_n)
-    k = np.fft.fftfreq(spec.grid_n, d=1.0 / spec.grid_n)
-    return SpectralGrid(n=spec.grid_n, freq_index=k, amplitudes=np.sqrt(mass))
+    return SpectralGrid(n=spec.grid_n, amplitudes=np.sqrt(mass))
 
 
 # ---------------------------------------------------------------------------
@@ -204,52 +202,61 @@ def spectral_grid(spec: FieldSpec) -> SpectralGrid:
 
 @functools.lru_cache(maxsize=4)
 def _half_plane(n):
-    """Mode list of the half plane {k2 > 0} u {k2 = 0, k1 > 0}, row-major in k1.
+    """Flat indices, in the (n, n/2 + 1) rfft layout, of the half-plane modes
+    {k2 > 0} u {k2 = 0, k1 > 0}, row-major in k1 (the order of the draws).
 
     Kept in a bounded LRU cache (4 sizes) and returned read-only, since
-    every caller shares the arrays.
+    every caller shares the array.
     """
     half = n // 2
-    rng = np.arange(-half + 1, half)
-    K1, K2 = np.meshgrid(rng, rng, indexing="ij")
-    sel = (K2 > 0) | ((K2 == 0) & (K1 > 0))
-    k1s, k2s = K1[sel], K2[sel]
-    k1s.flags.writeable = False
-    k2s.flags.writeable = False
-    return k1s, k2s
+    K1, K2 = np.meshgrid(np.arange(-half + 1, half), np.arange(half), indexing="ij")
+    sel = (K2 > 0) | (K1 > 0)
+    flat = (K1[sel] % n) * (half + 1) + K2[sel]
+    flat.flags.writeable = False
+    return flat
 
 
-def spectral_coefficients(spec: FieldSpec) -> np.ndarray:
-    """Hermitian complex Gaussian coefficient grid for one realization.
+def _half_spectrum(spec: FieldSpec) -> np.ndarray:
+    """Half-plane coefficients of one realization in the (n, n/2 + 1) rfft
+    layout, zero elsewhere (the k2 = 0 column at k1 < 0 included).
 
     The Gaussian stream is drawn from a Philox generator keyed by
     ``spec.seed``: two standard normals per half-plane mode, enumerated
     row-major over {k2 > 0} plus {k2 = 0, k1 > 0}, even draws real parts.
+    The amplitude grid is even, so its first n/2 + 1 columns scale them.
     """
     n = spec.grid_n
     amp = spectral_grid(spec).amplitudes
-    k1s, k2s = _half_plane(n)
+    flat = _half_plane(n)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    z = rng.standard_normal((k1s.size, 2))
-    g = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    H = np.zeros((n, n // 2 + 1), dtype=complex)
+    H.ravel()[flat] = rng.standard_normal((flat.size, 2)).view(complex)[:, 0] / math.sqrt(2.0)
+    H *= amp[:, :n // 2 + 1]
+    return H
+
+
+def spectral_coefficients(spec: FieldSpec) -> np.ndarray:
+    """Hermitian complex Gaussian coefficient grid for one realization, FFT
+    order: the half-plane coefficients and their conjugates at -k."""
+    n = spec.grid_n
     C = np.zeros((n, n), dtype=complex)
-    a = amp[k1s % n, k2s % n]
-    C[k1s % n, k2s % n] = a * g
-    C[(-k1s) % n, (-k2s) % n] = a * np.conj(g)
-    return C
+    C[:, :n // 2 + 1] = _half_spectrum(spec)
+    neg = -np.arange(n) % n
+    return C + np.conj(C[np.ix_(neg, neg)])
 
 
 def synthesize(spec: FieldSpec) -> SampledField:
-    """Draw one field realization on the n x n grid over [0,1]^2.
+    """Draw one field realization on the n x n grid over [0,1]^2 by one real
+    ``irfft2`` of the half spectrum, its k2 = 0 column mirrored to k1 < 0.
 
     Deterministic given the spec (seed included); the origin sample is
     exactly zero by the spectral subtraction of the value at x = 0.
     """
-    n = spec.grid_n
-    C = spectral_coefficients(spec)
-    Y = np.fft.ifft2(C) * (n * n)
-    X = Y.real
-    X = X - X[0, 0]
+    n, half = spec.grid_n, spec.grid_n // 2
+    H = _half_spectrum(spec)
+    H[n - half + 1:, 0] = np.conj(H[half - 1:0:-1, 0])
+    X = np.fft.irfft2(H, s=(n, n), norm="forward")
+    X -= X[0, 0]
     X[0, 0] = 0.0
     return SampledField(values=X, spec=spec)
 
@@ -267,25 +274,30 @@ def synthesize_ensemble(spec: FieldSpec, reps: int, workers: int | None = None):
         return list(pool.map(synthesize, specs))
 
 
+def _values_at(spec: FieldSpec, points, reps: int) -> np.ndarray:
+    """(reps, m) values at m points of the realizations with seeds
+    spec.seed + i. The per-axis phases e^{2 pi i k x} are built once; each
+    realization then costs one (n, n/2 + 1) x (n/2 + 1, m) product and a
+    column-wise dot over k1."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = spec.grid_n
+    e1 = np.exp(1j * TWO_PI * np.outer(np.fft.fftfreq(n, d=1.0 / n), pts[:, 0]))
+    e2 = np.exp(1j * TWO_PI * np.outer(np.arange(n // 2 + 1), pts[:, 1]))
+    out = np.empty((reps, pts.shape[0]))
+    for i in range(reps):
+        H = _half_spectrum(spec.with_seed((spec.seed + i) % 2 ** 64))
+        out[i] = 2.0 * (np.einsum("km,km->m", e1, H @ e2).real - H.sum().real)
+    return out
+
+
 def evaluate_at_points(spec: FieldSpec, points) -> np.ndarray:
     """Evaluate one realization at arbitrary points of [0,1]^2.
 
-    Direct trigonometric summation of the same spectral coefficients the
-    FFT path uses, so lattice points reproduce ``synthesize`` values
-    and off-lattice points are exact for the lattice model (no
-    interpolation bias).
+    Separable direct summation of X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1)
+    over the coefficients ``synthesize`` uses: lattice points reproduce its
+    values, off-lattice points are exact for the lattice model.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = spec.grid_n
-    C = spectral_coefficients(spec)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    y0 = C.sum()
-    out = np.empty(pts.shape[0])
-    for i, (x1, x2) in enumerate(pts):
-        row = np.exp(1j * TWO_PI * k * x1)
-        col = np.exp(1j * TWO_PI * k * x2)
-        out[i] = (row @ C @ col - y0).real
-    return out
+    return _values_at(spec, points, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +403,9 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
     integrated over dyadic radial shells with oscillation-adapted Gauss
     panels; the radial head and mean tail are added in closed form. On
     the coordinate axes the exact closed form is returned directly. The
-    shell ladder is extended until the crude tail bound
-    4 int_{rho > R} rho^{-2(H+1)} falls below 1e-4 of the accumulated
-    head (usually far below; non-convergence raises).
+    shell ladder is extended (8 shells at a time, to [2^53, 2^54] at most)
+    until the crude tail bound 4 int_{rho > R} rho^{-2(H+1)} falls below
+    1e-4 of the accumulated head (usually far below; else it raises).
 
     Relative accuracy is ~1e-6 for moderate anisotropy, degrading toward
     ~1e-3 for min(alpha0, 2 - alpha0) near 0.2.
@@ -428,13 +440,13 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
     # only refine the (fast-decaying) oscillatory remainder
     tail_c = _tail_bound_constant(alpha0, hurst)
     while 4.0 * tail_c * (2.0 ** (jmax + 1)) ** (-2.0 * hurst) > 1e-4 * abs(head):
-        new_jmax = jmax + 8
-        if new_jmax > 53:
+        if jmax >= 53:
             raise RuntimeError(
                 "variogram quadrature did not converge (tail bound decays as "
                 f"R^(-2*hurst)): x={x}, alpha0={alpha0}, hurst={hurst}, "
                 f"head={head}, jmax={jmax}"
             )
+        new_jmax = min(jmax + 8, 53)
         # panels (jmax, new_jmax] plus the mean-tail adjustment
         ext = np.zeros_like(a)
         _add_radial_panels(ext, a, b, alpha0, hurst, jmax + 1, new_jmax)
@@ -486,15 +498,10 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int,
     k = max(1, int(translates))
     box = np.maximum(0.0, 1.0 - np.maximum(x, y))
     taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
-    pts = np.vstack([taus, taus + y, taus + x])
-
-    u = np.empty(reps)
-    w = np.empty(reps)
-    for i in range(reps):
-        vals = evaluate_at_points(spec.with_seed((spec.seed + i) % 2 ** 64), pts)
-        base, at_y, at_x = vals[:k], vals[k:2 * k], vals[2 * k:]
-        u[i] = np.mean((at_y - base) ** 2)
-        w[i] = np.mean((at_x - base) ** 2)
+    vals = _values_at(spec, np.vstack([taus, taus + y, taus + x]), reps)
+    base, at_y, at_x = vals[:, :k], vals[:, k:2 * k], vals[:, 2 * k:]
+    u = np.mean((at_y - base) ** 2, axis=1)
+    w = np.mean((at_x - base) ** 2, axis=1)
     um, wm = u.mean(), w.mean()
     ratio = um / wm
     cov = np.cov(u, w)

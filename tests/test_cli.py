@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anisotex import FieldSpec, SampledField, fileio
+from anisotex import FieldSpec, SampledField, fileio, synth
 from anisotex.cli import main
 
 
@@ -35,6 +35,20 @@ class TestSimulate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", str(2 ** 16)],
+    ["scan", "--spec", f"alpha0=0.6,hurst=0.4,n={2 ** 16}"],
+    ["scan", "--spec", "alpha0=0.6,hurst=0.4,n=2048", "--reps", "100000"],
+], ids=["simulate_size", "scan_n", "scan_reps"])
+def test_oversized_synthesis_exit_2(argv, monkeypatch, tmp_path, capsys):
+    # rejected before any allocation: building the mass grid fails the test
+    monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "GiB, over the 4 GiB limit" in err
 
 
 class TestScan:

@@ -32,6 +32,67 @@ def axis_oracle(alpha0, hurst, axis, r):
     return 8.0 * other * K * beta_fn(lam + 2.0 * hurst, other) * abs(r) ** s
 
 
+def reference_spectral_coefficients(spec):
+    """The original full-grid scatter, kept as the reference for the
+    half-spectrum build: each half-plane mode and its conjugate at -k
+    written into an n x n complex grid."""
+    n = spec.grid_n
+    half = n // 2
+    amp = spectral_grid(spec).amplitudes
+    rng_k = np.arange(-half + 1, half)
+    K1, K2 = np.meshgrid(rng_k, rng_k, indexing="ij")
+    sel = (K2 > 0) | ((K2 == 0) & (K1 > 0))
+    k1s, k2s = K1[sel], K2[sel]
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    z = rng.standard_normal((k1s.size, 2))
+    g = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    C = np.zeros((n, n), dtype=complex)
+    a = amp[k1s % n, k2s % n]
+    C[k1s % n, k2s % n] = a * g
+    C[(-k1s) % n, (-k2s) % n] = a * np.conj(g)
+    return C
+
+
+def reference_evaluate_at_points(spec, points):
+    """The original point loop over the full Hermitian grid."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = spec.grid_n
+    C = reference_spectral_coefficients(spec)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    y0 = C.sum()
+    out = np.empty(pts.shape[0])
+    for i, (x1, x2) in enumerate(pts):
+        row = np.exp(1j * 2.0 * math.pi * k * x1)
+        col = np.exp(1j * 2.0 * math.pi * k * x2)
+        out[i] = (row @ C @ col - y0).real
+    return out
+
+
+def reference_monte_carlo(spec, a, x, reps, translates=16):
+    """The original Monte Carlo loop, one point evaluation per realization;
+    returns (ratio, ci_halfwidth)."""
+    x = np.asarray(x, dtype=float)
+    y = np.array([a ** spec.alpha0 * x[0], a ** (2.0 - spec.alpha0) * x[1]])
+    rng = np.random.Generator(np.random.Philox(key=(spec.seed, 0x7a06)))
+    k = translates
+    box = np.maximum(0.0, 1.0 - np.maximum(x, y))
+    taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
+    pts = np.vstack([taus, taus + y, taus + x])
+    u = np.empty(reps)
+    w = np.empty(reps)
+    for i in range(reps):
+        vals = reference_evaluate_at_points(spec.with_seed(spec.seed + i), pts)
+        base, at_y, at_x = vals[:k], vals[k:2 * k], vals[2 * k:]
+        u[i] = np.mean((at_y - base) ** 2)
+        w[i] = np.mean((at_x - base) ** 2)
+    um, wm = u.mean(), w.mean()
+    ratio = um / wm
+    cov = np.cov(u, w)
+    var_ratio = ratio ** 2 * (cov[0, 0] / um ** 2 + cov[1, 1] / wm ** 2
+                              - 2.0 * cov[0, 1] / (um * wm)) / reps
+    return ratio, 1.96 * math.sqrt(max(var_ratio, 0.0))
+
+
 class TestSynthesize:
     def test_origin_is_exactly_zero(self):
         f = synthesize(FieldSpec.make(0.6, 0.4, grid_n=64, seed=5))
@@ -48,6 +109,15 @@ class TestSynthesize:
         f1 = synthesize(spec)
         f2 = synthesize(spec.with_seed(43))
         assert not np.array_equal(f1.values, f2.values)
+
+    @pytest.mark.parametrize("alpha0,hurst,n,seed", [(0.6, 0.4, 64, 11), (0.25, 0.2, 128, 3),
+                                                     (1.4, 0.5, 256, 2024)])
+    def test_coefficients_match_reference_scatter(self, alpha0, hurst, n, seed):
+        spec = FieldSpec.make(alpha0, hurst, grid_n=n, seed=seed)
+        C = spectral_coefficients(spec)
+        ref = reference_spectral_coefficients(spec)
+        assert np.array_equal(C == 0, ref == 0)
+        assert_allclose(C, ref, rtol=1e-12, atol=0.0)
 
     def test_hermitian_symmetry_residue(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=128, seed=3)
@@ -194,9 +264,14 @@ class TestSpectralGrid:
         for i in range(cap + 3):
             _half_plane(8 + 2 * i)
         assert _half_plane.cache_info().currsize <= cap
-        k1s, k2s = _half_plane(8)
-        assert _half_plane(8)[0] is k1s  # a hit returns the shared arrays
-        assert not k1s.flags.writeable and not k2s.flags.writeable
+        flat = _half_plane(8)
+        assert _half_plane(8) is flat  # a hit returns the shared array
+        assert not flat.flags.writeable
+        # the half-plane modes, row-major in k1, in the (n, n/2 + 1) rfft layout
+        k1, k2 = np.unravel_index(flat, (8, 5))
+        k1 = np.where(k1 < 4, k1, k1 - 8)
+        modes = [(a, b) for a in range(-3, 4) for b in range(4) if b > 0 or a > 0]
+        assert list(zip(k1.tolist(), k2.tolist())) == modes
 
     def test_repeated_key_not_rebuilt(self):
         from anisotex.synth import _folded_mass
@@ -235,14 +310,21 @@ class TestSpectralGrid:
 
 class TestEvaluateAtPoints:
     def test_matches_lattice_values(self):
+        # every lattice point of the field, the origin included
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=17)
         f = synthesize(spec)
-        pts = [(0.0, 0.0), (10 / 64, 20 / 64), (33 / 64, 5 / 64)]
-        vals = evaluate_at_points(spec, pts)
+        i1, i2 = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
+        pts = np.column_stack([i1.ravel(), i2.ravel()]) / 64
+        vals = evaluate_at_points(spec, pts).reshape(64, 64)
         scale = np.max(np.abs(f.values))
-        assert abs(vals[0]) < 1e-9 * scale
-        assert vals[1] == pytest.approx(f.values[10, 20], abs=1e-9 * scale)
-        assert vals[2] == pytest.approx(f.values[33, 5], abs=1e-9 * scale)
+        assert_allclose(vals, f.values, rtol=0.0, atol=1e-12 * scale)
+
+    def test_matches_reference_loop(self):
+        spec = FieldSpec.make(1.4, 0.5, grid_n=128, seed=5)
+        pts = np.random.default_rng(3).uniform(size=(40, 2))
+        ref = reference_evaluate_at_points(spec, pts)
+        vals = evaluate_at_points(spec, pts)
+        assert_allclose(vals, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestVariogramOracle:
@@ -285,6 +367,16 @@ class TestVariogramOracle:
             lhs = variogram_oracle(spec, y)
             rhs = a ** (2 * hurst) * variogram_oracle(spec, x)
             assert lhs == pytest.approx(rhs, rel=1e-3)
+
+    def test_ladder_reaches_its_last_shell(self):
+        # small hurst: the tail bound meets its target only at jmax = 53
+        spec = FieldSpec.make(1.2, 0.15, grid_n=64)
+        assert variogram_oracle(spec, (0.1, 0.2)) == pytest.approx(15.6937, rel=1e-5)
+
+    def test_ladder_raises_past_its_last_shell(self):
+        spec = FieldSpec.make(0.8, 0.1, grid_n=64)
+        with pytest.raises(RuntimeError, match="did not converge.*jmax=53"):
+            variogram_oracle(spec, (0.1, 0.2))
 
     def test_isotropic_power_law(self):
         spec = FieldSpec.make(1.0, 0.5, grid_n=64)
@@ -374,6 +466,15 @@ class TestMonteCarloScaling:
         res = monte_carlo_scaling_check(spec, 2.0, (0.15, 0.1), 80)
         assert res.target == pytest.approx(2.0 ** 0.8)
         assert res.ratio == pytest.approx(res.target, rel=0.2)
+
+    @pytest.mark.parametrize("a,x", [(2.0, (0.2, 0.1)), (4.0, (0.08, 0.03)), (0.5, (0.2, 0.2))])
+    def test_matches_reference_loop(self, a, x):
+        # the criterion-3 probes, at a small grid
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=901)
+        res = monte_carlo_scaling_check(spec, a, x, 50)
+        ratio, ci = reference_monte_carlo(spec, a, x, 50)
+        assert res.ratio == pytest.approx(ratio, rel=1e-12)
+        assert res.ci_halfwidth == pytest.approx(ci, rel=1e-12)
 
     def test_out_of_domain_point_rejected(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
