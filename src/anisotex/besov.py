@@ -159,6 +159,19 @@ def _default_fit_mask(lags, grid_n):
     return keep
 
 
+MIN_FIT_LAGS = 4
+
+
+def min_fit_grid() -> int:
+    """Smallest power-of-two grid (>= 64) whose axis structure functions keep
+    MIN_FIT_LAGS default lags inside the default fit window."""
+    n = 64
+    while np.count_nonzero(_default_fit_mask([t for t in default_lags(n) if t <= 0.25], n)) \
+            < MIN_FIT_LAGS:
+        n *= 2
+    return n
+
+
 def directional_exponent(sf: StructureFunction, fit_range=None) -> DirectionalExponent:
     """Log-log slope of a structure function; h = slope / p (slope for p = inf).
 
@@ -180,8 +193,8 @@ def directional_exponent(sf: StructureFunction, fit_range=None) -> DirectionalEx
             raise ValueError("structure function lacks grid_n; pass fit_range explicitly")
         keep = _default_fit_mask(t, sf.grid_n)
     t, s = t[keep], s[keep]
-    if t.size < 4:
-        raise ValueError(f"need at least 4 lags in the fit range, have {t.size}")
+    if t.size < MIN_FIT_LAGS:
+        raise ValueError(f"need at least {MIN_FIT_LAGS} lags in the fit range, have {t.size}")
     if np.any(s <= 0.0):
         raise DegenerateDirectionError(
             "structure function vanishes in the fit range (constant direction)"

@@ -21,15 +21,22 @@ from . import besov, fileio, homog, hywave, synth
 from .core import AnisotropyError, FieldSpec
 
 
+MAX_ALPHA_GRID = 10000
+
+
 def _parse_alpha_grid(text):
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ValueError(f"bad alpha grid {text!r}; expected start:stop:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"alpha grid {text!r} must be finite")
     if step <= 0:
         raise ValueError(f"alpha grid step must be positive, got {step}")
     if not start < stop:
         return []
+    if (stop - start) / step >= MAX_ALPHA_GRID:
+        raise ValueError(f"alpha grid {text!r} has more than {MAX_ALPHA_GRID} points")
     grid = list(np.arange(start, stop + step * 1e-6, step))
     return [round(a, 12) for a in grid]
 
@@ -72,6 +79,14 @@ def _check_synth_memory(spec, reps=1):
                          f"{need / 2 ** 30:.1f} GiB, over the {MAX_SYNTH_BYTES >> 30} GiB limit")
 
 
+def _check_fit_grid(n):
+    """The default fit needs a grid of at least besov.min_fit_grid() samples per axis."""
+    least = besov.min_fit_grid()
+    if n < least:
+        raise ValueError(f"n={n} leaves fewer than {besov.MIN_FIT_LAGS} fit lags along the "
+                         f"axes; the minimum grid is n={least}")
+
+
 def cmd_simulate(args) -> int:
     spec = FieldSpec.make(args.alpha0, args.hurst, grid_n=args.size, seed=args.seed)
     _check_synth_memory(spec)
@@ -97,8 +112,10 @@ def cmd_scan(args) -> int:
         raise ValueError(f"empty grid {args.alpha_grid!r}")
     if args.inputs:
         fields = _load_fields(args.inputs)
+        _check_fit_grid(fields[0].grid_n)
     elif args.spec:
         spec = _parse_spec(args.spec)
+        _check_fit_grid(spec.grid_n)
         _check_synth_memory(spec, args.reps)
         fields = synth.synthesize_ensemble(spec, args.reps)
     else:
@@ -128,6 +145,7 @@ def cmd_analyze(args) -> int:
     field = fileio.read_field(args.inputs[0]) if len(args.inputs) == 1 else None
     if field is None:
         raise ValueError("analyze expects exactly one --in field file")
+    _check_fit_grid(field.grid_n)
     directions = []
     for d in args.direction or ["1,0", "0,1"]:
         u, v = (float(c) for c in d.split(","))

@@ -143,34 +143,53 @@ def _read_csv(path, header):
     """Rows of a CSV table, split on commas, after checking its header row."""
     with open(path, "r", encoding="utf-8") as fh:
         got = fh.readline().strip().split(",")
+        missing = [c for c in header if c not in got]
+        if missing:
+            raise ValueError(f"{path}: table lacks column {', '.join(missing)}")
         if got != header:
             raise ValueError(f"{path}: unexpected header {got}")
         return [line.strip().split(",") for line in fh]
 
 
+def _table_constant(path, values, name):
+    """The one value a per-row column such as grid_n holds throughout a table."""
+    if len(set(values)) != 1:
+        raise ValueError(f"{path}: column {name} must hold one value, got {sorted(set(values))}")
+    return values[0]
+
+
+_SF_HEADER = ["direction_u", "direction_v", "p", "t", "S", "grid_n"]
+
+
 def write_structure_functions(path, sfs) -> None:
-    """Columns: direction_u, direction_v, p, t, S (one observation per row)."""
+    """Columns: direction_u, direction_v, p, t, S, grid_n (one observation
+    per row); grid_n lets a table that is read back be fitted."""
     rows = []
     for sf in sfs:
         u, v = sf.lattice_step
         for t, s in zip(sf.lags, sf.values):
-            rows.append((u, v, float(sf.p), float(t), float(s)))
-    _write_csv(path, ["direction_u", "direction_v", "p", "t", "S"], rows)
+            rows.append((u, v, float(sf.p), float(t), float(s), sf.grid_n))
+    _write_csv(path, _SF_HEADER, rows)
 
 
 def read_structure_functions(path):
     """Group rows back into StructureFunction tables (per direction and p)."""
     groups = {}
-    for su, sv, sp, st, ss in _read_csv(path, ["direction_u", "direction_v", "p", "t", "S"]):
+    sizes = []
+    for su, sv, sp, st, ss, sn in _read_csv(path, _SF_HEADER):
         key = (int(su), int(sv), float(sp))
+        if key[:2] == (0, 0):
+            raise ValueError(f"{path}: direction 0,0 has no length")
         groups.setdefault(key, []).append((float(st), float(ss)))
+        sizes.append(int(sn))
+    grid_n = _table_constant(path, sizes, "grid_n") if sizes else 0
     out = []
     for (u, v, p), pairs in groups.items():
         pairs.sort()
         nrm = math.hypot(u, v)
         out.append(StructureFunction(direction=(u / nrm, v / nrm), lattice_step=(u, v),
                                      p=p, lags=tuple(t for t, _ in pairs),
-                                     values=tuple(s for _, s in pairs)))
+                                     values=tuple(s for _, s in pairs), grid_n=grid_n))
     return out
 
 
@@ -188,27 +207,40 @@ def read_scan(path) -> ExponentScan:
         alphas.append(a)
         means.append(m)
         errs.append(e)
+    if not means or not all(map(math.isfinite, means)):
+        raise ValueError(f"{path}: scan table needs finite exponent_mean values")
     peak = max(means)
     argmax = next(a for a, m in zip(alphas, means) if m >= peak - 1e-9)
     return ExponentScan(alphas=tuple(alphas), exponents=tuple(means), stderrs=tuple(errs),
                         argmax_alpha=argmax, peak=peak)
 
 
+_STATS_HEADER = ["j1", "j2", "p", "log2_stat", "grid_n", "levels_1", "levels_2"]
+
+
 def write_scale_statistics(path, stats: ScaleStats) -> None:
-    """Columns: j1, j2, p, log2_stat."""
-    rows = [(j1, j2, float(stats.p), float(v))
+    """Columns: j1, j2, p, log2_stat, grid_n, levels_1, levels_2; the last
+    three carry the pyramid's grid and depths, so the table reads back alone."""
+    J1, J2 = stats.levels
+    rows = [(j1, j2, float(stats.p), float(v), stats.grid_n, J1, J2)
             for (j1, j2), v in sorted(stats.log2_stat.items())
             if math.isfinite(v)]
-    _write_csv(path, ["j1", "j2", "p", "log2_stat"], rows)
+    _write_csv(path, _STATS_HEADER, rows)
 
 
-def read_scale_statistics(path, grid_n, levels) -> ScaleStats:
+def read_scale_statistics(path) -> ScaleStats:
     table = {}
-    p = None
-    for s1, s2, sp, sv in _read_csv(path, ["j1", "j2", "p", "log2_stat"]):
+    ps, sizes, levels = [], [], []
+    for s1, s2, sp, sv, sn, l1, l2 in _read_csv(path, _STATS_HEADER):
         table[(int(s1), int(s2))] = float(sv)
-        p = float(sp)
-    return ScaleStats(grid_n=grid_n, levels=levels, p=p, log2_stat=table)
+        ps.append(float(sp))
+        sizes.append(int(sn))
+        levels.append((int(l1), int(l2)))
+    if not table:
+        raise ValueError(f"{path}: empty scale-statistics table")
+    return ScaleStats(grid_n=_table_constant(path, sizes, "grid_n"),
+                      levels=_table_constant(path, levels, "levels"),
+                      p=_table_constant(path, ps, "p"), log2_stat=table)
 
 
 def write_ratio_scan(path, scan: RatioScan) -> None:

@@ -49,16 +49,6 @@ def _gauss(n):
     return _GAUSS_CACHE[n]
 
 
-_NODE_LADDER = (20, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768)
-
-
-def _pick_nodes(need):
-    for n in _NODE_LADDER:
-        if n >= need:
-            return n
-    return _NODE_LADDER[-1]
-
-
 def worker_count(default=4):
     """Worker cap from the ANISOTEX_THREADS environment variable."""
     cap = os.environ.get("ANISOTEX_THREADS")
@@ -188,12 +178,16 @@ def _folded_mass(alpha0, hurst, n):
     return full
 
 
-def spectral_grid(spec: FieldSpec) -> SpectralGrid:
-    """Amplitude grid for a field specification."""
+def _mass(spec: FieldSpec) -> np.ndarray:
+    """The cached mass grid of a spec, after checking its weight."""
     if spec.rho != "power_sum":
         raise ValueError(f"synthesis supports the power_sum weight only, got {spec.rho!r}")
-    mass = _folded_mass(spec.alpha0, spec.hurst, spec.grid_n)
-    return SpectralGrid(n=spec.grid_n, amplitudes=np.sqrt(mass))
+    return _folded_mass(spec.alpha0, spec.hurst, spec.grid_n)
+
+
+def spectral_grid(spec: FieldSpec) -> SpectralGrid:
+    """Amplitude grid for a field specification."""
+    return SpectralGrid(n=spec.grid_n, amplitudes=np.sqrt(_mass(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +217,16 @@ def _half_spectrum(spec: FieldSpec) -> np.ndarray:
     The Gaussian stream is drawn from a Philox generator keyed by
     ``spec.seed``: two standard normals per half-plane mode, enumerated
     row-major over {k2 > 0} plus {k2 = 0, k1 > 0}, even draws real parts.
-    The amplitude grid is even, so its first n/2 + 1 columns scale them.
+    The mass grid is even, so the square roots of its first n/2 + 1
+    columns, the only ones read, scale them (no n x n amplitude grid).
     """
     n = spec.grid_n
-    amp = spectral_grid(spec).amplitudes
+    mass = _mass(spec)
     flat = _half_plane(n)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     H = np.zeros((n, n // 2 + 1), dtype=complex)
     H.ravel()[flat] = rng.standard_normal((flat.size, 2)).view(complex)[:, 0] / math.sqrt(2.0)
-    H *= amp[:, :n // 2 + 1]
+    H *= np.sqrt(mass[:, :n // 2 + 1])
     return H
 
 
@@ -266,7 +261,7 @@ def synthesize_ensemble(spec: FieldSpec, reps: int, workers: int | None = None):
     if reps < 1:
         raise ValueError("reps must be >= 1")
     specs = [spec.with_seed((spec.seed + i) % 2 ** 64) for i in range(reps)]
-    spectral_grid(spec)  # build the shared mass grid once, outside the pool
+    _mass(spec)  # build the shared mass grid once, outside the pool
     w = worker_count() if workers is None else max(1, workers)
     if w == 1 or reps == 1:
         return [synthesize(s) for s in specs]
@@ -311,14 +306,18 @@ def _cosine_moment(s: float) -> float:
     return gamma_fn(2.0 - s) * math.cos(math.pi * s / 2.0) / (s * (1.0 - s))
 
 
+def _axis_radial(b, lam, hurst):
+    """int_0^inf r^(-2H-1) (1 - cos(b r^lam)) dr, in closed form."""
+    s = 2.0 * hurst / lam
+    return b ** s * _cosine_moment(s) / lam
+
+
 def _axis_variogram(alpha0, hurst, axis, r):
-    """Closed-form variogram on a coordinate axis (power-sum weight)."""
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    if axis == 0:
-        s = 2.0 * hurst / lam1
-        return 8.0 * lam2 * _cosine_moment(s) * beta_fn(lam1 + 2.0 * hurst, lam2) * abs(r) ** s
-    s = 2.0 * hurst / lam2
-    return 8.0 * lam1 * _cosine_moment(s) * beta_fn(lam2 + 2.0 * hurst, lam1) * abs(r) ** s
+    """Closed-form variogram on a coordinate axis (power-sum weight): the
+    polar integral with I(a, 0) = _axis_radial(a, lam, H) is a Beta integral."""
+    lam = alpha0 if axis == 0 else 2.0 - alpha0
+    other = 2.0 - lam
+    return 8.0 * other * lam * beta_fn(lam + 2.0 * hurst, other) * _axis_radial(abs(r), lam, hurst)
 
 
 def _one_minus_coscos(A, B):
@@ -328,43 +327,220 @@ def _one_minus_coscos(A, B):
     return pa + pb - pa * pb
 
 
-_J_MIN = -40
+_HEAD_PHASE = 1e-4  # the head [0, 2^j0] ends where every phase is still below this
+_LN_R = 300.0   # shells and windows stay in e^-300 < r < e^300, where exp(2 ln r) is finite
+# Gauss rules per (c-node, shell) element; the last entry is the node budget,
+# and an element whose rule would exceed it is integrated asymptotically
+_NODE_LADDER = (20, 32, 48, 64, 96, 128, 192, 256, 384)
+_RATE = 512.0   # cos(phi_-) is integrated by Gauss where |r phi_-'| < _RATE (see _window)
+_TAIL_TOL = 1e-9  # the ladder stops once the tail bound is this fraction of the value
+LN2 = math.log(2.0)
 
 
-def _radial_integral(a_arr, b_arr, alpha0, hurst, jmax):
-    """I(a,b) = int_0^inf r^{-2H-1} (1 - cos(a r^l1) cos(b r^l2)) dr,
-    vectorized over (a, b) pairs. Dyadic panels plus analytic head/tail."""
-    a_arr = np.asarray(a_arr, dtype=float)
-    b_arr = np.asarray(b_arr, dtype=float)
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    H2 = 2.0 * hurst
-    total = np.zeros_like(a_arr)
-    T = 2.0 ** _J_MIN
-    total += 0.5 * a_arr ** 2 * T ** (2 * lam1 - H2) / (2 * lam1 - H2)
-    total += 0.5 * b_arr ** 2 * T ** (2 * lam2 - H2) / (2 * lam2 - H2)
-    _add_radial_panels(total, a_arr, b_arr, alpha0, hurst, _J_MIN, jmax)
-    R = 2.0 ** (jmax + 1)
-    total += R ** (-H2) / H2  # exact mean tail; oscillatory remainder decays faster
-    return total
+def _phase_terms(p, s, r):
+    """G = g / phi', h1 = G' / phi' and phi at radii r (zero at r = inf), for
+    phi = a r^l1 + s b r^l2 and g = r^(-2H-1); p = (a, b, l1, l2, 2H)."""
+    a, b, l1, l2, H2 = p
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        P, Q = a * l1 * r ** l1, b * l2 * r ** l2
+        D = P + s * Q  # r phi'
+        rg = r ** -H2
+        G = rg / D
+        h1 = -rg * ((l1 + H2) * P + s * (l2 + H2) * Q) / D ** 3
+        phi = a * r ** l1 + s * b * r ** l2
+    fin = np.isfinite(r)
+    return np.where(fin, G, 0.0), np.where(fin, h1, 0.0), np.where(fin, phi, 0.0)
 
 
-def _add_radial_panels(total, a_arr, b_arr, alpha0, hurst, j_lo, j_hi):
-    """Add the dyadic panels [2^j, 2^(j+1)], j = j_lo..j_hi, of the radial
-    integrand into ``total`` in place, with oscillation-adapted Gauss nodes."""
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    H2 = 2.0 * hurst
-    amax = float(a_arr.max())
-    bmax = float(b_arr.max())
-    for j in range(j_lo, j_hi + 1):
-        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-        osc = (amax * (hi ** lam1 - lo ** lam1) + bmax * (hi ** lam2 - lo ** lam2)) / TWO_PI
-        nn = _pick_nodes(int(20 + math.ceil(2.5 * min(osc, 1e6))))
-        xg, wg = _gauss(nn)
+def _h1_extrema(p, s, lo, hi):
+    """Interior extrema of h1 on (lo, hi), else lo. With t = Q/P = kappa r^d,
+    h1 = -(a l1)^-2 (t/kappa)^-gam (al + s be t) / (1 + s t)^3, whose
+    derivative in t vanishes at the roots of (gam+2) be t^2 - s c1 t + gam al."""
+    a, b, l1, l2, H2 = p
+    d = l2 - l1
+    if d == 0.0:
+        return []  # h1 is a multiple of r^(-2H-2)
+    al, be = l1 + H2, l2 + H2
+    gam = (H2 + 2.0 * l1) / d
+    A, c1 = (gam + 2.0) * be, be - 3.0 * al - gam * (al + be)
+    disc = c1 * c1 - 4.0 * A * gam * al
+    if disc < 0.0:
+        return []
+    ln_kappa = np.log(b * l2) - np.log(a * l1)
+    out = []
+    for t in ((s * c1 + math.sqrt(disc)) / (2.0 * A), (s * c1 - math.sqrt(disc)) / (2.0 * A)):
+        if t > 0.0:
+            with np.errstate(over="ignore"):
+                r = np.exp((math.log(t) - ln_kappa) / d)
+            out.append(np.where((r > lo) & (r < hi), r, lo))
+    return out
+
+
+def _ibp(p, s, lo, hi):
+    """int_lo^hi g cos(phi) dr by two integration-by-parts terms,
+    [G sin(phi) + h1 cos(phi)]_lo^hi, and the total variation of h1 over
+    [lo, hi], which bounds the remainder |int h1' cos(phi) dr|. hi may be
+    inf; pieces with hi <= lo give (0, 0)."""
+    hi = np.maximum(hi, lo)
+    pts = np.sort(np.stack([lo, hi] + _h1_extrema(p, s, lo, hi)), axis=0)
+    G, h1, phi = _phase_terms(p, s, pts)
+    empty = hi <= lo
+    with np.errstate(invalid="ignore"):
+        edge = G * np.sin(phi) + h1 * np.cos(phi)
+        val = np.where(empty, 0.0, edge[-1] - edge[0])
+        tv = np.where(empty, 0.0, np.abs(np.diff(h1, axis=0)).sum(axis=0))
+    return val, tv
+
+
+def _gauss_cos(p, s, lo, hi, nn):
+    """int_lo^hi g cos(phi) dr per c-node by nn-point Gauss."""
+    a, b, l1, l2, H2 = p
+    xg, wg = _gauss(nn)
+    h = 0.5 * (hi - lo)
+    r = h[:, None] * xg + 0.5 * (hi + lo)[:, None]
+    f = r ** (-H2 - 1.0) * np.cos(a[:, None] * r ** l1 + s * b[:, None] * r ** l2)
+    return h * (f @ wg)
+
+
+def _crossing(f, lo, hi):
+    """Where the increasing f crosses zero in [lo, hi], per element, by
+    bisection: lo if f(lo) >= 0, hi if f(hi) < 0."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) < 0.0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    return hi
+
+
+def _window(p):
+    """[r_L, r_R] about the stationary point r* of phi_- = a r^l1 - b r^l2
+    (l1 < l2), where |r phi_-'| = |P - Q| < D. P - Q rises from 0 to a hump,
+    falls to 0 at r*, and Q - P then grows without bound; r_L = 0 when the
+    hump stays below D. D is _RATE, or more where P* = P(r*) is large: near
+    r*, P - Q ~ -P* (l2 - l1) ln(r/r*), so D = sqrt(_RATE ln2 P* (l2 - l1)/2)
+    bounds the phase excursion across the window by _RATE ln2 / 2 and keeps
+    its width resolvable in floating point. For l1 = l2, phi_- = (a - b) r."""
+    a, b, l1, l2, _ = p
+    if l1 == l2:
+        with np.errstate(divide="ignore"):
+            return np.zeros_like(a), _RATE / np.abs(a - b)
+    d = l2 - l1
+    u_lo, u_hi = -_LN_R, np.full_like(a, _LN_R)
+    us = (np.log(a * l1) - np.log(b * l2)) / d  # ln r*
+    uh = np.clip(us + math.log(l1 / l2) / d, u_lo, u_hi)  # ln of the hump
+    us = np.clip(us, u_lo, u_hi)
+    D = np.maximum(_RATE, np.sqrt(_RATE * LN2 / 2.0 * a * l1 * np.exp(l1 * us) * d))
+
+    def pmq(u):
+        return a * l1 * np.exp(l1 * u) - b * l2 * np.exp(l2 * u)
+
+    uL = _crossing(lambda u: D - pmq(u), uh, us)
+    uR = _crossing(lambda u: -pmq(u) - D, us, u_hi)
+    return (np.where(pmq(uh) < D, 0.0, np.exp(uL)),
+            np.where(-pmq(u_hi) < D, np.inf, np.exp(uR)))
+
+
+# the phase of cos(phi_-) moves at most _RATE ln 2 across a window piece
+_N_WINDOW = _NODE_LADDER[np.searchsorted(_NODE_LADDER, 20 + 2.5 * _RATE * LN2 / TWO_PI)]
+
+
+def _add_shell(total, bound, p, window, j):
+    """Add shell [2^j, 2^(j+1)] of the radial integral for every c-node.
+
+    Elements whose Gauss rule fits the node budget keep it on the combined
+    integrand. The others split 1 - cos A cos B = 1 - cos(phi_+)/2 -
+    cos(phi_-)/2, phi_+- = A +- B: the mean term in closed form, cos(phi_+)
+    by parts, cos(phi_-) by parts outside the stationary window and by
+    Gauss inside it; their remainder bounds go to ``bound``. Returns True
+    when every element took the asymptotic path.
+    """
+    a, b, l1, l2, H2 = p
+    lo, hi = 2.0 ** j, 2.0 ** (j + 1)
+    osc = (a * (hi ** l1 - lo ** l1) + b * (hi ** l2 - lo ** l2)) / TWO_PI
+    need = np.searchsorted(_NODE_LADDER, 20 + 2.5 * osc)
+    asym = need == len(_NODE_LADDER)
+    for k in np.unique(need[~asym]):
+        m = need == k
+        xg, wg = _gauss(_NODE_LADDER[k])
         r = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * wg
-        f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a_arr, r ** lam1),
-                                                 np.outer(b_arr, r ** lam2))
-        total += f @ w
+        f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a[m], r ** l1), np.outer(b[m], r ** l2))
+        total[m] += f @ (0.5 * (hi - lo) * wg)
+    if not asym.any():
+        return False
+    q = (a[asym], b[asym], l1, l2, H2)
+    lo_, hi_ = np.full(q[0].shape, lo), np.full(q[0].shape, hi)
+    vp, bp = _ibp(q, 1, lo_, hi_)
+    vm, bm, _ = _cos_minus(q, window[0][asym], window[1][asym], lo_, hi_)
+    total[asym] += (lo ** -H2 - hi ** -H2) / H2 - 0.5 * (vp + vm)
+    bound[asym] += 0.5 * (bp + bm)
+    return bool(asym.all())
+
+
+def _cos_minus(p, rL, rR, lo, hi):
+    """int_lo^hi g cos(phi_-) dr: by parts outside the window [rL, rR] and
+    by Gauss on the part inside it, with the by-parts remainder bound. The
+    third value is False where that part spans more than an octave, which
+    the Gauss rule is not sized for (possible only for hi = inf)."""
+    vl, bl = _ibp(p, -1, lo, np.minimum(hi, rL))
+    vr, br = _ibp(p, -1, np.maximum(lo, rR), hi)
+    glo, ghi = np.maximum(lo, rL), np.minimum(hi, rR)
+    inside = ghi > glo
+    ok = ~inside | (ghi <= 2.0 * glo)
+    vg = np.zeros_like(vl)
+    g = inside & ok
+    if g.any():
+        vg[g] = _gauss_cos((p[0][g], p[1][g]) + p[2:], -1, glo[g], ghi[g], _N_WINDOW)
+    return vl + vg + vr, bl + br, ok
+
+
+def _tail(p, window, R):
+    """The tail [R, inf): the mean R^(-2H)/(2H) exactly, and each cosine as
+    on a shell where that bound beats |int_R^inf g cos(phi)| <= R^(-2H)/(2H)."""
+    a = p[0]
+    M = R ** -p[4] / p[4]
+    lo, hi = np.full_like(a, R), np.full_like(a, np.inf)
+    vp, bp = _ibp(p, 1, lo, hi)
+    vm, bm, sized = _cos_minus(p, *window, lo, hi)
+    val, bnd = np.full_like(a, M), np.zeros_like(a)
+    for v, tv, ok in ((vp, bp, bp < M), (vm, bm, sized & (bm < M))):
+        val -= 0.5 * np.where(ok, v, 0.0)
+        bnd += 0.5 * np.where(ok, tv, M)
+    return val, bnd
+
+
+def _radial_integral(a, b, alpha0, hurst, wt):
+    """I(a, b) = int_0^inf r^(-2H-1) (1 - cos(a r^l1) cos(b r^l2)) dr for
+    a, b > 0, with per-pair error bounds: the head [0, 2^j0] by the
+    small-phase expansion, dyadic shells, and the tail in closed form and by
+    parts. j0 is the largest shell edge below which every phase stays under
+    _HEAD_PHASE, so the shells follow the scale of (a, b) exactly. The
+    ladder stops at the first shell after which the tail bound, weighted by
+    ``wt``, is below _TAIL_TOL of the weighted value."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    l1, l2, H2 = alpha0, 2.0 - alpha0, 2.0 * hurst
+    if l1 > l2:  # I is symmetric in (a, l1) <-> (b, l2); keep l1 <= l2
+        a, b, l1, l2 = b, a, l2, l1
+    p = (a, b, l1, l2, H2)
+    with np.errstate(divide="ignore", over="ignore"):
+        j0 = math.floor(math.log2(float(np.min(np.minimum((_HEAD_PHASE / a) ** (1.0 / l1),
+                                                           (_HEAD_PHASE / b) ** (1.0 / l2))))))
+    T = 2.0 ** j0
+    # 1 - cos A cos B = (A^2 + B^2)/2 + err, |err| <= (A^4 + B^4)/24 + A^2 B^2/4
+    total = 0.5 * (a ** 2 * T ** (2 * l1 - H2) / (2 * l1 - H2)
+                   + b ** 2 * T ** (2 * l2 - H2) / (2 * l2 - H2))
+    bound = (a ** 4 * T ** (4 * l1 - H2) / (24 * (4 * l1 - H2))
+             + b ** 4 * T ** (4 * l2 - H2) / (24 * (4 * l2 - H2))
+             + a ** 2 * b ** 2 * T ** (4.0 - H2) / (4 * (4.0 - H2)))
+    window = _window(p)
+    for j in range(j0, int(_LN_R / LN2)):
+        if _add_shell(total, bound, p, window, j):
+            tail, tail_bound = _tail(p, window, 2.0 ** (j + 1))
+            if wt @ tail_bound <= _TAIL_TOL * abs(wt @ (total + tail)):
+                return total + tail, bound + tail_bound
+    raise RuntimeError(
+        "variogram quadrature did not converge (oscillatory tail bound above "
+        f"{_TAIL_TOL:g} of the value up to r = e^{_LN_R:g}): alpha0={alpha0}, hurst={hurst}")
 
 
 _C_PANELS = 30
@@ -389,72 +565,61 @@ def _c_grid(alpha0):
     return c, wt
 
 
-def _tail_bound_constant(alpha0, hurst):
-    """int over rho > R of rho^{-2(H+1)} equals this constant times R^{-2H}."""
+def _variogram(spec: FieldSpec, x):
+    """(Var X(x), bound) by the quadrature of ``variogram_oracle``; the bound
+    covers the radial integration (see there)."""
+    if spec.rho != "power_sum":
+        raise ValueError(f"variogram oracle supports the power_sum weight only, got {spec.rho!r}")
+    x1, x2 = abs(float(x[0])), abs(float(x[1]))
+    alpha0, hurst = spec.alpha0, spec.hurst
+    if x1 == 0.0 and x2 == 0.0:
+        return 0.0, 0.0
+    if x2 == 0.0:
+        return _axis_variogram(alpha0, hurst, 0, x1), 0.0
+    if x1 == 0.0:
+        return _axis_variogram(alpha0, hurst, 1, x2), 0.0
+
     lam1, lam2 = alpha0, 2.0 - alpha0
-    return 4.0 * lam1 * lam2 * beta_fn(lam1, lam2) / (2.0 * hurst)
+    c, wt = _c_grid(alpha0)
+    vals, bounds = _radial_integral(x1 * c ** lam1, x2 * (1.0 - c) ** lam2, alpha0, hurst, wt)
+    # endpoint stubs of the graded c grid, where a = 0 or b = 0
+    eps = 2.0 ** (-_C_PANELS - 1)
+    stubs = (eps ** lam1 / lam1 * _axis_radial(x2, lam2, hurst)
+             + eps ** lam2 / lam2 * _axis_radial(x1, lam1, hurst))
+    pref = 8.0 * lam1 * lam2
+    return pref * (float(wt @ vals) + stubs), pref * float(wt @ bounds)
 
 
 def variogram_oracle(spec: FieldSpec, x) -> float:
     """Var X(x) for the continuum model, by frequency-domain quadrature.
 
     The integral of 2 (1 - cos <x, xi>) rho(xi)^{-2(H+1)} is reduced to
-    anisotropic polar coordinates (exact for the power-sum weight) and
-    integrated over dyadic radial shells with oscillation-adapted Gauss
-    panels; the radial head and mean tail are added in closed form. On
-    the coordinate axes the exact closed form is returned directly. The
-    shell ladder is extended (8 shells at a time, to [2^53, 2^54] at most)
-    until the crude tail bound 4 int_{rho > R} rho^{-2(H+1)} falls below
-    1e-4 of the accumulated head (usually far below; else it raises).
+    anisotropic polar coordinates (exact for the power-sum weight): a graded
+    Gauss grid in c, and per c-node the radial integral
+    I(a, b) = int r^{-2H-1} (1 - cos(a r^l1) cos(b r^l2)) dr over dyadic
+    shells. A (c-node, shell) element whose Gauss rule would exceed the node
+    budget splits into the mean (closed form), cos(phi_+) and cos(phi_-),
+    phi_+- = a r^l1 +- b r^l2, each by two integration-by-parts terms, and
+    cos(phi_-) by Gauss on a window about its stationary point. The head,
+    where every phase is below 1e-4, and the mean tail are closed forms; the
+    shell ladder stops once the oscillatory tail bound is below 1e-9 of the
+    value (it raises if that is not reached by r = e^300). On the axes the
+    closed form is returned.
 
-    Relative accuracy is ~1e-6 for moderate anisotropy, degrading toward
-    ~1e-3 for min(alpha0, 2 - alpha0) near 0.2.
+    ``_variogram`` also returns a bound on the radial error: the head's
+    small-phase remainder, the by-parts remainders (the total variation of
+    h1 = (g/phi')'/phi') and the oscillatory tail. It does not cover the Gauss
+    rules, rounding or the angular (c) quadrature. Measured: the bound is
+    below 3e-8 of the value at the criterion-3 probes (alpha0 = 0.6, H = 0.4)
+    and below 3e-7 at alpha0 in {0.25, 0.3, 1.7} with H >= 0.15; an uncapped
+    subdivided-Gauss reference on the same c grid agrees to about 1e-11
+    relative, and the scaling identity holds to about 1e-13. The c grid agrees
+    with a twice finer one to 5e-10 at the criterion-3 probes and 3e-9 at
+    alpha0 = 0.25 and 1.7, but only to about 5e-5 for small H (e.g.
+    (1.2, 0.15), (0.8, 0.1)) and at alpha0 = 1, where the c integrand
+    oscillates or has a kink: there that is the error that dominates.
     """
-    if spec.rho != "power_sum":
-        raise ValueError(f"variogram oracle supports the power_sum weight only, got {spec.rho!r}")
-    x1, x2 = float(x[0]), float(x[1])
-    alpha0, hurst = spec.alpha0, spec.hurst
-    if x1 == 0.0 and x2 == 0.0:
-        return 0.0
-    if x2 == 0.0:
-        return _axis_variogram(alpha0, hurst, 0, x1)
-    if x1 == 0.0:
-        return _axis_variogram(alpha0, hurst, 1, x2)
-
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    c, wt = _c_grid(alpha0)
-    a = abs(x1) * c ** lam1
-    b = abs(x2) * (1.0 - c) ** lam2
-
-    jmax = 17
-    vals = _radial_integral(a, b, alpha0, hurst, jmax)
-    pref = 8.0 * lam1 * lam2
-    head = pref * float(np.sum(wt * vals))
-    # endpoint stubs of the graded c grid
-    eps = 2.0 ** (-_C_PANELS - 1)
-    head += pref * (eps ** lam1 / lam1) * _radial_integral([0.0], [abs(x2)], alpha0, hurst, jmax)[0]
-    head += pref * (eps ** lam2 / lam2) * _radial_integral([abs(x1)], [0.0], alpha0, hurst, jmax)[0]
-
-    # extend the shell ladder until the crude tail bound meets the target;
-    # the mean tail is already added in closed form, so extension panels
-    # only refine the (fast-decaying) oscillatory remainder
-    tail_c = _tail_bound_constant(alpha0, hurst)
-    while 4.0 * tail_c * (2.0 ** (jmax + 1)) ** (-2.0 * hurst) > 1e-4 * abs(head):
-        if jmax >= 53:
-            raise RuntimeError(
-                "variogram quadrature did not converge (tail bound decays as "
-                f"R^(-2*hurst)): x={x}, alpha0={alpha0}, hurst={hurst}, "
-                f"head={head}, jmax={jmax}"
-            )
-        new_jmax = min(jmax + 8, 53)
-        # panels (jmax, new_jmax] plus the mean-tail adjustment
-        ext = np.zeros_like(a)
-        _add_radial_panels(ext, a, b, alpha0, hurst, jmax + 1, new_jmax)
-        ext += (2.0 ** (new_jmax + 1)) ** (-2.0 * hurst) / (2.0 * hurst)
-        ext -= (2.0 ** (jmax + 1)) ** (-2.0 * hurst) / (2.0 * hurst)
-        head += pref * float(np.sum(wt * ext))
-        jmax = new_jmax
-    return head
+    return _variogram(spec, x)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anisotex import FieldSpec, SampledField, fileio, synth
+from anisotex import FieldSpec, SampledField, besov, fileio, synth
 from anisotex.cli import main
 
 
@@ -63,6 +63,16 @@ class TestScan:
         scan = fileio.read_scan(str(out) + ".csv")
         assert scan.alphas[0] == pytest.approx(0.4)
         assert scan.alphas[-1] == pytest.approx(1.6)  # stop included
+
+    @pytest.mark.parametrize("grid,message", [("0:1:1e-8", "more than 10000 points"),
+                                              ("0:inf:0.1", "must be finite")])
+    def test_oversized_grid_exit_2(self, grid, message, monkeypatch, tmp_path, capsys):
+        # rejected before any allocation (0:1:1e-8 used to build 10^8 points)
+        monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+        rc = main(["scan", "--spec", "alpha0=0.6,hurst=0.4,n=128", "--alpha-grid", grid,
+                   "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_empty_grid_exit_2(self, tmp_path, capsys):
         rc = main(["scan", "--spec", "alpha0=0.6,hurst=0.4,n=128", "--reps", "1",
@@ -146,6 +156,42 @@ class TestAnalyze:
         assert "warning" in captured.err
         res = json.loads((tmp_path / "an.json").read_text())
         assert "error" in res["1,0"]
+
+
+    def test_table_round_trip(self, tmp_path, capsys):
+        # the CSV carries grid_n, so a read-back table fits to the JSON exponents
+        f = tmp_path / "f.anif"
+        main(["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "128",
+              "--seed", "9", "--out", str(f)])
+        out = tmp_path / "an"
+        assert main(["analyze", "--in", str(f), "--out", str(out)]) == 0
+        res = json.loads((tmp_path / "an.json").read_text())
+        for sf in fileio.read_structure_functions(str(out) + ".csv"):
+            key = f"{sf.lattice_step[0]},{sf.lattice_step[1]}"
+            assert besov.directional_exponent(sf).h == pytest.approx(res[key]["h"], rel=1e-12)
+
+
+@pytest.fixture
+def field_64(tmp_path):
+    path = tmp_path / "f64.anif"
+    fileio.write_field(path, synth.synthesize(FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--spec", "alpha0=0.6,hurst=0.4,n=64", "--reps", "2"],
+    ["scan", "--in", "{f64}"],
+    ["analyze", "--in", "{f64}"],
+], ids=["scan_spec", "scan_in", "analyze"])
+def test_grid_too_small_exit_2(argv, field_64, monkeypatch, tmp_path, capsys):
+    # n = 64 leaves 3 axis lags in the fit window; rejected before synthesis
+    monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+    argv = [a.format(f64=field_64) for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"the minimum grid is n={besov.min_fit_grid()}" in err
+    assert besov.min_fit_grid() == 128
 
 
 class TestHywave:

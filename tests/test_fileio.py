@@ -5,6 +5,7 @@ import pytest
 
 from anisotex import (
     FieldSpec,
+    directional_exponent,
     hyperbolic_transform,
     ratio_maximize,
     scale_statistics,
@@ -73,7 +74,7 @@ class TestCsvRoundTrips:
         path = tmp_path / "sf.csv"
         fileio.write_structure_functions(path, sfs)
         text = path.read_text()
-        assert text.splitlines()[0] == "direction_u,direction_v,p,t,S"
+        assert text.splitlines()[0] == "direction_u,direction_v,p,t,S,grid_n"
         assert "\r" not in text
         back = fileio.read_structure_functions(path)
         by_key = {(sf.lattice_step, sf.p): sf for sf in back}
@@ -81,6 +82,17 @@ class TestCsvRoundTrips:
             got = by_key[(sf.lattice_step, sf.p)]
             assert got.lags == pytest.approx(sf.lags)
             assert got.values == pytest.approx(sf.values)
+            assert got.grid_n == sf.grid_n == 64
+
+    def test_structure_functions_fit_after_read_back(self, tmp_path):
+        # the table carries grid_n, so the default fit window applies to it
+        f = synthesize(FieldSpec.make(0.6, 0.4, grid_n=128, seed=4))
+        sfs = [structure_function(f, (1, 0), 2.0), structure_function(f, (0, 1), 2.0)]
+        path = tmp_path / "sf.csv"
+        fileio.write_structure_functions(path, sfs)
+        back = {sf.lattice_step: sf for sf in fileio.read_structure_functions(path)}
+        for sf in sfs:
+            assert directional_exponent(back[sf.lattice_step]) == directional_exponent(sf)
 
     def test_scan(self, tmp_path):
         fields = synthesize_ensemble(FieldSpec.make(0.6, 0.4, grid_n=128, seed=5), 2)
@@ -93,16 +105,58 @@ class TestCsvRoundTrips:
         assert back.argmax_alpha == scan.argmax_alpha
         assert back.peak == pytest.approx(scan.peak)
 
+    @pytest.mark.parametrize("rows", ["", "0.5,nan,0.1\n"], ids=["empty", "nan_mean"])
+    def test_scan_table_without_finite_exponents(self, rows, tmp_path):
+        # an all-NaN table used to escape as StopIteration from the argmax
+        path = tmp_path / "scan.csv"
+        path.write_text("alpha,exponent_mean,exponent_stderr\n" + rows)
+        with pytest.raises(ValueError, match="finite exponent_mean"):
+            fileio.read_scan(path)
+
+    def test_structure_function_zero_direction(self, tmp_path):
+        # direction 0,0 used to escape as ZeroDivisionError
+        path = tmp_path / "sf.csv"
+        path.write_text("direction_u,direction_v,p,t,S,grid_n\n0,0,2.0,0.0625,1.0,64\n")
+        with pytest.raises(ValueError, match="direction 0,0"):
+            fileio.read_structure_functions(path)
+
     def test_scale_statistics(self, field, tmp_path):
         pyr = hyperbolic_transform(field, filt="haar", levels=(4, 4))
         stats = scale_statistics(pyr, 2.0)
         path = tmp_path / "stats.csv"
         fileio.write_scale_statistics(path, stats)
-        back = fileio.read_scale_statistics(path, grid_n=64, levels=(4, 4))
-        assert back.p == 2.0
+        back = fileio.read_scale_statistics(path)
+        assert (back.p, back.grid_n, back.levels) == (2.0, 64, (4, 4))
         for key, v in stats.log2_stat.items():
             if math.isfinite(v):
                 assert back.log2_stat[key] == pytest.approx(v)
+
+    def test_scale_statistics_ratio_scan_after_read_back(self, field, tmp_path):
+        stats = scale_statistics(hyperbolic_transform(field, filt="d4", levels=(5, 5)), 2.0)
+        path = tmp_path / "stats.csv"
+        fileio.write_scale_statistics(path, stats)
+        back = ratio_maximize(fileio.read_scale_statistics(path))
+        ref = ratio_maximize(stats)
+        assert back.decay_rates == pytest.approx(ref.decay_rates, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,header,column", [
+        ("sf", "direction_u,direction_v,p,t,S\n1,0,2.0,0.0625,1.0\n", "grid_n"),
+        ("stats", "j1,j2,p,log2_stat\n1,1,2.0,-3.0\n", "grid_n, levels_1, levels_2"),
+    ])
+    def test_table_without_new_columns(self, kind, header, column, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text(header)
+        reader = {"sf": fileio.read_structure_functions,
+                  "stats": fileio.read_scale_statistics}[kind]
+        with pytest.raises(ValueError, match=f"lacks column {column}"):
+            reader(path)
+
+    def test_table_with_two_grids_rejected(self, tmp_path):
+        path = tmp_path / "sf.csv"
+        path.write_text("direction_u,direction_v,p,t,S,grid_n\n"
+                        "1,0,2.0,0.0625,1.0,64\n1,0,2.0,0.125,2.0,128\n")
+        with pytest.raises(ValueError, match="grid_n must hold one value"):
+            fileio.read_structure_functions(path)
 
     def test_ratio_scan(self, field, tmp_path):
         pyr = hyperbolic_transform(field, filt="haar", levels=(5, 5))
