@@ -33,6 +33,8 @@ def snap_direction(direction):
     wins. The sign is canonicalized (u > 0, or u = 0 and v > 0).
     """
     d = np.asarray(direction, dtype=float)
+    if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+        raise ValueError(f"direction ({d[0]}, {d[1]}) must have finite components")
     nrm = math.hypot(d[0], d[1])
     if nrm == 0:
         raise ValueError("direction must be nonzero")
@@ -67,6 +69,19 @@ def default_lags(n: int):
     return [m / n for m in sorted(ms)]
 
 
+def _direction_lags(n: int, step_len: float):
+    """Default lags along a lattice step of length step_len: default_lags(n)
+    scaled by the step, up to 1/4."""
+    return [t * step_len for t in default_lags(n) if t * step_len <= 0.25 + 1e-12]
+
+
+def _fit_lags(n: int, step_len: float):
+    """The default lags along a step of length step_len that the default fit
+    window keeps."""
+    lags = _direction_lags(n, step_len)
+    return [t for t, k in zip(lags, _default_fit_mask(lags, n)) if k]
+
+
 @dataclass(frozen=True)
 class StructureFunction:
     """Table of p-th order increment statistics along one direction."""
@@ -85,7 +100,11 @@ def structure_function(field: SampledField, direction, p, lags=None) -> Structur
     Increments f(x + m (u,v)/n) - f(x) are averaged over every x whose
     endpoints both lie in the interior (margin n/8 per side); for
     p = inf the maximum replaces the mean. Lags are rounded to exact
-    lattice multiples of the step vector.
+    lattice multiples of the step vector; the default is every default
+    lag up to 1/4. Each increment is written into one scratch buffer,
+    sized for the largest window, and raised to the p-th power in place.
+    A moment that overflows float64, or underflows to 0 on increments
+    that are not all zero, raises ValueError naming p.
     """
     if not (p == math.inf or p >= 1):
         raise ValueError(f"order p must be >= 1 or inf, got {p}")
@@ -93,7 +112,7 @@ def structure_function(field: SampledField, direction, p, lags=None) -> Structur
     u, v = snap_direction(direction)
     step_len = math.hypot(u, v)
     if lags is None:
-        lags = [t * step_len for t in default_lags(n) if t * step_len <= 0.25 + 1e-12]
+        lags = _direction_lags(n, step_len)
     ms = []
     for t in lags:
         if not 0.0 < t <= 0.25 + 1e-12:
@@ -105,26 +124,37 @@ def structure_function(field: SampledField, direction, p, lags=None) -> Structur
 
     vals = field.values
     margin = n // INTERIOR_MARGIN
-    out_t, out_s = [], []
+    windows = []  # (m, view of the far endpoints, view of the near endpoints)
     for m in ms:
         du, dv = m * u, m * v
         i0 = margin + max(0, -du)
         i1 = (n - margin) - max(0, du)
         j0 = margin + max(0, -dv)
         j1 = (n - margin) - max(0, dv)
-        if i1 <= i0 or j1 <= j0:
-            continue
-        inc = vals[i0 + du:i1 + du, j0 + dv:j1 + dv] - vals[i0:i1, j0:j1]
-        if p == math.inf:
-            s = float(np.max(np.abs(inc)))
-        else:
-            s = float(np.mean(np.abs(inc) ** p))
-        out_t.append(m * step_len / n)
-        out_s.append(s)
-    if not out_t:
+        if i1 > i0 and j1 > j0:
+            windows.append((m, vals[i0 + du:i1 + du, j0 + dv:j1 + dv], vals[i0:i1, j0:j1]))
+    if not windows:
         raise ValueError("no valid lags for this grid and direction")
-    nrm = step_len
-    return StructureFunction(direction=(u / nrm, v / nrm), lattice_step=(u, v),
+    buf = np.empty(max(a.size for _, a, _ in windows))
+    out_t, out_s = [], []
+    with np.errstate(over="ignore", under="ignore"):
+        for m, a, b in windows:
+            inc = buf[:a.size].reshape(a.shape)
+            np.subtract(a, b, out=inc)
+            if p == math.inf:
+                s = float(np.max(np.abs(inc, out=inc)))
+            else:
+                if p != 2:  # x**2 is an exact square; numpy's pow is not sign-symmetric
+                    np.abs(inc, out=inc)
+                inc **= p
+                s = float(np.mean(inc))
+            t = m * step_len / n
+            if s == math.inf or (s == 0.0 and np.any(a != b)):
+                what = "overflows float64" if s else "underflows to 0 on nonzero increments"
+                raise ValueError(f"order p={p}: the moment at lag {t:.6g} {what}")
+            out_t.append(t)
+            out_s.append(s)
+    return StructureFunction(direction=(u / step_len, v / step_len), lattice_step=(u, v),
                              p=float(p), lags=tuple(out_t), values=tuple(out_s),
                              grid_n=n)
 
@@ -166,8 +196,7 @@ def min_fit_grid() -> int:
     """Smallest power-of-two grid (>= 64) whose axis structure functions keep
     MIN_FIT_LAGS default lags inside the default fit window."""
     n = 64
-    while np.count_nonzero(_default_fit_mask([t for t in default_lags(n) if t <= 0.25], n)) \
-            < MIN_FIT_LAGS:
+    while len(_fit_lags(n, 1.0)) < MIN_FIT_LAGS:
         n *= 2
     return n
 
@@ -227,8 +256,18 @@ def critical_exponent(field: SampledField, D: Anisotropy, p) -> float:
 
 
 def _exponents(field: SampledField, directions, p):
-    """Directional exponent h along each direction, in order."""
-    return [directional_exponent(structure_function(field, d, p)).h for d in directions]
+    """Directional exponent h along each direction, in order.
+
+    Only the default lags that the default fit window keeps are computed,
+    and the fit runs over exactly those, so h equals the default fit of
+    the full table.
+    """
+    hs = []
+    for d in directions:
+        u, v = snap_direction(d)
+        sf = structure_function(field, (u, v), p, lags=_fit_lags(field.grid_n, math.hypot(u, v)))
+        hs.append(directional_exponent(sf, fit_range=(sf.lags[0], sf.lags[-1])).h)
+    return hs
 
 
 def tent_prediction(alpha: float, alpha0: float, hurst: float) -> float:
@@ -266,7 +305,11 @@ def scan_anisotropy(fields, alpha_grid, p, workers=None) -> ExponentScan:
     diagonal analysis family the eigendirections are the axes for every
     alpha, so the per-field directional exponents are measured once and
     recombined as min(alpha h1, (2-alpha) h2); this equals calling
-    ``critical_exponent`` per (field, alpha) and averaging. Per-field
+    ``critical_exponent`` per (field, alpha) and averaging. Only the lags
+    the default fit window keeps (m = 4..n/8 along the axes) are computed,
+    and the exponents equal the default fit of the full tables exactly.
+    An order p whose moments leave the float64 range raises ValueError
+    naming p (from ``structure_function``). Per-field
     work runs on a worker pool (capped by ANISOTEX_THREADS) and is merged
     by an order-independent mean, so results do not depend on scheduling.
     Ties in the argmax break toward the smallest alpha (tolerance 1e-9).

@@ -183,7 +183,11 @@ def scale_statistics(pyr: HyperbolicPyramid, p) -> ScaleStats:
 
 
 def pooled_scale_statistics(pyramids, p) -> ScaleStats:
-    """Ensemble statistic: per-block p-th moments pooled across pyramids."""
+    """Ensemble statistic: per-block p-th moments pooled across pyramids.
+
+    A moment that overflows float64, or underflows to 0 on a block that is
+    not all zero, raises ValueError naming p.
+    """
     if not pyramids:
         raise ValueError("need at least one pyramid")
     ref = pyramids[0]
@@ -196,10 +200,16 @@ def pooled_scale_statistics(pyramids, p) -> ScaleStats:
     for key in ref.blocks:
         if 0 in key:
             continue
-        if p == math.inf:
-            v = max(float(np.max(np.abs(pyr.blocks[key]))) for pyr in pyramids)
-        else:
-            v = np.mean([np.mean(np.abs(pyr.blocks[key]) ** p) for pyr in pyramids]) ** (1.0 / p)
+        with np.errstate(over="ignore", under="ignore"):
+            if p == math.inf:
+                moment = max(float(np.max(np.abs(pyr.blocks[key]))) for pyr in pyramids)
+            else:
+                moment = np.mean([np.mean(np.abs(pyr.blocks[key]) ** p) for pyr in pyramids])
+        if moment == math.inf or (moment == 0.0 and
+                                  any(np.any(pyr.blocks[key]) for pyr in pyramids)):
+            what = "overflows float64" if moment else "underflows to 0 on nonzero coefficients"
+            raise ValueError(f"order p={p}: the moment of block {key} {what}")
+        v = moment if p == math.inf else moment ** (1.0 / p)
         out[key] = math.log2(v) if v > 0 else -math.inf
     return ScaleStats(grid_n=ref.grid_n, levels=ref.levels, p=float(p), log2_stat=out)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from anisotex import (
     Anisotropy,
     DegenerateDirectionError,
     FieldSpec,
+    SampledField,
     StructureFunction,
     average_structure_functions,
     critical_exponent,
@@ -18,6 +20,45 @@ from anisotex import (
     synthesize_ensemble,
     tent_prediction,
 )
+from anisotex import besov
+from anisotex.besov import INTERIOR_MARGIN, default_lags as _default_lags
+
+
+def reference_structure_function(field, direction, p, lags=None):
+    """The per-lag loop structure_function ran before its single scratch
+    buffer: one fresh increment, abs and power array per lag."""
+    n = field.grid_n
+    u, v = snap_direction(direction)
+    step_len = math.hypot(u, v)
+    if lags is None:
+        lags = [t * step_len for t in _default_lags(n) if t * step_len <= 0.25 + 1e-12]
+    ms = sorted({max(1, round(t * n / step_len)) for t in lags})
+    vals = field.values
+    margin = n // INTERIOR_MARGIN
+    out_t, out_s = [], []
+    for m in ms:
+        du, dv = m * u, m * v
+        i0 = margin + max(0, -du)
+        i1 = (n - margin) - max(0, du)
+        j0 = margin + max(0, -dv)
+        j1 = (n - margin) - max(0, dv)
+        if i1 <= i0 or j1 <= j0:
+            continue
+        inc = vals[i0 + du:i1 + du, j0 + dv:j1 + dv] - vals[i0:i1, j0:j1]
+        if p == math.inf:
+            s = float(np.max(np.abs(inc)))
+        else:
+            s = float(np.mean(np.abs(inc) ** p))
+        out_t.append(m * step_len / n)
+        out_s.append(s)
+    return StructureFunction(direction=(u / step_len, v / step_len), lattice_step=(u, v),
+                             p=float(p), lags=tuple(out_t), values=tuple(out_s), grid_n=n)
+
+
+def reference_exponents(field, directions, p):
+    """Directional exponents from full reference tables and the default window."""
+    return [directional_exponent(reference_structure_function(field, d, p)).h
+            for d in directions]
 
 
 class TestSnapDirection:
@@ -39,6 +80,12 @@ class TestSnapDirection:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             snap_direction((0.0, 0.0))
+
+    @pytest.mark.parametrize("direction", [(math.nan, 1.0), (1.0, math.inf),
+                                           (-math.inf, 0.0)])
+    def test_non_finite_rejected(self, direction):
+        with pytest.raises(ValueError, match="finite"):
+            snap_direction(direction)
 
 
 class TestStructureFunction:
@@ -232,3 +279,104 @@ class TestAveraging:
         sf2 = structure_function(zero_field, (1, 0), 2.0)
         with pytest.raises(ValueError, match="share"):
             average_structure_functions([sf1, sf2])
+
+
+REFERENCE_ORDERS = (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)
+REFERENCE_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (2, -1))
+_DIAG = math.sqrt(0.5)  # components of the unit vector along (1, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_field(n):
+    return synthesize_ensemble(FieldSpec.make(0.6, 0.4, grid_n=n, seed=n + 5), 1)[0]
+
+
+@pytest.fixture(params=[64, 128, 256])
+def reference_field(request):
+    return _reference_field(request.param)
+
+
+class TestMatchesReference:
+    """The scratch-buffer loop and the fit-window scan reproduce the
+    per-lag reference loop exactly (==, not approx)."""
+
+    @pytest.mark.parametrize("p", REFERENCE_ORDERS)
+    @pytest.mark.parametrize("direction", REFERENCE_DIRECTIONS)
+    def test_structure_function(self, reference_field, direction, p):
+        got = structure_function(reference_field, direction, p)
+        assert got == reference_structure_function(reference_field, direction, p)
+
+    @pytest.mark.parametrize("p", REFERENCE_ORDERS)
+    def test_explicit_lags(self, reference_field, p):
+        lags = [0.25, 3 / reference_field.grid_n, 0.1]
+        got = structure_function(reference_field, (1, 1), p, lags=lags)
+        assert got == reference_structure_function(reference_field, (1, 1), p, lags=lags)
+
+    @pytest.mark.parametrize("p", REFERENCE_ORDERS)
+    @pytest.mark.parametrize("D", [Anisotropy.diagonal(0.6), Anisotropy.diagonal(1.3),
+                                   Anisotropy.from_eigen(0.8, 1.2, (_DIAG, _DIAG), (_DIAG, -_DIAG))],
+                             ids=["diag_0.6", "diag_1.3", "rotated"])
+    @pytest.mark.parametrize("n", [128, 256])  # the default fit needs n >= 128
+    def test_critical_exponent(self, n, D, p):
+        field = _reference_field(n)
+        expect = min(lam * h for lam, h in
+                     zip(D.eigenvalues, reference_exponents(field, D.eigenvectors, p)))
+        assert critical_exponent(field, D, p) == expect
+
+    @pytest.mark.parametrize("p", REFERENCE_ORDERS)
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_scan(self, n, p, monkeypatch):
+        fields = synthesize_ensemble(FieldSpec.make(0.6, 0.4, grid_n=n, seed=21), 3)
+        grid = [round(0.2 + 0.1 * k, 10) for k in range(17)]
+        got = scan_anisotropy(fields, grid, p, workers=1)
+        monkeypatch.setattr(besov, "_exponents", reference_exponents)
+        assert got == scan_anisotropy(fields, grid, p, workers=1)
+
+    def test_scan_requests_only_fit_window_lags(self, small_aniso_ensemble, monkeypatch):
+        requested = []
+
+        def spy(field, direction, p, lags=None):
+            sf = structure_function(field, direction, p, lags)
+            requested.append((field.grid_n, direction, lags, sf.lags))
+            return sf
+
+        monkeypatch.setattr(besov, "structure_function", spy)
+        scan_anisotropy(small_aniso_ensemble[:2], [0.6, 1.0], 2.0, workers=1)
+        assert len(requested) == 4
+        for n, direction, lags, got in requested:
+            assert lags is not None
+            full = structure_function(small_aniso_ensemble[0], direction, 2.0).lags
+            kept = tuple(t for t, k in zip(full, besov._default_fit_mask(full, n)) if k)
+            assert got == kept
+            assert [round(t * n) for t in got] == [4, 6, 8, 12, 16, 24, 32, 48, 64]
+
+
+class TestOverflowingMoments:
+    @pytest.fixture(scope="class")
+    def field(self):
+        return synthesize_ensemble(FieldSpec.make(0.6, 0.4, grid_n=256, seed=7), 1)[0]
+
+    @staticmethod
+    def scaled(field, factor):
+        return SampledField(values=field.values * factor, spec=field.spec)
+
+    @pytest.mark.parametrize("factor,p", [(1e200, 2.0), (1.0, 400.0), (None, math.inf)],
+                             ids=["scaled_p2", "p400", "sup_of_huge_values"])
+    def test_overflow_names_p(self, field, factor, p):
+        if factor is None:  # finite values whose differences exceed the float64 range
+            factor = 1.5e308 / np.abs(field.values).max()
+        with pytest.raises(ValueError, match=rf"order p={p}: .* overflows float64"):
+            structure_function(self.scaled(field, factor), (0, 1), p)
+
+    def test_underflow_on_nonzero_increments(self, field):
+        with pytest.raises(ValueError, match=r"order p=2.0: .* underflows to 0"):
+            structure_function(self.scaled(field, 1e-200), (1, 0), 2.0)
+
+    def test_zero_increments_are_not_underflow(self, zero_field):
+        sf = structure_function(zero_field, (1, 0), 400.0)
+        assert all(v == 0.0 for v in sf.values)
+
+    @pytest.mark.parametrize("factor,p", [(1e200, 2.0), (1.0, 400.0)])
+    def test_scan_names_p(self, field, factor, p):
+        with pytest.raises(ValueError, match=f"order p={p}"):
+            scan_anisotropy([self.scaled(field, factor)], [0.6, 1.0], p)

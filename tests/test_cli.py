@@ -158,6 +158,17 @@ class TestAnalyze:
         assert "error" in res["1,0"]
 
 
+    def test_non_finite_direction_exit_2(self, tmp_path, capsys):
+        # nan used to snap to (8, 7) and fail with "need at least 4 lags"
+        f = tmp_path / "f.anif"
+        main(["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "128",
+              "--seed", "9", "--out", str(f)])
+        capsys.readouterr()
+        rc = main(["analyze", "--in", str(f), "--direction", "nan,1",
+                   "--out", str(tmp_path / "an")])
+        assert rc == 2
+        assert "direction (nan, 1.0) must have finite components" in capsys.readouterr().err
+
     def test_table_round_trip(self, tmp_path, capsys):
         # the CSV carries grid_n, so a read-back table fits to the JSON exponents
         f = tmp_path / "f.anif"
@@ -192,6 +203,38 @@ def test_grid_too_small_exit_2(argv, field_64, monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"the minimum grid is n={besov.min_fit_grid()}" in err
     assert besov.min_fit_grid() == 128
+
+
+@pytest.fixture
+def scaled_128(tmp_path):
+    """A valid 128^2 ANIF file whose values are scaled by 1e200."""
+    f = synth.synthesize(FieldSpec.make(0.6, 0.4, grid_n=128, seed=5))
+    path = tmp_path / "scaled.anif"
+    fileio.write_field(path, SampledField(values=f.values * 1e200, spec=f.spec))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "{f256}", "--p", "400"],
+    ["scan", "--in", "{f256}", "--p", "400"],
+    ["analyze", "--in", "{scaled}"],
+    ["scan", "--in", "{scaled}"],
+    ["hywave", "--in", "{scaled}"],
+], ids=["analyze_p400", "scan_p400", "analyze_scaled", "scan_scaled", "hywave_scaled"])
+def test_overflowing_moment_exit_2(argv, scaled_128, tmp_path, capsys):
+    # analyze wrote "h": NaN with exit 0, scan hit an IndexError on the NaN
+    # peak (exit 1) and hywave reported "no usable rays"
+    f256 = tmp_path / "f256.anif"
+    main(["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "256",
+          "--seed", "9", "--out", str(f256)])
+    capsys.readouterr()
+    argv = [a.format(f256=f256, scaled=scaled_128) for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    p = "400.0" if "400" in argv else "2.0"
+    assert err.startswith("error: order p=" + p) and "overflows float64" in err
+    assert not list(tmp_path.glob("x*.json"))
 
 
 class TestHywave:
