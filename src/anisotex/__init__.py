@@ -36,7 +36,6 @@ from .homog import (
     check_homogeneity,
     check_integrability,
     evaluate,
-    register_rho_kind,
     rho_power_sum,
 )
 from .hywave import (
@@ -70,7 +69,7 @@ __all__ = [
     "anisotropy_violations", "matrix_power", "validate_anisotropy",
     "HomogeneousFunction", "HomogeneityReport", "IntegrabilityReport",
     "check_homogeneity", "check_integrability", "evaluate",
-    "register_rho_kind", "rho_power_sum",
+    "rho_power_sum",
     "SpectralGrid", "ScalingCheckResult", "spectral_grid",
     "spectral_coefficients", "synthesize", "synthesize_ensemble",
     "evaluate_at_points", "variogram_oracle", "monte_carlo_scaling_check",

@@ -2,12 +2,11 @@
 
 A weight rho is positive, continuous away from the origin, and scales as
 rho(a^{E^T} xi) = a rho(xi) for the anisotropy E it is tagged with. The
-only built-in family is the power sum
+weights are the power sums
 
     rho(xi1, xi2) = |xi1|^(1/alpha0) + |xi2|^(1/(2-alpha0)),
 
-homogeneous for E = diag(alpha0, 2-alpha0). New kinds can be registered
-through :func:`register_rho_kind`.
+homogeneous for E = diag(alpha0, 2-alpha0).
 """
 from __future__ import annotations
 
@@ -19,28 +18,11 @@ import numpy as np
 from .core import Anisotropy
 from .synth import _gauss
 
-# kind -> callable(params, xi1, xi2) -> values (vectorized)
-_EVALUATORS = {}
-
-
-def register_rho_kind(kind: str, evaluator) -> None:
-    """Register an evaluator for a new homogeneous-function kind."""
-    _EVALUATORS[kind] = evaluator
-
-
-def _power_sum_eval(params, xi1, xi2):
-    alpha0 = params[0]
-    return np.abs(xi1) ** (1.0 / alpha0) + np.abs(xi2) ** (1.0 / (2.0 - alpha0))
-
-
-register_rho_kind("power_sum", _power_sum_eval)
-
 
 @dataclass(frozen=True)
 class HomogeneousFunction:
-    """A homogeneous weight: evaluator kind, its anisotropy tag, parameters."""
+    """A power-sum weight: its anisotropy tag and parameters (alpha0,)."""
 
-    kind: str
     anisotropy: Anisotropy
     params: tuple
 
@@ -56,7 +38,7 @@ def rho_power_sum(alpha0: float) -> HomogeneousFunction:
     """
     if not 0.0 < alpha0 < 2.0:
         raise ValueError(f"alpha0 must lie in (0, 2), got {alpha0}")
-    return HomogeneousFunction("power_sum", Anisotropy.diagonal(alpha0), (float(alpha0),))
+    return HomogeneousFunction(Anisotropy.diagonal(alpha0), (float(alpha0),))
 
 
 def evaluate(rho: HomogeneousFunction, xi):
@@ -64,12 +46,10 @@ def evaluate(rho: HomogeneousFunction, xi):
 
     ``xi`` is a 2-vector or a pair of equal-shape arrays (xi1, xi2).
     """
-    try:
-        fn = _EVALUATORS[rho.kind]
-    except KeyError:
-        raise ValueError(f"unknown homogeneous function kind {rho.kind!r}") from None
+    alpha0 = rho.params[0]
     xi1, xi2 = xi
-    out = fn(rho.params, np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float))
+    out = (np.abs(np.asarray(xi1, dtype=float)) ** (1.0 / alpha0)
+           + np.abs(np.asarray(xi2, dtype=float)) ** (1.0 / (2.0 - alpha0)))
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -28,6 +28,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "min(0.6, 1.4)" in err and "0.6" in err
 
+    @pytest.mark.parametrize("alpha0", ["0.01", "1.99"])
+    def test_extreme_alpha0_no_warning(self, alpha0, tmp_path, capsys):
+        # the steep-axis weight overflows to inf (mass 0); RuntimeWarnings are
+        # errors under the test settings, so a warning would exit 1
+        rc = main(["simulate", "--alpha0", alpha0, "--hurst", "0.005", "--size", "256",
+                   "--out", str(tmp_path / "x.anif")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_repeat(self, tmp_path):
         a, b = tmp_path / "a.anif", tmp_path / "b.anif"
         args = ["simulate", "--alpha0", "0.6", "--hurst", "0.4",

@@ -10,7 +10,6 @@ from anisotex import (
     check_integrability,
     evaluate,
     matrix_power,
-    register_rho_kind,
     rho_power_sum,
 )
 
@@ -78,7 +77,7 @@ class TestHomogeneityCheck:
     def test_mistagged_function_detected(self):
         # power-sum profile for alpha0=0.6 falsely tagged as isotropic:
         # at a=4, xi=(1,0) the mismatch is (4^{1/0.6} - 4)/4 = 1.52 > 0.1
-        mistagged = HomogeneousFunction("power_sum", Anisotropy.diagonal(1.0), (0.6,))
+        mistagged = HomogeneousFunction(Anisotropy.diagonal(1.0), (0.6,))
         expected_pointwise = (4.0 ** (1 / 0.6) - 4.0) / 4.0
         assert expected_pointwise > 0.1
         rep = check_homogeneity(mistagged, trials=1000)
@@ -107,16 +106,3 @@ class TestIntegrability:
         with pytest.raises(ValueError):
             check_integrability(rho_power_sum(1.0), hurst=0.0)
 
-
-class TestRegistry:
-    def test_register_new_kind(self):
-        register_rho_kind("euclid_test", lambda params, x1, x2: np.hypot(x1, x2))
-        rho = HomogeneousFunction("euclid_test", Anisotropy.diagonal(1.0), ())
-        assert evaluate(rho, (3.0, 4.0)) == pytest.approx(5.0)
-        rep = check_homogeneity(rho, trials=200)
-        assert rep.max_relative_error <= 1e-10  # euclidean norm is 1-homogeneous
-
-    def test_unknown_kind_rejected(self):
-        rho = HomogeneousFunction("no_such_kind", Anisotropy.diagonal(1.0), ())
-        with pytest.raises(ValueError, match="unknown"):
-            evaluate(rho, (1.0, 1.0))
