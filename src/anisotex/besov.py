@@ -11,12 +11,12 @@ H min(alpha/alpha0, (2-alpha)/(2-alpha0)), peaking at (alpha0, H).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Anisotropy, SampledField
+from .core import Anisotropy, SampledField, check_order
+from .synth import _pool_map
 
 INTERIOR_MARGIN = 8        # statistics use points at least n/8 from each edge
 MAX_LATTICE_COMPONENT = 8  # directions snap to integer vectors (u, v), |u|,|v| <= 8
@@ -106,8 +106,7 @@ def structure_function(field: SampledField, direction, p, lags=None) -> Structur
     A moment that overflows float64, or underflows to 0 on increments
     that are not all zero, raises ValueError naming p.
     """
-    if not (p == math.inf or p >= 1):
-        raise ValueError(f"order p must be >= 1 or inf, got {p}")
+    check_order(p)
     n = field.grid_n
     u, v = snap_direction(direction)
     step_len = math.hypot(u, v)
@@ -298,7 +297,7 @@ ALPHA_SCAN_RANGE = (0.2, 1.8)
 _AXES = ((1.0, 0.0), (0.0, 1.0))
 
 
-def scan_anisotropy(fields, alpha_grid, p, workers=None) -> ExponentScan:
+def scan_anisotropy(fields, alpha_grid, p) -> ExponentScan:
     """Average critical exponents over realizations per analysis alpha.
 
     All fields must share a generative spec (seeds may differ). For the
@@ -316,11 +315,9 @@ def scan_anisotropy(fields, alpha_grid, p, workers=None) -> ExponentScan:
     """
     if not fields:
         raise ValueError("need at least one field")
-    ref = fields[0].spec
-    for f in fields[1:]:
-        s = f.spec
-        if (s.anisotropy, s.hurst, s.rho, s.grid_n) != (ref.anisotropy, ref.hurst, ref.rho, ref.grid_n):
-            raise ValueError("fields do not share a generative spec")
+    ref = fields[0].spec.with_seed(0)
+    if any(f.spec.with_seed(0) != ref for f in fields[1:]):
+        raise ValueError("fields do not share a generative spec")
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ValueError("empty alpha grid")
@@ -329,13 +326,7 @@ def scan_anisotropy(fields, alpha_grid, p, workers=None) -> ExponentScan:
         if not lo - 1e-12 <= a <= hi + 1e-12:
             raise ValueError(f"alpha {a} outside the resolvable scan range [{lo}, {hi}]")
 
-    from .synth import worker_count
-    w = worker_count() if workers is None else max(1, workers)
-    if w > 1 and len(fields) > 1:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            hs = np.array(list(pool.map(lambda f: _exponents(f, _AXES, p), fields)))
-    else:
-        hs = np.array([_exponents(f, _AXES, p) for f in fields])  # (reps, 2)
+    hs = np.array(_pool_map(lambda f: _exponents(f, _AXES, p), fields))  # (reps, 2)
     al = np.asarray(alphas)
     per = np.minimum(al[None, :] * hs[:, [0]], (2.0 - al)[None, :] * hs[:, [1]])
     mean = per.mean(axis=0)

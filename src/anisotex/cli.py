@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import besov, fileio, homog, hywave, synth
-from .core import AnisotropyError, FieldSpec
+from .core import AnisotropyError, FieldSpec, check_order
 
 
 MAX_ALPHA_GRID = 10000
@@ -42,15 +42,10 @@ def _parse_alpha_grid(text):
 
 
 def _parse_p(text):
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    p = float(text)
-    if p < 1:
-        raise ValueError(f"order p must be >= 1 or inf, got {p}")
-    return p
+    return check_order(float(text))
 
 
-def _parse_spec(text, size=None, seed=None):
+def _parse_spec(text):
     kv = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
@@ -60,8 +55,8 @@ def _parse_spec(text, size=None, seed=None):
         hurst = float(kv.pop("hurst"))
     except KeyError as e:
         raise ValueError(f"--spec needs alpha0=..,hurst=..: missing {e}") from None
-    n = int(kv.pop("n", kv.pop("grid_n", size if size is not None else 256)))
-    sd = int(kv.pop("seed", seed if seed is not None else 0))
+    n = int(kv.pop("n", kv.pop("grid_n", 256)))
+    sd = int(kv.pop("seed", 0))
     if kv:
         raise ValueError(f"unknown keys in --spec: {sorted(kv)}")
     return FieldSpec.make(alpha0, hurst, grid_n=n, seed=sd)
@@ -98,10 +93,9 @@ def cmd_simulate(args) -> int:
 
 def _load_fields(paths):
     fields = [fileio.read_field(p) for p in paths]
-    ref = fields[0].spec
+    ref = fields[0].spec.with_seed(0)
     for f, p in zip(fields[1:], paths[1:]):
-        s = f.spec
-        if (s.anisotropy, s.hurst, s.rho, s.grid_n) != (ref.anisotropy, ref.hurst, ref.rho, ref.grid_n):
+        if f.spec.with_seed(0) != ref:
             raise ValueError(f"mixed-spec inputs: {p} disagrees with {paths[0]}")
     return fields
 

@@ -9,6 +9,7 @@ matrix powers a^D are exact and unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -123,6 +124,13 @@ def validate_anisotropy(lambda1, lambda2, e1=(1.0, 0.0), e2=(0.0, 1.0)) -> Aniso
     return Anisotropy(l1, l2, v1, v2)
 
 
+def check_order(p):
+    """Return the moment order p if it is >= 1 or inf; raise ValueError otherwise."""
+    if not (p == np.inf or p >= 1):
+        raise ValueError(f"order p must be >= 1 or inf, got {p}")
+    return p
+
+
 def matrix_power(D: Anisotropy, a: float) -> np.ndarray:
     """a^D = exp(D log a), computed exactly through the eigendecomposition.
 
@@ -146,14 +154,14 @@ class FieldSpec:
     """Complete generative description of an operator scaling field.
 
     ``anisotropy`` is the field anisotropy (diagonal in this version),
-    ``hurst`` the self-similarity index, ``rho`` the identifier of the
-    homogeneous frequency weight, ``grid_n`` the sample count per axis on
-    [0,1]^2, and ``seed`` the 64-bit generator seed.
+    ``hurst`` the self-similarity index, ``grid_n`` the sample count per
+    axis on [0,1]^2, and ``seed`` the 64-bit generator seed. The weight
+    ``rho`` is a class constant: the power sum homogeneous for the anisotropy.
     """
 
+    rho: ClassVar[str] = "power_sum"
     anisotropy: Anisotropy
     hurst: float
-    rho: str = "power_sum"
     grid_n: int = 256
     seed: int = 0
 
@@ -182,9 +190,9 @@ class FieldSpec:
         return replace(self, seed=seed)
 
     @classmethod
-    def make(cls, alpha0, hurst, grid_n=256, seed=0, rho="power_sum") -> "FieldSpec":
+    def make(cls, alpha0, hurst, grid_n=256, seed=0) -> "FieldSpec":
         """Convenience constructor for the diagonal family diag(alpha0, 2 - alpha0)."""
-        return cls(Anisotropy.diagonal(alpha0), hurst, rho, grid_n, seed)
+        return cls(Anisotropy.diagonal(alpha0), hurst, grid_n, seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,24 +53,27 @@ def spec_to_dict(spec: FieldSpec) -> dict:
 
 def spec_from_dict(d) -> FieldSpec:
     """Rebuild a spec from its decoded JSON; raises ValueError unless it is an
-    object with usable ``alpha0``, ``hurst`` and ``grid_n``."""
+    object with numeric ``alpha0`` and ``hurst``, integral ``grid_n`` and
+    ``seed`` (default 0), and no ``rho`` other than ``power_sum``."""
     if not isinstance(d, dict):
         raise ValueError(f"spec must be a JSON object, got {type(d).__name__}")
     missing = [k for k in ("alpha0", "hurst", "grid_n") if k not in d]
     if missing:
         raise ValueError(f"spec lacks {', '.join(missing)}")
+    if d.get("rho", FieldSpec.rho) != FieldSpec.rho:
+        raise ValueError(f"unsupported weight rho = {d['rho']!r}; only {FieldSpec.rho!r} is known")
+    d = {"seed": 0, **d}
+    for key in ("alpha0", "hurst", "grid_n", "seed"):
+        v = d[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):  # bool is an int subclass
+            raise ValueError(f"spec value of the wrong type: {key} = {v!r}")
+        if key in ("grid_n", "seed") and isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"spec {key} must be an integer, got {v!r}")
     try:
-        alpha0, hurst, grid_n = float(d["alpha0"]), float(d["hurst"]), int(d["grid_n"])
-        seed = int(d.get("seed", 0))
-    except (TypeError, OverflowError) as e:  # null, list or infinite values
-        raise ValueError(f"spec value of the wrong type: {e}") from None
-    return FieldSpec(
-        anisotropy=Anisotropy.diagonal(alpha0),
-        hurst=hurst,
-        rho=str(d.get("rho", "power_sum")),
-        grid_n=grid_n,
-        seed=seed,
-    )
+        alpha0, hurst = float(d["alpha0"]), float(d["hurst"])
+    except OverflowError:  # an integer beyond the float64 range
+        raise ValueError("spec value beyond the float64 range") from None
+    return FieldSpec(Anisotropy.diagonal(alpha0), hurst, int(d["grid_n"]), int(d["seed"]))
 
 
 def write_field(path, field: SampledField) -> None:

@@ -21,10 +21,10 @@ from .synth import _gauss
 
 @dataclass(frozen=True)
 class HomogeneousFunction:
-    """A power-sum weight: its anisotropy tag and parameters (alpha0,)."""
+    """A power-sum weight: its anisotropy tag and its alpha0."""
 
     anisotropy: Anisotropy
-    params: tuple
+    alpha0: float
 
     def __call__(self, xi):
         return evaluate(self, xi)
@@ -38,7 +38,7 @@ def rho_power_sum(alpha0: float) -> HomogeneousFunction:
     """
     if not 0.0 < alpha0 < 2.0:
         raise ValueError(f"alpha0 must lie in (0, 2), got {alpha0}")
-    return HomogeneousFunction(Anisotropy.diagonal(alpha0), (float(alpha0),))
+    return HomogeneousFunction(Anisotropy.diagonal(alpha0), float(alpha0))
 
 
 def evaluate(rho: HomogeneousFunction, xi):
@@ -46,7 +46,7 @@ def evaluate(rho: HomogeneousFunction, xi):
 
     ``xi`` is a 2-vector or a pair of equal-shape arrays (xi1, xi2).
     """
-    alpha0 = rho.params[0]
+    alpha0 = rho.alpha0
     xi1, xi2 = xi
     out = (np.abs(np.asarray(xi1, dtype=float)) ** (1.0 / alpha0)
            + np.abs(np.asarray(xi2, dtype=float)) ** (1.0 / (2.0 - alpha0)))
@@ -92,9 +92,9 @@ class IntegrabilityReport:
     outer_ratio: float
 
 
-def _shell_integral(rho, hurst, lo, hi, r_nodes=16, theta_nodes=96):
+def _shell_integral(rho, hurst, lo, hi):
     """Integral of min(1,|xi|^2) rho^{-2(H+1)} over the anisotropic shell
-    {xi = r^{E^T}(cos t, sin t), lo <= r < hi}.
+    {xi = r^{E^T}(cos t, sin t), lo <= r < hi}, by 16 x 96 Gauss nodes.
 
     Cartesian box shells cannot work here: the integrand concentrates on
     ridges along the axes whose width shrinks like a power of the shell
@@ -110,8 +110,8 @@ def _shell_integral(rho, hurst, lo, hi, r_nodes=16, theta_nodes=96):
     lam1 = E.axis_eigenvalue(0)
     lam2 = E.axis_eigenvalue(1)
     q = -2.0 * (hurst + 1.0)
-    xr, wr = _gauss(r_nodes)
-    xt, wt = _gauss(theta_nodes)
+    xr, wr = _gauss(16)
+    xt, wt = _gauss(96)
     r = 0.5 * (hi - lo) * xr + 0.5 * (lo + hi)
     wr = 0.5 * (hi - lo) * wr
     theta = math.pi * (xt + 1.0)  # full circle

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampledField
+from .core import SampledField, check_order
 
 _SQRT2 = math.sqrt(2.0)
 _S3 = math.sqrt(3.0)
@@ -194,8 +194,7 @@ def pooled_scale_statistics(pyramids, p) -> ScaleStats:
     for pyr in pyramids[1:]:
         if (pyr.grid_n, pyr.levels, pyr.filter) != (ref.grid_n, ref.levels, ref.filter):
             raise ValueError("pyramids do not share grid, levels, and filter")
-    if not (p == math.inf or p >= 1):
-        raise ValueError(f"order p must be >= 1 or inf, got {p}")
+    check_order(p)
     out = {}
     for key in ref.blocks:
         if 0 in key:
@@ -243,7 +242,7 @@ def default_ratio_grid():
     return tuple(float(v) for v in RATIO_RANGE[1] ** (k / _RATIO_POINTS_PER_SIDE))
 
 
-def ratio_maximize(stats: ScaleStats, ratios=None, band=RAY_BAND) -> RatioScan:
+def ratio_maximize(stats: ScaleStats) -> RatioScan:
     """Scan scale ratios; the decay-rate maximizer estimates the anisotropy.
 
     A ratio r corresponds to the analysis pair (alpha, 2 - alpha) with
@@ -251,27 +250,25 @@ def ratio_maximize(stats: ScaleStats, ratios=None, band=RAY_BAND) -> RatioScan:
     coordinate max((u1 + c)/alpha, (u2 + c)/(2 - alpha)), where
     u_i = log2(n) - j_i are frequency octaves and c = log2(2 pi) anchors
     the rays at the fundamental frequency of the unit square. Blocks
-    within ``band`` of the ray (triangular weights in ray distance) feed
+    within RAY_BAND of the ray (triangular weights in ray distance) feed
     a weighted log-log regression of the statistic against the scale
     coordinate; the per-ratio slope is steepest-negative away from the
     texture's own ratio, so the maximizing ratio is the estimate.
     Coarsest-level blocks are excluded (periodization bias); rays with
     fewer than 3 usable blocks are skipped.
     """
-    if ratios is None:
-        ratios = default_ratio_grid()
     L = math.log2(stats.grid_n)
     J1, J2 = stats.levels
     entries = [(L - j1, L - j2, s) for (j1, j2), s in stats.log2_stat.items()
                if math.isfinite(s) and j1 != J1 and j2 != J2]
     rs, slopes = [], []
-    for r in ratios:
+    for r in default_ratio_grid():
         alpha = 2.0 * r / (1.0 + r)
         xs, ys, ws = [], [], []
         for u1, u2, s in entries:
             t1 = (u1 + FREQ_ANCHOR) / alpha
             t2 = (u2 + FREQ_ANCHOR) / (2.0 - alpha)
-            w = 1.0 - abs(t1 - t2) / (2.0 * band)
+            w = 1.0 - abs(t1 - t2) / (2.0 * RAY_BAND)
             if w > 0.0:
                 xs.append(max(t1, t2))
                 ys.append(s)

@@ -39,6 +39,7 @@ from scipy.special import beta as beta_fn, betainc, betaincc, gamma as gamma_fn
 from .core import FieldSpec, SampledField, matrix_power
 
 TWO_PI = 2.0 * math.pi
+MAX_WORKERS = 4  # the most threads worker_count allows
 
 _GAUSS_CACHE = {}
 
@@ -49,16 +50,19 @@ def _gauss(n):
     return _GAUSS_CACHE[n]
 
 
-def worker_count(default=4):
-    """Worker cap from the ANISOTEX_THREADS environment variable."""
-    cap = os.environ.get("ANISOTEX_THREADS")
-    n = min(default, os.cpu_count() or 1)
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, n)
+def worker_count():
+    """Worker cap: the least of MAX_WORKERS, the CPU count and ANISOTEX_THREADS."""
+    n = min(MAX_WORKERS, os.cpu_count() or 1)
+    try:
+        return min(n, max(1, int(os.environ["ANISOTEX_THREADS"])))
+    except (KeyError, ValueError):  # unset, empty or not an integer
+        return n
+
+
+def _pool_map(fn, items):
+    """[fn(x) for x in items], computed on a pool of worker_count() threads."""
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +201,7 @@ def _folded_mass(alpha0, hurst, n):
 
 
 def _mass(spec: FieldSpec) -> np.ndarray:
-    """The cached mass grid of a spec, after checking its weight."""
-    if spec.rho != "power_sum":
-        raise ValueError(f"synthesis supports the power_sum weight only, got {spec.rho!r}")
+    """The cached mass grid of a spec."""
     return _folded_mass(spec.alpha0, spec.hurst, spec.grid_n)
 
 
@@ -274,17 +276,12 @@ def synthesize(spec: FieldSpec) -> SampledField:
     return SampledField(values=X, spec=spec)
 
 
-def synthesize_ensemble(spec: FieldSpec, reps: int, workers: int | None = None):
+def synthesize_ensemble(spec: FieldSpec, reps: int):
     """Independent realizations with seeds spec.seed + i, i = 0..reps-1."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    specs = [spec.with_seed((spec.seed + i) % 2 ** 64) for i in range(reps)]
     _mass(spec)  # build the shared mass grid once, outside the pool
-    w = worker_count() if workers is None else max(1, workers)
-    if w == 1 or reps == 1:
-        return [synthesize(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(synthesize, specs))
+    return _pool_map(synthesize, [spec.with_seed((spec.seed + i) % 2 ** 64) for i in range(reps)])
 
 
 def _values_at(spec: FieldSpec, points, reps: int) -> np.ndarray:
@@ -586,8 +583,6 @@ def _c_grid(alpha0):
 def _variogram(spec: FieldSpec, x):
     """(Var X(x), bound) by the quadrature of ``variogram_oracle``; the bound
     covers the radial integration (see there)."""
-    if spec.rho != "power_sum":
-        raise ValueError(f"variogram oracle supports the power_sum weight only, got {spec.rho!r}")
     x1, x2 = abs(float(x[0])), abs(float(x[1]))
     alpha0, hurst = spec.alpha0, spec.hurst
     if x1 == 0.0 and x2 == 0.0:

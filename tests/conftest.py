@@ -31,18 +31,31 @@ def _header(spec, n):
 _HUGE = {"alpha0": 0.6, "hurst": 0.4, "rho": "power_sum", "grid_n": 2 ** 31, "seed": 0}
 
 
+def _file64(**spec):
+    """A well-sized 64^2 ANIF file whose spec is the valid one updated by spec."""
+    return _header({"alpha0": 0.6, "hurst": 0.4, "grid_n": 64, **spec}, 64) + bytes(8 * 64 * 64)
+
+
 @pytest.fixture(params=[(b"ANIF", "truncated"), (b"ANIF\x01\x00", "truncated"),
                         (_header(_HUGE, 2 ** 31), "truncated"),
                         (_header({}, 64) + bytes(8 * 64 * 64), "bad spec: spec lacks alpha0"),
                         (_header([1, 2], 64) + bytes(8 * 64 * 64), "bad spec: spec must be"),
-                        (_header({"alpha0": None, "hurst": 0.4, "grid_n": 64}, 64)
-                         + bytes(8 * 64 * 64), "bad spec: spec value of the wrong type")],
+                        (_file64(alpha0=None), "bad spec: spec value of the wrong type"),
+                        (_file64(rho="mystery"), "bad spec: unsupported weight rho = 'mystery'"),
+                        (_file64(grid_n=64.5), "bad spec: spec grid_n must be an integer, got 64.5"),
+                        (_file64(seed=1.9), "bad spec: spec seed must be an integer, got 1.9"),
+                        (_file64(hurst=True), "bad spec: spec value of the wrong type: hurst = True"),
+                        (_file64(alpha0="0.6"), "bad spec: spec value of the wrong type: alpha0 = '0.6'"),
+                        (_file64(seed="1"), "bad spec: spec value of the wrong type: seed = '1'"),
+                        (_file64(hurst=10 ** 400), "bad spec: spec value beyond the float64 range")],
                 ids=["after_magic", "mid_header", "n_2_31", "empty_spec", "list_spec",
-                     "null_alpha0"])
+                     "null_alpha0", "unknown_rho", "fractional_grid_n", "fractional_seed",
+                     "bool_hurst", "string_alpha0", "string_seed", "huge_int_hurst"])
 def malformed_anif(request, tmp_path):
     """(path, expected message) for an ANIF file cut off in its header, whose
     header claims n = 2^31, or a well-sized 64^2 file whose spec JSON is an
-    empty object, a list or has a null value."""
+    empty object or a list, has a null, boolean, string, fractional or
+    unrepresentable value, or names a weight other than power_sum."""
     data, message = request.param
     path = tmp_path / "bad.anif"
     path.write_bytes(data)

@@ -20,7 +20,7 @@ from anisotex import (
     synthesize_ensemble,
     tent_prediction,
 )
-from anisotex import besov
+from anisotex import besov, synth
 from anisotex.besov import INTERIOR_MARGIN, default_lags as _default_lags
 
 
@@ -213,10 +213,12 @@ class TestOnSynthesizedFields:
             de = directional_exponent(average_structure_functions(sfs))
             assert de.h == pytest.approx(0.4 / lam, abs=0.05)
 
-    def test_scan_parallel_matches_sequential(self, small_aniso_ensemble):
+    def test_scan_parallel_matches_sequential(self, small_aniso_ensemble, monkeypatch):
         grid = [0.4, 0.6, 0.8, 1.0, 1.2]
-        seq = scan_anisotropy(small_aniso_ensemble, grid, 2.0, workers=1)
-        par = scan_anisotropy(small_aniso_ensemble, grid, 2.0, workers=4)
+        monkeypatch.setattr(synth, "worker_count", lambda: 1)
+        seq = scan_anisotropy(small_aniso_ensemble, grid, 2.0)
+        monkeypatch.setattr(synth, "worker_count", lambda: 4)
+        par = scan_anisotropy(small_aniso_ensemble, grid, 2.0)
         assert seq == par
 
     def test_critical_exponent_at_matched_anisotropy(self, small_aniso_ensemble):
@@ -250,6 +252,17 @@ class TestOnSynthesizedFields:
         other = synthesize_ensemble(FieldSpec.make(1.0, 0.5, grid_n=512, seed=1), 1)
         with pytest.raises(ValueError, match="share"):
             scan_anisotropy(list(small_aniso_ensemble) + other, [0.5, 1.0], 2.0)
+
+    def test_scan_spec_check_ignores_seed_only(self, small_aniso_ensemble):
+        # relabelled copies: hurst alone differs (rejected), seed alone (accepted)
+        f = small_aniso_ensemble[0]
+        spec = f.spec
+        hurst = SampledField(values=f.values, spec=FieldSpec.make(0.6, 0.35, grid_n=512, seed=spec.seed))
+        with pytest.raises(ValueError, match="share"):
+            scan_anisotropy([f, hurst], [0.5, 1.0], 2.0)
+        reseeded = SampledField(values=f.values, spec=spec.with_seed(spec.seed + 99))
+        assert (scan_anisotropy([f, reseeded], [0.5, 1.0], 2.0)
+                == scan_anisotropy([f, f], [0.5, 1.0], 2.0))
 
     def test_scan_grid_validation(self, small_aniso_ensemble):
         with pytest.raises(ValueError, match="empty"):
@@ -328,9 +341,9 @@ class TestMatchesReference:
     def test_scan(self, n, p, monkeypatch):
         fields = synthesize_ensemble(FieldSpec.make(0.6, 0.4, grid_n=n, seed=21), 3)
         grid = [round(0.2 + 0.1 * k, 10) for k in range(17)]
-        got = scan_anisotropy(fields, grid, p, workers=1)
+        got = scan_anisotropy(fields, grid, p)
         monkeypatch.setattr(besov, "_exponents", reference_exponents)
-        assert got == scan_anisotropy(fields, grid, p, workers=1)
+        assert got == scan_anisotropy(fields, grid, p)
 
     def test_scan_requests_only_fit_window_lags(self, small_aniso_ensemble, monkeypatch):
         requested = []
@@ -341,7 +354,7 @@ class TestMatchesReference:
             return sf
 
         monkeypatch.setattr(besov, "structure_function", spy)
-        scan_anisotropy(small_aniso_ensemble[:2], [0.6, 1.0], 2.0, workers=1)
+        scan_anisotropy(small_aniso_ensemble[:2], [0.6, 1.0], 2.0)
         assert len(requested) == 4
         for n, direction, lags, got in requested:
             assert lags is not None

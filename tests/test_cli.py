@@ -1,11 +1,12 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from anisotex import FieldSpec, SampledField, besov, fileio, synth
-from anisotex.cli import main
+from anisotex.cli import _parse_p, main
 
 
 class TestSimulate:
@@ -127,6 +128,22 @@ class TestScan:
         assert 0.5 <= summary["argmax_alpha"] <= 0.7
         assert 0.35 <= summary["peak"] <= 0.45
         assert summary["tent_rms"] <= 0.07
+
+
+@pytest.mark.parametrize("text,p", [("2", 2.0), ("inf", math.inf), ("Infinity", math.inf)])
+def test_parse_p(text, p):
+    assert _parse_p(text) == p
+
+
+@pytest.mark.parametrize("text", ["0.5", "nan", "-1"])
+def test_parse_p_rejects_illegal_order(text, capsys):
+    with pytest.raises(ValueError, match="order p must be >= 1 or inf"):
+        _parse_p(text)
+    # argparse turns the ValueError into a usage error before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--in", "missing.anif", "--p", text, "--out", "x"])
+    assert exc.value.code == 2
+    assert "invalid _parse_p value" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -269,6 +286,16 @@ class TestHywave:
         rc = main(["hywave", "--in", str(f), "--levels", "9",
                    "--out", str(tmp_path / "hw")])
         assert rc == 2
+
+    def test_spec_without_rho_exit_0(self, tmp_path, capsys):
+        # the spec's rho key is optional, so files written without it still read
+        f = synth.synthesize(FieldSpec.make(1.0, 0.5, grid_n=64, seed=4))
+        spec = json.dumps({"alpha0": 1.0, "hurst": 0.5, "grid_n": 64, "seed": 4}).encode()
+        path = tmp_path / "old.anif"
+        path.write_bytes(b"ANIF" + struct.pack("<III", 1, 64, len(spec)) + spec
+                         + f.values.astype("<f8").tobytes())
+        rc = main(["hywave", "--in", str(path), "--out", str(tmp_path / "hw")])
+        assert rc == 0, capsys.readouterr().err
 
     def test_malformed_file_exit_2(self, malformed_anif, tmp_path, capsys):
         path, message = malformed_anif

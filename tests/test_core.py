@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from anisotex import (
     matrix_power,
     validate_anisotropy,
 )
+from anisotex.core import check_order
 
 RNG = np.random.default_rng(42)
 
@@ -132,12 +134,28 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="power of two"):
             FieldSpec.make(1.0, 0.5, grid_n=32)
 
+    def test_weight_is_a_class_constant(self):
+        spec = FieldSpec.make(0.6, 0.4)
+        assert FieldSpec.rho == spec.rho == "power_sum"
+        assert "rho" not in {f.name for f in dataclasses.fields(FieldSpec)}
+
     def test_seed_range(self):
         FieldSpec.make(1.0, 0.5, seed=2 ** 64 - 1)
         with pytest.raises(ValueError, match="64-bit"):
             FieldSpec.make(1.0, 0.5, seed=2 ** 64)
         with pytest.raises(ValueError, match="64-bit"):
             FieldSpec.make(1.0, 0.5, seed=-1)
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize("p", [1, 1.0, 2.5, 400.0, math.inf])
+    def test_legal_orders_returned(self, p):
+        assert check_order(p) is p
+
+    @pytest.mark.parametrize("p", [0.999, 0.0, -1.0, -math.inf, math.nan])
+    def test_illegal_orders_rejected(self, p):
+        with pytest.raises(ValueError, match=rf"order p must be >= 1 or inf, got {p}"):
+            check_order(p)
 
 
 class TestSampledField:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +42,27 @@ class TestAnif:
         jlen = int.from_bytes(raw[12:16], "little")
         assert (version, n) == (1, 64)
         assert len(raw) == 16 + jlen + 8 * n * n
+
+    def test_header_spec_bytes(self, field, tmp_path):
+        path = tmp_path / "f.anif"
+        fileio.write_field(path, field)
+        raw = path.read_bytes()
+        jlen = int.from_bytes(raw[12:16], "little")
+        assert raw[16:16 + jlen] == (b'{"alpha0": 0.6, "hurst": 0.4, "rho": "power_sum", '
+                                     b'"grid_n": 64, "seed": 12345}')
+
+    def test_spec_without_rho_or_seed_reads(self, field, tmp_path):
+        spec = json.dumps({"alpha0": 0.6, "hurst": 0.4, "grid_n": 64}).encode()
+        path = tmp_path / "old.anif"
+        path.write_bytes(b"ANIF" + struct.pack("<III", 1, 64, len(spec)) + spec
+                         + field.values.astype("<f8").tobytes())
+        back = fileio.read_field(path)
+        assert back.spec == field.spec.with_seed(0)
+        assert np.array_equal(back.values, field.values)
+
+    def test_integral_float_grid_n_and_seed_read(self):
+        spec = fileio.spec_from_dict({"alpha0": 0.6, "hurst": 0.4, "grid_n": 64.0, "seed": 3.0})
+        assert (spec.grid_n, spec.seed) == (64, 3)
 
     def test_large_seed_round_trip(self, tmp_path):
         f = synthesize(FieldSpec.make(1.0, 0.5, grid_n=64, seed=2 ** 63 + 5))

@@ -77,7 +77,7 @@ class TestHomogeneityCheck:
     def test_mistagged_function_detected(self):
         # power-sum profile for alpha0=0.6 falsely tagged as isotropic:
         # at a=4, xi=(1,0) the mismatch is (4^{1/0.6} - 4)/4 = 1.52 > 0.1
-        mistagged = HomogeneousFunction(Anisotropy.diagonal(1.0), (0.6,))
+        mistagged = HomogeneousFunction(Anisotropy.diagonal(1.0), 0.6)
         expected_pointwise = (4.0 ** (1 / 0.6) - 4.0) / 4.0
         assert expected_pointwise > 0.1
         rep = check_homogeneity(mistagged, trials=1000)

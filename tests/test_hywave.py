@@ -162,6 +162,21 @@ class TestScaleStatistics:
         for key in single.log2_stat:
             assert pooled.log2_stat[key] == pytest.approx(single.log2_stat[key], rel=1e-12)
 
+    @pytest.mark.parametrize("filt,levels", [("haar", (2, 3)), ("d4", (3, 3))],
+                             ids=["levels", "filter"])
+    def test_pooled_rejects_mismatched_pyramids(self, filt, levels):
+        v = random_field(64, seed=5)
+        ref = hyperbolic_transform(v, filt="haar", levels=(3, 3))
+        other = hyperbolic_transform(v, filt=filt, levels=levels)
+        with pytest.raises(ValueError, match="do not share grid, levels, and filter"):
+            pooled_scale_statistics([ref, other], 2.0)
+
+    @pytest.mark.parametrize("p", [0.5, -1.0, math.nan])
+    def test_illegal_order(self, p):
+        pyr = hyperbolic_transform(random_field(64), filt="haar", levels=(3, 3))
+        with pytest.raises(ValueError, match="order p must be >= 1 or inf"):
+            pooled_scale_statistics([pyr], p)
+
 
 def planted_tent_stats(n, levels, alpha_star, hurst=0.4, const=2.0):
     """Exact tent-law table: stat = const - (H+1) max((u1+c)/a, (u2+c)/(2-a))."""

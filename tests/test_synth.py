@@ -212,27 +212,29 @@ class TestSynthesize:
         Y = np.fft.ifft2(C) * spec.grid_n ** 2
         assert np.max(np.abs(Y.imag)) < 1e-9 * np.max(np.abs(Y))
 
-    def test_ensemble_deterministic_and_parallel_consistent(self):
+    def test_ensemble_deterministic_and_parallel_consistent(self, monkeypatch):
         spec = FieldSpec.make(1.0, 0.5, grid_n=64, seed=9)
-        seq = synthesize_ensemble(spec, 4, workers=1)
-        par = synthesize_ensemble(spec, 4, workers=4)
+        monkeypatch.setattr(synth, "worker_count", lambda: 1)
+        seq = synthesize_ensemble(spec, 4)
+        monkeypatch.setattr(synth, "worker_count", lambda: 4)
+        par = synthesize_ensemble(spec, 4)
         for a, b in zip(seq, par):
             assert np.array_equal(a.values, b.values)
         assert seq[1].spec.seed == spec.seed + 1
 
-    def test_unknown_rho_rejected(self):
-        spec = FieldSpec.make(1.0, 0.5, grid_n=64, rho="mystery")
-        with pytest.raises(ValueError, match="power_sum"):
-            synthesize(spec)
-
     def test_worker_count_env_cap(self, monkeypatch):
-        from anisotex.synth import worker_count
+        from anisotex.synth import MAX_WORKERS, worker_count
         monkeypatch.setenv("ANISOTEX_THREADS", "1")
-        assert worker_count(default=8) == 1
-        monkeypatch.setenv("ANISOTEX_THREADS", "not-a-number")
-        assert worker_count(default=2) >= 1
+        assert worker_count() == 1
+        monkeypatch.setenv("ANISOTEX_THREADS", "64")
+        assert 1 <= worker_count() <= MAX_WORKERS
+        monkeypatch.setenv("ANISOTEX_THREADS", "0")
+        assert worker_count() == 1
+        for unusable in ("not-a-number", ""):
+            monkeypatch.setenv("ANISOTEX_THREADS", unusable)
+            assert 1 <= worker_count() <= MAX_WORKERS
         monkeypatch.delenv("ANISOTEX_THREADS")
-        assert worker_count(default=2) >= 1
+        assert 1 <= worker_count() <= MAX_WORKERS
 
 
 def reference_tail(c, lam, qq, L, m_strip=8):
@@ -398,7 +400,7 @@ class TestSpectralGrid:
     def test_ensemble_builds_grid_once(self):
         from anisotex.synth import _folded_mass
         _folded_mass.cache_clear()
-        synthesize_ensemble(FieldSpec.make(0.8, 0.45, grid_n=64, seed=3), 6, workers=3)
+        synthesize_ensemble(FieldSpec.make(0.8, 0.45, grid_n=64, seed=3), 6)
         info = _folded_mass.cache_info()
         assert info.misses == 1
         assert info.hits == 6
@@ -410,7 +412,7 @@ class TestSpectralGrid:
         first = synthesize(spec).values
         monkeypatch.setattr(synth, "spectral_grid", lambda s: pytest.fail("amplitude grid built"))
         assert np.array_equal(synthesize(spec).values, first)
-        synthesize_ensemble(spec, 3, workers=2)
+        synthesize_ensemble(spec, 3)
         evaluate_at_points(spec, [(0.1, 0.2)])
         monte_carlo_scaling_check(spec, 2.0, (0.2, 0.1), 50)
 
