@@ -48,8 +48,12 @@ def _parse_p(text):
 def _parse_spec(text):
     kv = {}
     for part in text.split(","):
-        key, _, val = part.partition("=")
-        kv[key.strip()] = val.strip()
+        key, _, val = (v.strip() for v in part.partition("="))
+        if key in kv:
+            raise ValueError(f"--spec repeats the key {key!r}")
+        kv[key] = val
+    if "n" in kv and "grid_n" in kv:
+        raise ValueError("--spec gives both 'n' and 'grid_n'; give the grid size once")
     try:
         alpha0 = float(kv.pop("alpha0"))
         hurst = float(kv.pop("hurst"))

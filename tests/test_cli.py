@@ -208,6 +208,20 @@ class TestAnalyze:
             assert besov.directional_exponent(sf).h == pytest.approx(res[key]["h"], rel=1e-12)
 
 
+@pytest.mark.parametrize("spec,key", [
+    ("alpha0=0.6,hurst=0.4,n=256,grid_n=512", "'grid_n'"),
+    ("alpha0=0.6,hurst=0.4,alpha0=1.0", "'alpha0'"),
+    ("alpha0=0.6,hurst=0.4,seed=1, seed =2", "'seed'"),
+], ids=["n_and_grid_n", "repeated_alpha0", "repeated_seed"])
+def test_conflicting_spec_keys_exit_2(spec, key, monkeypatch, tmp_path, capsys):
+    # rejected while parsing, before any synthesis
+    monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+    rc = main(["scan", "--spec", spec, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 @pytest.fixture
 def field_64(tmp_path):
     path = tmp_path / "f64.anif"

@@ -141,6 +141,25 @@ class TestParserFuzz:
         assert spec is None or isinstance(spec, FieldSpec)
 
     @FUZZ
+    @given(st.lists(st.tuples(st.sampled_from(["alpha0", "hurst", "n", "grid_n", "seed", "k"]),
+                              _NUM), min_size=1, max_size=5),
+           st.integers(0, 4))
+    def test_parse_spec_repeated_key(self, kv, i):
+        # whatever the values, the first key given twice is named
+        kv = kv + [kv[i % len(kv)]]
+        keys = [k for k, _ in kv]
+        first = next(k for j, k in enumerate(keys) if k in keys[:j])
+        with pytest.raises(ValueError, match=f"repeats the key '{first}'"):
+            _parse_spec(",".join(f"{k}={v}" for k, v in kv))
+
+    @FUZZ
+    @given(st.permutations(["alpha0", "hurst", "n", "grid_n", "seed"]),
+           st.lists(_NUM, min_size=5, max_size=5))
+    def test_parse_spec_n_and_grid_n(self, keys, values):
+        with pytest.raises(ValueError, match="both 'n' and 'grid_n'"):
+            _parse_spec(",".join(f"{k}={v}" for k, v in zip(keys, values)))
+
+    @FUZZ
     @given(st.one_of(st.text(max_size=30),
                      st.builds(lambda a, b, c: f"{a}:{b}:{c}", _NUM, _NUM, _NUM)))
     def test_parse_alpha_grid(self, text):

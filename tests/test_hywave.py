@@ -45,6 +45,74 @@ def reference_idwt_step(lo, hi, h, g, axis):
     return np.moveaxis(out, -1, axis)
 
 
+def _phase(arr, r, axis):
+    """Strided view of the samples whose index along ``axis`` has parity r."""
+    idx = [slice(None)] * arr.ndim
+    idx[axis] = slice(r, None, 2)
+    return arr[tuple(idx)]
+
+
+def whole_array_dwt_step(arr, h, g, axis):
+    """The whole-array analysis step the strip kernel replaced (exact reference)."""
+    # lo[k] = sum_m h[m] arr[(2k + m) mod N]: tap m reads phase m % 2
+    # advanced by m // 2 samples (periodically), likewise hi with g.
+    even, odd = _phase(arr, 0, axis), _phase(arr, 1, axis)
+    lo = h[0] * even + h[1] * odd
+    hi = g[0] * even + g[1] * odd
+    for m in range(2, len(h)):
+        x = np.roll(_phase(arr, m % 2, axis), -(m // 2), axis=axis)
+        lo += h[m] * x
+        hi += g[m] * x
+    return lo, hi
+
+
+def whole_array_idwt_step(lo, hi, h, g, axis):
+    """The whole-array synthesis step the strip kernel replaced (exact reference)."""
+    # out[(2k + m) mod N] += h[m] lo[k] + g[m] hi[k]: tap m writes phase
+    # m % 2 delayed by m // 2 samples (periodically).
+    shape = list(lo.shape)
+    shape[axis] *= 2
+    out = np.empty(shape)
+    delayed = [(lo, hi)] + [(np.roll(lo, q, axis=axis), np.roll(hi, q, axis=axis))
+                            for q in range(1, len(h) // 2)]
+    for r in (0, 1):
+        phase = _phase(out, r, axis)
+        phase[...] = h[r] * lo + g[r] * hi
+        for m in range(r + 2, len(h), 2):
+            lo_q, hi_q = delayed[m // 2]
+            phase += h[m] * lo_q + g[m] * hi_q
+    return out
+
+
+def whole_array_pooled_log2_stat(pyramids, p):
+    """The pooled statistic with |d| taken for every p (exact reference)."""
+    out = {}
+    for key in pyramids[0].blocks:
+        if 0 in key:
+            continue
+        if p == math.inf:
+            v = max(float(np.max(np.abs(pyr.blocks[key]))) for pyr in pyramids)
+        else:
+            v = np.mean([np.mean(np.abs(pyr.blocks[key]) ** p) for pyr in pyramids]) ** (1.0 / p)
+        out[key] = math.log2(v) if v > 0 else -math.inf
+    return out
+
+
+def assert_matches_whole_array(values, filt, levels, monkeypatch):
+    """Every block and the inverse are bit-identical to the whole-array kernels."""
+    pyr = hyperbolic_transform(values, filt=filt, levels=levels)
+    rec = inverse_hyperbolic_transform(pyr)
+    with monkeypatch.context() as m:
+        m.setattr(hywave, "_dwt_step", whole_array_dwt_step)
+        m.setattr(hywave, "_idwt_step", whole_array_idwt_step)
+        ref = hyperbolic_transform(values, filt=filt, levels=levels)
+        ref_rec = inverse_hyperbolic_transform(ref)
+    assert list(pyr.blocks) == list(ref.blocks)
+    for key, block in ref.blocks.items():
+        assert np.array_equal(pyr.blocks[key], block), key
+    assert np.array_equal(rec, ref_rec)
+
+
 class TestTransform:
     def test_constant_field_all_details_zero(self, zero_field):
         pyr = hyperbolic_transform(zero_field, filt="haar")
@@ -115,6 +183,39 @@ class TestTransform:
             np.testing.assert_allclose(rec, ref_rec, **tol)
             np.testing.assert_allclose(rec, values, **tol)
 
+    @pytest.mark.parametrize("filt", ["haar", "d4"])
+    @pytest.mark.parametrize("n,levels", [(64, (6, 6)), (192, (6, 4)), (1024, (9, 9)), (1536, (9, 9))])
+    def test_bit_identical_to_whole_array_kernels(self, n, levels, filt, monkeypatch):
+        # 1024 and 1536 run many strips and wrap in the last one; at 1536 the
+        # strip row count (e.g. 42 rows of 768) does not divide the axis
+        v = random_field(n, seed=n)
+        for values in (v, v.T):
+            assert_matches_whole_array(values, filt, levels, monkeypatch)
+
+    @pytest.mark.parametrize("filt", ["haar", "d4"])
+    @pytest.mark.parametrize("strip", [1, 7, 100])
+    def test_bit_identical_for_any_strip_size(self, strip, filt, monkeypatch):
+        # one-row strips, partial strips and a wrap in the first or last strip
+        monkeypatch.setattr(hywave, "_STRIP", strip)
+        v = random_field(96, seed=strip)
+        for values in (v, v.T):
+            assert_matches_whole_array(values, filt, (5, 3), monkeypatch)
+
+    @pytest.mark.parametrize("filt", ["haar", "d4"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 6), (8, 2), (96, 40)])
+    def test_steps_bit_identical_on_any_layout(self, shape, axis, filt):
+        # direct calls, C- and Fortran-ordered inputs, down to one output sample
+        h = hywave.FILTERS[filt]
+        g = hywave._qmf(h)
+        a = np.random.default_rng(7).standard_normal(shape)
+        for arr in (a, np.asfortranarray(a)):
+            lo, hi = hywave._dwt_step(arr, h, g, axis)
+            ref_lo, ref_hi = whole_array_dwt_step(arr, h, g, axis)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+            out = hywave._idwt_step(lo, np.asfortranarray(hi), h, g, axis)
+            assert np.array_equal(out, whole_array_idwt_step(lo, hi, h, g, axis))
+
     def test_infeasible_levels(self):
         v = random_field(64)
         with pytest.raises(ValueError, match="infeasible"):
@@ -170,6 +271,16 @@ class TestScaleStatistics:
         other = hyperbolic_transform(v, filt=filt, levels=levels)
         with pytest.raises(ValueError, match="do not share grid, levels, and filter"):
             pooled_scale_statistics([ref, other], 2.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 2.0, 3.0, 4.0, math.inf])
+    def test_pooled_matches_whole_array_formula(self, p):
+        # seeds 9 and 17 hold coefficients d with d ** 4 != |d| ** 4 that move a
+        # single pyramid's log2 statistic, so skipping |d| for p = 4 shows here
+        for seeds in ((9,), (17,), (9, 17, 29)):
+            pyrs = [hyperbolic_transform(random_field(64, seed=s), filt="d4", levels=(5, 5))
+                    for s in seeds]
+            stats = pooled_scale_statistics(pyrs, p)
+            assert stats.log2_stat == whole_array_pooled_log2_stat(pyrs, p)
 
     @pytest.mark.parametrize("p", [0.5, -1.0, math.nan])
     def test_illegal_order(self, p):
