@@ -65,6 +65,7 @@ def _taps(d, n, L, W, Q, axis):
 
 def _dwt_step(arr, h, g, axis):
     # lo[k] = sum_m h[m] arr[(2k + m) mod N] in tap order, likewise hi with g
+    arr = np.ascontiguousarray(arr)  # np.take would copy a strided source whole per strip
     shape = tuple(s // 2 if i == axis else s for i, s in enumerate(arr.shape))
     L, W, Q = shape[axis], shape[1], (len(h) - 1) // 2
     lo, hi = np.empty(shape), np.empty(shape)
@@ -87,6 +88,7 @@ def _dwt_step(arr, h, g, axis):
 
 def _idwt_step(lo, hi, h, g, axis):
     # out[2k + r] = sum over m = r, r + 2, ... of h[m] lo[k - m // 2] + g[m] hi[k - m // 2]
+    lo, hi = np.ascontiguousarray(lo), np.ascontiguousarray(hi)  # as in _dwt_step
     out = np.empty(tuple(s * 2 if i == axis else s for i, s in enumerate(lo.shape)))
     L, W, Q = lo.shape[axis], lo.shape[1], (len(h) - 1) // 2
     rows = max(1, _STRIP // W)

@@ -60,7 +60,11 @@ def worker_count():
 
 
 def _pool_map(fn, items):
-    """[fn(x) for x in items], computed on a pool of worker_count() threads."""
+    """[fn(x) for x in items], computed on a pool of worker_count() threads.
+
+    numpy's ``errstate`` is per thread and does not reach the workers: a
+    worker that needs one enters it itself.
+    """
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         return list(pool.map(fn, items))
 
@@ -86,6 +90,10 @@ _M_BOX = 3       # full alias box |m| <= 3
 _M_STRIP = 8     # axis-aligned strips out to |m| = 8, integral tails beyond
 _AXIS_BAND = 4   # base cells within 4 of an axis get tensor Gauss integrals
 _CORE = 8        # base cells within 8 of the origin get 4x4 subdivision
+# elements in one row strip of the alias fold (256 KB, as hywave._STRIP), so
+# that a strip and its term buffer stay in L2; 2^15 was the fastest from 2^13
+# to 2^16 at n = 512 and 1024 (2^16 cuts the 512 quarter into 255 + 2 rows)
+_FOLD_STRIP = 2 ** 15
 
 
 def _cell_integrals(lam1, lam2, qq, k1, k2, sub):
@@ -147,6 +155,12 @@ def _folded_mass(alpha0, hurst, n):
     at 60 doublings, before slow tails (small H, steep axis) converged: at
     (0.25, 0.2) it lost whole tails and up to a third of a mass cell at
     n = 256. A weight power that overflows is inf, and its mass 0.
+
+    The shift sum runs on ``_pool_map``, one strip of about 2^15 elements
+    (``_FOLD_STRIP``) of the quarter's rows at a time, with one strip-sized
+    term buffer. Every element sums the same shifts in the same order
+    whatever the strip size or the worker count, so the grid is exactly
+    the same for all of them.
     """
     lam1, lam2 = alpha0, 2.0 - alpha0
     qq = 2.0 * (hurst + 1.0)
@@ -160,16 +174,20 @@ def _folded_mass(alpha0, hurst, n):
     P2 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam2)
     o = _M_STRIP  # index offset: column o + m holds shift m
 
+    shifts = [(m1, m2) for m1 in ms for m2 in ms  # the far corners are negligible
+              if (m1 or m2) and (abs(m1) <= _M_BOX or abs(m2) <= _M_BOX)]
     mass = np.zeros((half + 1, half + 1))
-    term = np.empty_like(mass)  # reused: a fresh large temporary per shift costs page faults
-    for m1 in range(-_M_STRIP, _M_STRIP + 1):
-        for m2 in range(-_M_STRIP, _M_STRIP + 1):
-            if m1 == 0 and m2 == 0:
-                continue
-            if abs(m1) > _M_BOX and abs(m2) > _M_BOX:
-                continue  # far corners are negligible
-            np.add(P1[:, o + m1][:, None], P2[:, o + m2][None, :], out=term)
-            mass += np.power(term, -qq, out=term)
+    rows = max(1, _FOLD_STRIP // (half + 1))
+
+    def fold(s0):  # sum the shifts into rows s0:s0 + rows of mass
+        acc = mass[s0:s0 + rows]
+        term = np.empty_like(acc)  # reused: a fresh temporary per shift costs page faults
+        with np.errstate(over="ignore"):  # the decorator's errstate does not reach pool threads
+            for m1, m2 in shifts:
+                np.add(P1[s0:s0 + rows, o + m1][:, None], P2[:, o + m2][None, :], out=term)
+                acc += np.power(term, -qq, out=term)
+
+    _pool_map(fold, range(0, half + 1, rows))
     mass *= TWO_PI ** 2
 
     # base cell, midpoint far from the axes

@@ -19,6 +19,9 @@ from a dyadic Gauss ladder capped at 60 doublings to their closed form
   8.6e-13 relative mass correction at (0.6, 0.4), the 8-node ladder's own
   error per tail. The other values of those entries moved by at most 7e-13
   relative.
+
+The 512 and 1024 mass entries were added when the alias fold moved to row
+strips on the worker pool, from the whole-quarter fold that preceded it.
 """
 import math
 
@@ -55,6 +58,9 @@ MASSES = {  # (alpha0, hurst, n): (sum, mass[1, 3], mass[n // 4, 1])
     (0.25, 0.2, 256): (10.86252486410855, 0.0007747624780154163, 1.6176603216480454e-08),
     (1.4, 0.5, 64): (1.3927356610048975, 5.012777975781711e-05, 0.0006125992026758969),
     (1.4, 0.5, 256): (1.394199517012805, 2.237659001167021e-05, 6.378396126208861e-05),
+    # several row strips of the alias fold (the entries above are one strip)
+    (1.4, 0.5, 512): (1.3943063242655855, 1.908454492748269e-05, 1.8020452821274123e-05),
+    (0.6, 0.4, 1024): (2.173905777889409, 0.0052060800411001945, 2.989370736378974e-10),
 }
 
 # per-block sums of the pyramids of one 64 x 64 standard normal field

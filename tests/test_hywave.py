@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -215,6 +216,32 @@ class TestTransform:
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
             out = hywave._idwt_step(lo, np.asfortranarray(hi), h, g, axis)
             assert np.array_equal(out, whole_array_idwt_step(lo, hi, h, g, axis))
+
+    @pytest.mark.parametrize("filt", ["haar", "d4"])
+    def test_strided_sources_gathered_contiguous(self, filt, monkeypatch):
+        # np.take copies a strided source whole on every call, so each step
+        # makes its source C-contiguous once; strided blocks and inputs give
+        # the same coefficients as C-ordered ones
+        monkeypatch.setattr(hywave, "_STRIP", 100)  # several strips per step
+        v = random_field(128, seed=5)
+        pyr = hyperbolic_transform(v, filt=filt, levels=(5, 5))
+        ref = inverse_hyperbolic_transform(pyr)
+        h = hywave.FILTERS[filt]
+        g = hywave._qmf(h)
+        ref_lo, ref_hi = hywave._dwt_step(v, h, g, 0)
+        take, seen = np.take, []
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.flags.c_contiguous)
+            return take(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        strided = dataclasses.replace(pyr, blocks={k: np.asfortranarray(b) for k, b in pyr.blocks.items()})
+        assert not all(b.flags.c_contiguous for b in strided.blocks.values())
+        assert np.array_equal(inverse_hyperbolic_transform(strided), ref)
+        lo, hi = hywave._dwt_step(np.asfortranarray(v), h, g, 0)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert seen and all(seen)
 
     def test_infeasible_levels(self):
         v = random_field(64)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -329,6 +330,59 @@ def reference_folded_mass(alpha0, hurst, n):
     return mass
 
 
+@np.errstate(over="ignore")
+def whole_quarter_folded_mass(alpha0, hurst, n):
+    """``synth._folded_mass`` as it stood before the shift loop ran in row
+    strips on the pool, verbatim: one serial pass over the whole quarter
+    per alias shift. The strip version must be bit-identical to it."""
+    lam1, lam2 = alpha0, 2.0 - alpha0
+    qq = 2.0 * (hurst + 1.0)
+    L = synth.TWO_PI * n
+    half = n // 2
+    k = np.arange(half + 1)
+    xi = synth.TWO_PI * k
+
+    ms = np.arange(-synth._M_STRIP, synth._M_STRIP + 1)
+    P1 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam1)
+    P2 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam2)
+    o = synth._M_STRIP
+
+    mass = np.zeros((half + 1, half + 1))
+    term = np.empty_like(mass)
+    for m1 in range(-synth._M_STRIP, synth._M_STRIP + 1):
+        for m2 in range(-synth._M_STRIP, synth._M_STRIP + 1):
+            if m1 == 0 and m2 == 0:
+                continue
+            if abs(m1) > synth._M_BOX and abs(m2) > synth._M_BOX:
+                continue
+            np.add(P1[:, o + m1][:, None], P2[:, o + m2][None, :], out=term)
+            mass += np.power(term, -qq, out=term)
+    mass *= synth.TWO_PI ** 2
+
+    with np.errstate(divide="ignore"):
+        base = synth.TWO_PI ** 2 * (P1[:, o][:, None] + P2[:, o][None, :]) ** (-qq)
+    band, outer = k[:synth._AXIS_BAND + 1], k[synth._CORE + 1:]
+    base[:synth._AXIS_BAND + 1, synth._CORE + 1:] = synth._cell_integrals(lam1, lam2, qq, band, outer, 1)
+    base[synth._CORE + 1:, :synth._AXIS_BAND + 1] = synth._cell_integrals(lam1, lam2, qq, outer, band, 1)
+    core = k[:synth._CORE + 1]
+    in_band = (core[:, None] <= synth._AXIS_BAND) | (core[None, :] <= synth._AXIS_BAND)
+    base[:synth._CORE + 1, :synth._CORE + 1][in_band] = \
+        synth._cell_integrals(lam1, lam2, qq, core, core, 4)[in_band]
+    mass += base
+
+    box = slice(o - synth._M_BOX, o + synth._M_BOX + 1)
+    col_tail = synth._alias_tail(P1[:, box], lam2, qq, L).sum(axis=1)
+    row_tail = synth._alias_tail(P2[:, box], lam1, qq, L).sum(axis=1)
+    mass += synth.TWO_PI ** 2 * col_tail[:, None]
+    mass += synth.TWO_PI ** 2 * row_tail[None, :]
+
+    mass[0, 0] = 0.0
+    mass[half, :] = 0.0
+    mass[:, half] = 0.0
+    q = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+    return mass[np.ix_(q, q)]
+
+
 # (0.3, 0.1) and (1.7, 0.2) are the slow-decay cases of the column and row tails
 MASS_SPECS = [(0.6, 0.4), (0.25, 0.2), (1.4, 0.5), (0.3, 0.1), (1.7, 0.2)]
 
@@ -345,14 +399,58 @@ class TestSpectralGrid:
 
     # at alpha0 = 0.01 and 1.99 the steep-axis weight power overflows: that
     # weight is inf and its mass 0, with no RuntimeWarning (an error here)
+    # those two fold inf weights: built uncached, in 5 strips on 2 workers,
+    # so that a RuntimeWarning raised in a worker fails here too
     @pytest.mark.parametrize("alpha0,hurst", MASS_SPECS + [(0.01, 0.005), (1.99, 0.005)])
-    def test_mass_exactly_even(self, alpha0, hurst):
+    def test_mass_exactly_even(self, alpha0, hurst, monkeypatch):
         from anisotex.synth import _folded_mass
         n = 128
-        mass = _folded_mass(alpha0, hurst, n)
+        if hurst == 0.005:
+            monkeypatch.setattr(synth, "_FOLD_STRIP", 13 * (n // 2 + 1))  # 5 strips
+            monkeypatch.setattr(synth, "worker_count", lambda: 2)
+            mass = _folded_mass.__wrapped__(alpha0, hurst, n)
+        else:
+            mass = _folded_mass(alpha0, hurst, n)
         assert np.all(np.isfinite(mass)) and mass.sum() > 0.0
         neg = (-np.arange(n)) % n
         assert np.array_equal(mass, mass[neg][:, neg])
+
+    def test_fold_workers_ignore_overflow(self, monkeypatch):
+        # numpy's errstate does not reach pool threads, so each fold worker
+        # enters over="ignore" itself
+        power, seen = np.power, []
+
+        def spy(*args, **kwargs):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(np, "power", spy)
+        monkeypatch.setattr(synth, "worker_count", lambda: 2)
+        monkeypatch.setattr(synth, "_FOLD_STRIP", 5 * 33)
+        synth._folded_mass.__wrapped__(0.01, 0.005, 64)
+        assert seen and set(seen) == {(False, "ignore")}
+
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    @pytest.mark.parametrize("alpha0,hurst", MASS_SPECS + [(0.01, 0.005)])
+    def test_strips_bit_identical_to_whole_quarter(self, alpha0, hurst, n, monkeypatch):
+        # (rows per strip, workers): one row, 13 rows (which divide no
+        # n/2 + 1 here), the default strip and one strip for the whole
+        # quarter, on 1, 2 and 4 workers. The full set runs at 64, and at
+        # 512 for (0.6, 0.4); a one-row build at 1024 takes up to 3 s, so
+        # there (0.6, 0.4) runs the default strip on 1, 2 and 4 workers;
+        # the other specs run the default strip on 2 workers
+        ref = whole_quarter_folded_mass(alpha0, hurst, n)
+        cases = [(r, w) for r in (1, 13, None, n // 2 + 1) for w in (1, 2, 4)]
+        if n > 64 and (alpha0, hurst) != (0.6, 0.4):
+            cases = [(None, 2)]
+        elif n == 1024:
+            cases = [(None, 1), (None, 2), (None, 4)]
+        for r, w in cases:
+            strip = synth._FOLD_STRIP if r is None else r * (n // 2 + 1)
+            monkeypatch.setattr(synth, "_FOLD_STRIP", strip)
+            monkeypatch.setattr(synth, "worker_count", lambda w=w: w)
+            mass = synth._folded_mass.__wrapped__(alpha0, hurst, n)
+            assert np.array_equal(mass, ref), (r, w)
 
     @pytest.mark.parametrize("lam,qq", [(0.3, 2.2), (1.7, 2.2), (1.75, 2.4), (0.25, 2.4)])
     def test_alias_tail_closed_form(self, lam, qq):
