@@ -12,10 +12,12 @@ from .besov import (
     ExponentScan,
     StructureFunction,
     average_structure_functions,
+    axis_exponents,
     critical_exponent,
     default_lags,
     directional_exponent,
     scan_anisotropy,
+    scan_exponents,
     snap_direction,
     structure_function,
     tent_prediction,
@@ -29,6 +31,7 @@ from .core import (
     matrix_power,
     validate_anisotropy,
 )
+from .ensemble import EnsembleReduction, reduce_fields, reduce_synthesis
 from .homog import (
     HomogeneityReport,
     HomogeneousFunction,
@@ -40,12 +43,15 @@ from .homog import (
 )
 from .hywave import (
     FILTERS,
+    BlockMoments,
     HyperbolicPyramid,
     RatioScan,
     ScaleStats,
+    block_moments,
     coefficient_energy,
     hyperbolic_transform,
     inverse_hyperbolic_transform,
+    pool_block_moments,
     pooled_scale_statistics,
     ratio_maximize,
     scale_statistics,
@@ -77,8 +83,10 @@ __all__ = [
     "DegenerateDirectionError", "structure_function", "directional_exponent",
     "average_structure_functions", "critical_exponent", "tent_prediction",
     "scan_anisotropy", "snap_direction", "default_lags",
+    "axis_exponents", "scan_exponents",
     "FILTERS", "HyperbolicPyramid", "ScaleStats", "RatioScan",
     "hyperbolic_transform", "inverse_hyperbolic_transform",
     "coefficient_energy", "scale_statistics", "pooled_scale_statistics",
-    "ratio_maximize",
+    "ratio_maximize", "BlockMoments", "block_moments", "pool_block_moments",
+    "EnsembleReduction", "reduce_fields", "reduce_synthesis",
 ]

@@ -297,27 +297,14 @@ ALPHA_SCAN_RANGE = (0.2, 1.8)
 _AXES = ((1.0, 0.0), (0.0, 1.0))
 
 
-def scan_anisotropy(fields, alpha_grid, p) -> ExponentScan:
-    """Average critical exponents over realizations per analysis alpha.
+def axis_exponents(field: SampledField, p) -> tuple:
+    """The directional exponents (h1, h2) of one field along the two axes,
+    fitted over the default window: one realization's share of a scan."""
+    return tuple(_exponents(field, _AXES, p))
 
-    All fields must share a generative spec (seeds may differ). For the
-    diagonal analysis family the eigendirections are the axes for every
-    alpha, so the per-field directional exponents are measured once and
-    recombined as min(alpha h1, (2-alpha) h2); this equals calling
-    ``critical_exponent`` per (field, alpha) and averaging. Only the lags
-    the default fit window keeps (m = 4..n/8 along the axes) are computed,
-    and the exponents equal the default fit of the full tables exactly.
-    An order p whose moments leave the float64 range raises ValueError
-    naming p (from ``structure_function``). Per-field
-    work runs on a worker pool (capped by ANISOTEX_THREADS) and is merged
-    by an order-independent mean, so results do not depend on scheduling.
-    Ties in the argmax break toward the smallest alpha (tolerance 1e-9).
-    """
-    if not fields:
-        raise ValueError("need at least one field")
-    ref = fields[0].spec.with_seed(0)
-    if any(f.spec.with_seed(0) != ref for f in fields[1:]):
-        raise ValueError("fields do not share a generative spec")
+
+def _scan_alphas(alpha_grid):
+    """The analysis alphas as floats, each inside ALPHA_SCAN_RANGE."""
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ValueError("empty alpha grid")
@@ -325,13 +312,28 @@ def scan_anisotropy(fields, alpha_grid, p) -> ExponentScan:
     for a in alphas:
         if not lo - 1e-12 <= a <= hi + 1e-12:
             raise ValueError(f"alpha {a} outside the resolvable scan range [{lo}, {hi}]")
+    return alphas
 
-    hs = np.array(_pool_map(lambda f: _exponents(f, _AXES, p), fields))  # (reps, 2)
+
+def scan_exponents(exponents, alpha_grid) -> ExponentScan:
+    """The anisotropy scan of per-realization axis exponents.
+
+    ``exponents`` holds one ``axis_exponents`` pair (h1, h2) per
+    realization. The diagonal analysis family has the axes as
+    eigendirections for every alpha, so each realization's critical
+    exponent is min(alpha h1, (2-alpha) h2); the scan averages these in
+    realization order. Ties in the argmax break toward the smallest alpha
+    (tolerance 1e-9).
+    """
+    alphas = _scan_alphas(alpha_grid)
+    hs = np.array(exponents)  # (reps, 2)
+    if hs.ndim != 2 or hs.shape[0] == 0:
+        raise ValueError("need at least one field")
     al = np.asarray(alphas)
     per = np.minimum(al[None, :] * hs[:, [0]], (2.0 - al)[None, :] * hs[:, [1]])
     mean = per.mean(axis=0)
-    if len(fields) > 1:
-        stderr = per.std(axis=0, ddof=1) / math.sqrt(len(fields))
+    if len(hs) > 1:
+        stderr = per.std(axis=0, ddof=1) / math.sqrt(len(hs))
     else:
         stderr = np.zeros_like(mean)
     peak = float(mean.max())
@@ -339,3 +341,27 @@ def scan_anisotropy(fields, alpha_grid, p) -> ExponentScan:
     return ExponentScan(alphas=tuple(alphas), exponents=tuple(float(v) for v in mean),
                         stderrs=tuple(float(v) for v in stderr),
                         argmax_alpha=argmax, peak=peak)
+
+
+def scan_anisotropy(fields, alpha_grid, p) -> ExponentScan:
+    """Average critical exponents over realizations per analysis alpha.
+
+    All fields must share a generative spec (seeds may differ). The
+    per-field ``axis_exponents`` are measured once and folded by
+    ``scan_exponents``; this equals calling ``critical_exponent`` per
+    (field, alpha) and averaging. Only the lags the default fit window
+    keeps (m = 4..n/8 along the axes) are computed, and the exponents equal
+    the default fit of the full tables exactly. An order p whose moments
+    leave the float64 range raises ValueError naming p (from
+    ``structure_function``). Per-field work runs on a worker pool (capped
+    by ANISOTEX_THREADS) and is folded in field order, so results do not
+    depend on scheduling. ``ensemble.reduce_fields`` computes the same scan
+    without holding the ensemble.
+    """
+    if not fields:
+        raise ValueError("need at least one field")
+    ref = fields[0].spec.with_seed(0)
+    if any(f.spec.with_seed(0) != ref for f in fields[1:]):
+        raise ValueError("fields do not share a generative spec")
+    alphas = _scan_alphas(alpha_grid)
+    return scan_exponents(_pool_map(lambda f: axis_exponents(f, p), fields), alphas)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import besov, fileio, homog, hywave, synth
+from . import besov, ensemble, fileio, homog, hywave, synth
 from .core import AnisotropyError, FieldSpec, check_order
 
 
@@ -95,13 +95,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_fields(paths):
-    fields = [fileio.read_field(p) for p in paths]
-    ref = fields[0].spec.with_seed(0)
-    for f, p in zip(fields[1:], paths[1:]):
-        if f.spec.with_seed(0) != ref:
+def _input_spec(paths):
+    """The first input's spec, once every input's header, size and spec
+    check out and agree, seeds aside; no sample payload is read."""
+    specs = [fileio.read_spec(p) for p in paths]
+    ref = specs[0].with_seed(0)
+    for s, p in zip(specs[1:], paths[1:]):
+        if s.with_seed(0) != ref:
             raise ValueError(f"mixed-spec inputs: {p} disagrees with {paths[0]}")
-    return fields
+    return specs[0]
 
 
 def cmd_scan(args) -> int:
@@ -109,18 +111,18 @@ def cmd_scan(args) -> int:
     if not grid:
         raise ValueError(f"empty grid {args.alpha_grid!r}")
     if args.inputs:
-        fields = _load_fields(args.inputs)
-        _check_fit_grid(fields[0].grid_n)
+        spec = _input_spec(args.inputs)
+        _check_fit_grid(spec.grid_n)
+        run = ensemble.reduce_fields(fileio.read_field, args.inputs, grid, args.p)
     elif args.spec:
         spec = _parse_spec(args.spec)
         _check_fit_grid(spec.grid_n)
         _check_synth_memory(spec, args.reps)
-        fields = synth.synthesize_ensemble(spec, args.reps)
+        run = ensemble.reduce_synthesis(spec, args.reps, grid, args.p)
     else:
         raise ValueError("provide field files with --in or a --spec with --reps")
-    scan = besov.scan_anisotropy(fields, grid, args.p)
+    scan = run.scan
     fileio.write_scan(args.out + ".csv", scan)
-    spec = fields[0].spec
     inside = [(a, e) for a, e in zip(scan.alphas, scan.exponents) if 0.3 <= a <= 1.7]
     tent_rms = math.sqrt(np.mean([
         (e - besov.tent_prediction(a, spec.alpha0, spec.hurst)) ** 2 for a, e in inside
@@ -129,7 +131,7 @@ def cmd_scan(args) -> int:
         "argmax_alpha": scan.argmax_alpha,
         "peak": scan.peak,
         "p": args.p,
-        "realizations": len(fields),
+        "realizations": len(run.exponents),
         "true_alpha0": spec.alpha0,
         "true_hurst": spec.hurst,
         "tent_rms": tent_rms,

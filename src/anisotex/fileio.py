@@ -80,13 +80,14 @@ def write_field(path, field: SampledField) -> None:
     """Serialize a field to the ANIF binary container."""
     payload = json.dumps(spec_to_dict(field.spec)).encode("utf-8")
     n = field.grid_n
+    samples = np.ascontiguousarray(field.values, dtype="<f8")  # no copy on little-endian hosts
 
     def writer(fh):
         fh.write(ANIF_MAGIC)
         fh.write(struct.pack("<II", ANIF_VERSION, n))
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(memoryview(samples).cast("B"))
 
     _atomic_write(path, writer)
 
@@ -98,33 +99,51 @@ def _read_exact(fh, size, path, what):
     return data
 
 
-def read_field(path) -> SampledField:
-    """Read an ANIF container back into a SampledField."""
+def _read_header(fh, path) -> FieldSpec:
+    """Check an open ANIF file's magic, version, size and spec, and return
+    the spec; the file is left at the start of the sample payload."""
+    magic = fh.read(4)
+    if magic != ANIF_MAGIC:
+        raise ValueError(f"{path}: not an ANIF file (magic {magic!r})")
+    version, n = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+    if version != ANIF_VERSION:
+        raise ValueError(f"{path}: unsupported ANIF version {version}")
+    (jlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
+    # the size check comes before any read sized by the header, so a
+    # corrupt n or JSON length cannot request more memory than the file
+    expected = fh.tell() + jlen + 8 * n * n
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != expected:
+        raise ValueError(f"{path}: truncated or oversized: header implies {expected} bytes "
+                         f"(n = {n}, spec {jlen} bytes), file has {actual}")
+    text = _read_exact(fh, jlen, path, "spec").decode("utf-8")
+    try:
+        spec = spec_from_dict(json.loads(text))
+    except ValueError as e:
+        raise ValueError(f"{path}: bad spec: {e}") from None
+    if spec.grid_n != n:
+        raise ValueError(f"{path}: header n={n} disagrees with spec grid_n={spec.grid_n}")
+    return spec
+
+
+def read_spec(path) -> FieldSpec:
+    """The spec of an ANIF file, after every check that ``read_field`` makes
+    of its header, size and spec; the sample payload is not read."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != ANIF_MAGIC:
-            raise ValueError(f"{path}: not an ANIF file (magic {magic!r})")
-        version, n = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-        if version != ANIF_VERSION:
-            raise ValueError(f"{path}: unsupported ANIF version {version}")
-        (jlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header"))
-        # the size check comes before any read sized by the header, so a
-        # corrupt n or JSON length cannot request more memory than the file
-        expected = fh.tell() + jlen + 8 * n * n
-        actual = os.fstat(fh.fileno()).st_size
-        if actual != expected:
-            raise ValueError(f"{path}: truncated or oversized: header implies {expected} bytes "
-                             f"(n = {n}, spec {jlen} bytes), file has {actual}")
-        text = _read_exact(fh, jlen, path, "spec").decode("utf-8")
-        try:
-            spec = spec_from_dict(json.loads(text))
-        except ValueError as e:
-            raise ValueError(f"{path}: bad spec: {e}") from None
-        if spec.grid_n != n:
-            raise ValueError(f"{path}: header n={n} disagrees with spec grid_n={spec.grid_n}")
-        data = _read_exact(fh, 8 * n * n, path, "sample payload")
-        values = np.frombuffer(data, dtype="<f8").reshape(n, n).astype(float)
-    return SampledField(values=values, spec=spec)
+        return _read_header(fh, path)
+
+
+def read_field(path) -> SampledField:
+    """Read an ANIF container back into a SampledField. The payload is read
+    straight into the sample array, with no intermediate bytes object."""
+    with open(path, "rb") as fh:
+        spec = _read_header(fh, path)
+        n = spec.grid_n
+        values = np.empty((n, n), dtype="<f8")
+        got = fh.readinto(memoryview(values).cast("B"))
+        if got != values.nbytes:
+            raise ValueError(f"{path}: truncated sample payload ({got} of {values.nbytes} bytes)")
+    return SampledField(values=values.astype(float, copy=False), spec=spec)
 
 
 def _fmt(x) -> str:

@@ -220,35 +220,81 @@ def scale_statistics(pyr: HyperbolicPyramid, p) -> ScaleStats:
     return pooled_scale_statistics([pyr], p)
 
 
+@dataclass(frozen=True)
+class BlockMoments:
+    """Per-block p-th moments of one pyramid's detail x detail blocks.
+
+    ``moments[(j1, j2)]`` is (mean |d|^p, or max |d| for p = inf; whether
+    the block has a nonzero coefficient).
+    """
+
+    grid_n: int
+    filter: str
+    levels: tuple
+    p: float
+    moments: dict = field(repr=False)
+
+
+def block_moments(pyr: HyperbolicPyramid, p) -> BlockMoments:
+    """The p-th moment of every detail x detail block of one pyramid: one
+    realization's share of ``pooled_scale_statistics``. Enters its own
+    errstate, so it may run on a pool worker."""
+    check_order(p)
+    out = {}
+    with np.errstate(over="ignore", under="ignore"):
+        for key, b in pyr.blocks.items():
+            if 0 in key:
+                continue
+            if p == math.inf:
+                m = float(np.max(np.abs(b)))
+            else:  # b ** 2 squares exactly; numpy's pow is not sign-symmetric for even p > 2
+                m = np.mean((b if p == 2 else np.abs(b)) ** p)
+            out[key] = (m, m != 0.0 or bool(np.any(b)))
+    return BlockMoments(grid_n=pyr.grid_n, filter=pyr.filter, levels=pyr.levels,
+                        p=float(p), moments=out)
+
+
+def pool_block_moments(per) -> ScaleStats:
+    """Ensemble statistic: the ``block_moments`` of each pyramid pooled per
+    block in pyramid order, the mean of the moments (their max for
+    p = inf).
+
+    A pooled moment that overflows float64, or underflows to 0 on a block
+    that is not all zero, raises ValueError naming p.
+    """
+    if not per:
+        raise ValueError("need at least one pyramid")
+    ref = per[0]
+    for bm in per[1:]:
+        if (bm.grid_n, bm.levels, bm.filter, bm.p) != (ref.grid_n, ref.levels, ref.filter, ref.p):
+            raise ValueError("pyramids do not share grid, levels, and filter (or moment order)")
+    p = ref.p
+    out = {}
+    for key in ref.moments:
+        pairs = [bm.moments[key] for bm in per]
+        with np.errstate(over="ignore", under="ignore"):
+            if p == math.inf:
+                moment = max(m for m, _ in pairs)
+            else:
+                moment = np.mean([m for m, _ in pairs])
+        if moment == math.inf or (moment == 0.0 and any(nz for _, nz in pairs)):
+            what = "overflows float64" if moment else "underflows to 0 on nonzero coefficients"
+            raise ValueError(f"order p={p}: the moment of block {key} {what}")
+        v = moment if p == math.inf else moment ** (1.0 / p)
+        out[key] = math.log2(v) if v > 0 else -math.inf
+    return ScaleStats(grid_n=ref.grid_n, levels=ref.levels, p=p, log2_stat=out)
+
+
 def pooled_scale_statistics(pyramids, p) -> ScaleStats:
-    """Ensemble statistic: per-block p-th moments pooled across pyramids.
+    """Ensemble statistic: per-block p-th moments pooled across pyramids
+    (``pool_block_moments`` of their ``block_moments``).
 
     A moment that overflows float64, or underflows to 0 on a block that is
     not all zero, raises ValueError naming p.
     """
     if not pyramids:
         raise ValueError("need at least one pyramid")
-    ref = pyramids[0]
-    for pyr in pyramids[1:]:
-        if (pyr.grid_n, pyr.levels, pyr.filter) != (ref.grid_n, ref.levels, ref.filter):
-            raise ValueError("pyramids do not share grid, levels, and filter")
-    check_order(p)
-    out = {}
-    for key in ref.blocks:
-        if 0 in key:
-            continue
-        blocks = [pyr.blocks[key] for pyr in pyramids]
-        with np.errstate(over="ignore", under="ignore"):
-            if p == math.inf:
-                moment = max(float(np.max(np.abs(b))) for b in blocks)
-            else:  # b ** 2 squares exactly; numpy's pow is not sign-symmetric for even p > 2
-                moment = np.mean([np.mean((b if p == 2 else np.abs(b)) ** p) for b in blocks])
-        if moment == math.inf or (moment == 0.0 and any(np.any(b) for b in blocks)):
-            what = "overflows float64" if moment else "underflows to 0 on nonzero coefficients"
-            raise ValueError(f"order p={p}: the moment of block {key} {what}")
-        v = moment if p == math.inf else moment ** (1.0 / p)
-        out[key] = math.log2(v) if v > 0 else -math.inf
-    return ScaleStats(grid_n=ref.grid_n, levels=ref.levels, p=float(p), log2_stat=out)
+    return pool_block_moments([block_moments(pyr, p) for pyr in pyramids])
 
 
 @dataclass(frozen=True)

@@ -137,17 +137,16 @@ def _alias_tail(c, lam, qq, L):
     return 2.0 / L * np.where(pos, val, np.where(c == 0.0, at_zero, 0.0))
 
 
-@functools.lru_cache(maxsize=4)
 @np.errstate(over="ignore")  # an overflowed weight power is inf: its mass is 0
-def _folded_mass(alpha0, hurst, n):
-    """Alias-folded spectral masses for the power-sum weight, FFT order.
+def _quarter_mass(alpha0, hurst, n):
+    """Alias-folded spectral masses for the power-sum weight on the quarter
+    k >= 0, shape (n/2 + 1, n/2 + 1); index n/2 is the Nyquist row/column.
 
     The mass is even in k1 and in k2 (the shift set is symmetric and
     |xi + L m| = |-xi - L m|), so the alias fold, the base cells, the
-    axis-band integrals and the tails are built on the quarter k >= 0
-    only and unfolded to FFT order by indexing with |k|; the result is
-    exactly even. Grids are kept in a bounded LRU cache (4 keys) and
-    returned read-only, since every caller shares them.
+    axis-band integrals and the tails are built on the quarter only;
+    ``_unfold`` indexes it with |k| into FFT order, exactly even. The
+    zero mode and the Nyquist row and column are 0 and are not built.
 
     Shifts with |m| <= 8 are summed (the corners past |m| = 3 on both
     axes dropped); along each axis the fold past |m| = 8.5 is integrated
@@ -166,7 +165,7 @@ def _folded_mass(alpha0, hurst, n):
     qq = 2.0 * (hurst + 1.0)
     L = TWO_PI * n
     half = n // 2
-    k = np.arange(half + 1)  # quarter k >= 0; index half is the Nyquist row
+    k = np.arange(half)  # the quarter below the Nyquist index
     xi = TWO_PI * k
 
     ms = np.arange(-_M_STRIP, _M_STRIP + 1)
@@ -176,8 +175,8 @@ def _folded_mass(alpha0, hurst, n):
 
     shifts = [(m1, m2) for m1 in ms for m2 in ms  # the far corners are negligible
               if (m1 or m2) and (abs(m1) <= _M_BOX or abs(m2) <= _M_BOX)]
-    mass = np.zeros((half + 1, half + 1))
-    rows = max(1, _FOLD_STRIP // (half + 1))
+    mass = np.zeros((half, half))
+    rows = max(1, _FOLD_STRIP // half)
 
     def fold(s0):  # sum the shifts into rows s0:s0 + rows of mass
         acc = mass[s0:s0 + rows]
@@ -187,16 +186,18 @@ def _folded_mass(alpha0, hurst, n):
                 np.add(P1[s0:s0 + rows, o + m1][:, None], P2[:, o + m2][None, :], out=term)
                 acc += np.power(term, -qq, out=term)
 
-    _pool_map(fold, range(0, half + 1, rows))
+    _pool_map(fold, range(0, half, rows))
     mass *= TWO_PI ** 2
 
     # base cell, midpoint far from the axes
     with np.errstate(divide="ignore"):
         base = TWO_PI ** 2 * (P1[:, o][:, None] + P2[:, o][None, :]) ** (-qq)
-    # cells within _AXIS_BAND of an axis: Gauss integrals, subdivided in the core
-    band, outer = k[:_AXIS_BAND + 1], k[_CORE + 1:]
-    base[:_AXIS_BAND + 1, _CORE + 1:] = _cell_integrals(lam1, lam2, qq, band, outer, 1)
-    base[_CORE + 1:, :_AXIS_BAND + 1] = _cell_integrals(lam1, lam2, qq, outer, band, 1)
+    # cells within _AXIS_BAND of an axis: Gauss integrals, subdivided in the
+    # core. The band integrals run through the Nyquist index, then drop it:
+    # the BLAS reduction of a cell depends on how many cells share the call
+    band, outer = k[:_AXIS_BAND + 1], np.arange(_CORE + 1, half + 1)
+    base[:_AXIS_BAND + 1, _CORE + 1:] = _cell_integrals(lam1, lam2, qq, band, outer, 1)[:, :-1]
+    base[_CORE + 1:, :_AXIS_BAND + 1] = _cell_integrals(lam1, lam2, qq, outer, band, 1)[:-1]
     core = k[:_CORE + 1]
     in_band = (core[:, None] <= _AXIS_BAND) | (core[None, :] <= _AXIS_BAND)
     base[:_CORE + 1, :_CORE + 1][in_band] = \
@@ -210,22 +211,39 @@ def _folded_mass(alpha0, hurst, n):
     mass += TWO_PI ** 2 * row_tail[None, :]
 
     mass[0, 0] = 0.0
-    mass[half, :] = 0.0
-    mass[:, half] = 0.0
+    return np.pad(mass, (0, 1))  # the Nyquist row and column
+
+
+def _unfold(quarter, n):
+    """The n x n grid in FFT order of an even quarter grid: entry k is quarter[|k|]."""
     q = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-    full = mass[np.ix_(q, q)]
-    full.flags.writeable = False
-    return full
+    return quarter[np.ix_(q, q)]
 
 
-def _mass(spec: FieldSpec) -> np.ndarray:
-    """The cached mass grid of a spec."""
-    return _folded_mass(spec.alpha0, spec.hurst, spec.grid_n)
+def _folded_mass(alpha0, hurst, n):
+    """The alias-folded mass grid, n x n in FFT order (see ``_quarter_mass``).
+    Built afresh on each call: synthesis reads the cached quarter amplitudes."""
+    return _unfold(_quarter_mass(alpha0, hurst, n), n)
+
+
+@functools.lru_cache(maxsize=4)
+def _quarter_amplitudes(alpha0, hurst, n):
+    """Square roots of ``_quarter_mass``: the per-mode standard deviations on
+    the quarter. Kept in a bounded LRU cache (4 keys) and returned read-only,
+    since every caller shares them."""
+    amp = np.sqrt(_quarter_mass(alpha0, hurst, n))
+    amp.flags.writeable = False
+    return amp
+
+
+def _amplitudes(spec: FieldSpec) -> np.ndarray:
+    """The cached quarter amplitudes of a spec."""
+    return _quarter_amplitudes(spec.alpha0, spec.hurst, spec.grid_n)
 
 
 def spectral_grid(spec: FieldSpec) -> SpectralGrid:
     """Amplitude grid for a field specification."""
-    return SpectralGrid(n=spec.grid_n, amplitudes=np.sqrt(_mass(spec)))
+    return SpectralGrid(n=spec.grid_n, amplitudes=_unfold(_amplitudes(spec), spec.grid_n))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +273,18 @@ def _half_spectrum(spec: FieldSpec) -> np.ndarray:
     The Gaussian stream is drawn from a Philox generator keyed by
     ``spec.seed``: two standard normals per half-plane mode, enumerated
     row-major over {k2 > 0} plus {k2 = 0, k1 > 0}, even draws real parts.
-    The mass grid is even, so the square roots of its first n/2 + 1
-    columns, the only ones read, scale them (no n x n amplitude grid).
+    The amplitudes are even, so the cached quarter scales them in place:
+    rows k1 = 0..n/2 directly and rows n/2 + 1..n - 1 (k1 < 0) by its
+    rows |k1| in reverse (no n x n grid and no square root per draw).
     """
-    n = spec.grid_n
-    mass = _mass(spec)
+    n, half = spec.grid_n, spec.grid_n // 2
+    amp = _amplitudes(spec)
     flat = _half_plane(n)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    H = np.zeros((n, n // 2 + 1), dtype=complex)
+    H = np.zeros((n, half + 1), dtype=complex)
     H.ravel()[flat] = rng.standard_normal((flat.size, 2)).view(complex)[:, 0] / math.sqrt(2.0)
-    H *= np.sqrt(mass[:, :n // 2 + 1])
+    H[:half + 1] *= amp
+    H[half + 1:] *= amp[half - 1:0:-1]
     return H
 
 
@@ -294,12 +314,19 @@ def synthesize(spec: FieldSpec) -> SampledField:
     return SampledField(values=X, spec=spec)
 
 
-def synthesize_ensemble(spec: FieldSpec, reps: int):
-    """Independent realizations with seeds spec.seed + i, i = 0..reps-1."""
+def ensemble_specs(spec: FieldSpec, reps: int):
+    """The specs of the realizations with seeds spec.seed + i, i = 0..reps-1
+    (mod 2^64). Builds the shared amplitude grid first, so that pool
+    workers synthesizing them only read it."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _mass(spec)  # build the shared mass grid once, outside the pool
-    return _pool_map(synthesize, [spec.with_seed((spec.seed + i) % 2 ** 64) for i in range(reps)])
+    _amplitudes(spec)
+    return [spec.with_seed((spec.seed + i) % 2 ** 64) for i in range(reps)]
+
+
+def synthesize_ensemble(spec: FieldSpec, reps: int):
+    """Independent realizations with seeds spec.seed + i, i = 0..reps-1."""
+    return _pool_map(synthesize, ensemble_specs(spec, reps))
 
 
 def _values_at(spec: FieldSpec, points, reps: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from anisotex import (
     monte_carlo_scaling_check,
     pooled_scale_statistics,
     ratio_maximize,
+    reduce_synthesis,
     rho_power_sum,
     scale_statistics,
     scan_anisotropy,
@@ -52,11 +53,13 @@ _TIMINGS = {}
 
 
 @pytest.fixture(scope="module")
-def aniso_fields():
+def aniso_run():
+    # streamed: each realization is synthesized, reduced to its axis
+    # exponents and d4 (9, 9) block moments, and dropped on the worker pool
     t0 = time.perf_counter()
-    fields = synthesize_ensemble(ANISO, 16)
-    _TIMINGS["aniso_ensemble"] = time.perf_counter() - t0
-    return fields
+    run = reduce_synthesis(ANISO, 16, ALPHA_GRID, 2.0, levels=(9, 9))
+    _TIMINGS["aniso_run"] = time.perf_counter() - t0
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -65,32 +68,24 @@ def iso_fields():
 
 
 @pytest.fixture(scope="module")
-def aniso_scan(aniso_fields):
-    t0 = time.perf_counter()
-    scan = scan_anisotropy(aniso_fields, ALPHA_GRID, 2.0)
-    _TIMINGS["aniso_scan"] = time.perf_counter() - t0
-    return scan
-
-
-@pytest.fixture(scope="module")
 def mc_fields():
     return synthesize_ensemble(MC_SPEC, 200)
 
 
-def test_criterion_1_tent_curve(aniso_fields, aniso_scan):
-    scan = aniso_scan
+def test_criterion_1_tent_curve(aniso_run):
+    scan = aniso_run.scan
     rms = math.sqrt(np.mean([
         (e - tent_prediction(a, 0.6, 0.4)) ** 2
         for a, e in zip(scan.alphas, scan.exponents) if 0.3 <= a <= 1.7
     ]))
-    elapsed = _TIMINGS["aniso_ensemble"] + _TIMINGS["aniso_scan"]
+    elapsed = _TIMINGS["aniso_run"]
     ok = (abs(scan.argmax_alpha - 0.6) <= 0.1
           and abs(scan.peak - 0.4) <= 0.05
           and rms <= 0.07
           and elapsed <= 300.0)
     report(1, "tent-curve reproduction", ok,
            f"argmax={scan.argmax_alpha:.3f} (|d|<=0.1), peak={scan.peak:.4f} (|d|<=0.05), "
-           f"rms={rms:.4f} (<=0.07), ensemble+scan {elapsed:.1f}s (<=300s)")
+           f"rms={rms:.4f} (<=0.07), streamed ensemble, scan and pyramids {elapsed:.1f}s (<=300s)")
 
 
 def test_criterion_2_isotropic_benchmark(iso_fields):
@@ -169,10 +164,9 @@ def test_criterion_5_homogeneity_and_admissibility():
            f"{'all correct' if grid_ok else f'wrong at {wrong}'}")
 
 
-def test_criterion_6_hyperbolic_ridge(aniso_fields, aniso_scan, iso_fields):
-    pyrs = [hyperbolic_transform(f, filt="d4", levels=(9, 9)) for f in aniso_fields]
-    stats = pooled_scale_statistics(pyrs, 2.0)
-    rscan = ratio_maximize(stats)
+def test_criterion_6_hyperbolic_ridge(aniso_run, iso_fields):
+    aniso_scan = aniso_run.scan
+    rscan = ratio_maximize(aniso_run.stats)
     target = 0.6 / 1.4
     d_ratio = abs(rscan.best_ratio - target)
     d_alpha = abs(rscan.implied_alpha0 - aniso_scan.argmax_alpha)

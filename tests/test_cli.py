@@ -54,7 +54,7 @@ class TestSimulate:
 ], ids=["simulate_size", "scan_n", "scan_reps"])
 def test_oversized_synthesis_exit_2(argv, monkeypatch, tmp_path, capsys):
     # rejected before any allocation: building the mass grid fails the test
-    monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+    monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
     rc = main(argv + ["--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -78,7 +78,7 @@ class TestScan:
                                               ("0:inf:0.1", "must be finite")])
     def test_oversized_grid_exit_2(self, grid, message, monkeypatch, tmp_path, capsys):
         # rejected before any allocation (0:1:1e-8 used to build 10^8 points)
-        monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+        monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
         rc = main(["scan", "--spec", "alpha0=0.6,hurst=0.4,n=128", "--alpha-grid", grid,
                    "--out", str(tmp_path / "s")])
         assert rc == 2
@@ -111,6 +111,63 @@ class TestScan:
                    "--alpha-grid", "0.5:1.5:0.25", "--out", str(tmp_path / "s")])
         assert rc == 2
         assert "mixed-spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["mixed_third", "truncated_last"])
+    def test_inputs_checked_before_any_payload(self, bad, tmp_path, monkeypatch, capsys):
+        # every header, size and spec is checked first: a bad later file
+        # exits 2 before any payload is read and writes no output
+        paths = []
+        for i, (alpha0, hurst) in enumerate([(0.6, 0.4)] * 2 + [
+                (1.0, 0.5) if bad == "mixed_third" else (0.6, 0.4)] + [(0.6, 0.4)]):
+            path = tmp_path / f"{i}.anif"
+            fileio.write_field(path, synth.synthesize(FieldSpec.make(alpha0, hurst, grid_n=128,
+                                                                     seed=i)))
+            paths.append(path)
+        if bad == "truncated_last":
+            paths[-1].write_bytes(paths[-1].read_bytes()[:-8])
+        monkeypatch.setattr(fileio, "read_field", lambda p: pytest.fail("payload read"))
+        monkeypatch.setattr(besov, "axis_exponents", lambda *a: pytest.fail("exponents computed"))
+        rc = main(["scan", *[a for p in paths for a in ("--in", str(p))],
+                   "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        if bad == "mixed_third":
+            assert f"mixed-spec inputs: {paths[2]} disagrees with {paths[0]}" in err
+        else:
+            assert f"{paths[3]}: truncated or oversized" in err
+        assert not list(tmp_path.glob("s*"))
+
+    def test_streamed_files_match_batch_scan(self, tmp_path, capsys):
+        # scan --in reduces each file on the pool; its CSV is byte-identical
+        # to the table of the batch scan of the loaded ensemble, and its
+        # summary carries the same numbers
+        paths = []
+        for seed in range(8):
+            path = tmp_path / f"{seed}.anif"
+            main(["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "128",
+                  "--seed", str(40 + seed), "--out", str(path)])
+            paths.append(path)
+        capsys.readouterr()
+        out = tmp_path / "s"
+        rc = main(["scan", *[a for p in paths for a in ("--in", str(p))], "--out", str(out)])
+        assert rc == 0
+        fields = [fileio.read_field(p) for p in paths]
+        grid = [round(0.2 + 0.05 * i, 10) for i in range(33)]
+        batch = besov.scan_anisotropy(fields, grid, 2.0)
+        fileio.write_scan(tmp_path / "batch.csv", batch)
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert (summary["argmax_alpha"], summary["peak"]) == (batch.argmax_alpha, batch.peak)
+        assert summary["realizations"] == 8
+
+    def test_overflowing_order_from_pool_exit_2(self, tmp_path, capsys):
+        # the order p overflows in a pool worker; the run still exits 2 naming p
+        rc = main(["scan", "--spec", "alpha0=0.6,hurst=0.4,n=128,seed=3", "--reps", "3",
+                   "--p", "1000", "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: order p=1000.0") and "overflows float64" in err
+        assert not list(tmp_path.glob("s*"))
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["scan", "--in", str(tmp_path / "nope.anif"),
@@ -215,7 +272,7 @@ class TestAnalyze:
 ], ids=["n_and_grid_n", "repeated_alpha0", "repeated_seed"])
 def test_conflicting_spec_keys_exit_2(spec, key, monkeypatch, tmp_path, capsys):
     # rejected while parsing, before any synthesis
-    monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+    monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
     rc = main(["scan", "--spec", spec, "--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -236,7 +293,7 @@ def field_64(tmp_path):
 ], ids=["scan_spec", "scan_in", "analyze"])
 def test_grid_too_small_exit_2(argv, field_64, monkeypatch, tmp_path, capsys):
     # n = 64 leaves 3 axis lags in the fit window; rejected before synthesis
-    monkeypatch.setattr(synth, "_folded_mass", lambda *a: pytest.fail("mass grid built"))
+    monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
     argv = [a.format(f64=field_64) for a in argv]
     rc = main(argv + ["--out", str(tmp_path / "x")])
     assert rc == 2

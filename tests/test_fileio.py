@@ -84,10 +84,41 @@ class TestAnif:
         with pytest.raises(ValueError, match="truncated"):
             fileio.read_field(path)
 
+    def test_truncated_payload_read(self, field, tmp_path, monkeypatch):
+        # a file cut short after its size was checked: the payload read into
+        # the sample array comes up short and names the bytes it got
+        path = tmp_path / "f.anif"
+        fileio.write_field(path, field)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-16])
+        stat = fileio.os.fstat
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: type("S", (), {"st_size": size})())
+        with pytest.raises(ValueError, match=r"truncated sample payload \(32752 of 32768 bytes\)"):
+            fileio.read_field(path)
+        monkeypatch.setattr(fileio.os, "fstat", stat)
+        with pytest.raises(ValueError, match="truncated or oversized"):
+            fileio.read_spec(path)
+
+    def test_bytes_match_whole_payload_copy(self, tmp_path):
+        # the file holds the header and the samples' little-endian bytes,
+        # exactly as when the payload was written through tobytes()
+        f = synthesize(FieldSpec.make(1.4, 0.5, grid_n=128, seed=8))
+        path = tmp_path / "f.anif"
+        fileio.write_field(path, f)
+        spec = json.dumps(fileio.spec_to_dict(f.spec)).encode()
+        assert path.read_bytes() == (b"ANIF" + struct.pack("<III", 1, 128, len(spec)) + spec
+                                     + f.values.astype("<f8").tobytes())
+        back = fileio.read_field(path)
+        assert np.array_equal(back.values, f.values)
+        assert back.values.dtype == np.float64 and not back.values.flags.writeable
+        assert fileio.read_spec(path) == f.spec
+
     def test_malformed_header(self, malformed_anif):
         path, message = malformed_anif
         with pytest.raises(ValueError, match=message):
             fileio.read_field(path)
+        with pytest.raises(ValueError, match=message):
+            fileio.read_spec(path)
 
 
 class TestCsvRoundTrips:

@@ -408,7 +408,7 @@ class TestSpectralGrid:
         if hurst == 0.005:
             monkeypatch.setattr(synth, "_FOLD_STRIP", 13 * (n // 2 + 1))  # 5 strips
             monkeypatch.setattr(synth, "worker_count", lambda: 2)
-            mass = _folded_mass.__wrapped__(alpha0, hurst, n)
+            mass = _folded_mass(alpha0, hurst, n)
         else:
             mass = _folded_mass(alpha0, hurst, n)
         assert np.all(np.isfinite(mass)) and mass.sum() > 0.0
@@ -427,7 +427,7 @@ class TestSpectralGrid:
         monkeypatch.setattr(np, "power", spy)
         monkeypatch.setattr(synth, "worker_count", lambda: 2)
         monkeypatch.setattr(synth, "_FOLD_STRIP", 5 * 33)
-        synth._folded_mass.__wrapped__(0.01, 0.005, 64)
+        synth._folded_mass(0.01, 0.005, 64)
         assert seen and set(seen) == {(False, "ignore")}
 
     @pytest.mark.parametrize("n", [64, 512, 1024])
@@ -449,7 +449,7 @@ class TestSpectralGrid:
             strip = synth._FOLD_STRIP if r is None else r * (n // 2 + 1)
             monkeypatch.setattr(synth, "_FOLD_STRIP", strip)
             monkeypatch.setattr(synth, "worker_count", lambda w=w: w)
-            mass = synth._folded_mass.__wrapped__(alpha0, hurst, n)
+            mass = synth._folded_mass(alpha0, hurst, n)
             assert np.array_equal(mass, ref), (r, w)
 
     @pytest.mark.parametrize("lam,qq", [(0.3, 2.2), (1.7, 2.2), (1.75, 2.4), (0.25, 2.4)])
@@ -464,12 +464,12 @@ class TestSpectralGrid:
         assert got[-1] == 0.0
 
     def test_mass_cache_bounded(self):
-        from anisotex.synth import _folded_mass
-        cap = _folded_mass.cache_parameters()["maxsize"]
+        from anisotex.synth import _quarter_amplitudes
+        cap = _quarter_amplitudes.cache_parameters()["maxsize"]
         assert cap is not None
         for i in range(cap + 3):
-            _folded_mass(0.6, 0.3 + 0.01 * i, 32)
-        assert _folded_mass.cache_info().currsize <= cap
+            _quarter_amplitudes(0.6, 0.3 + 0.01 * i, 32)
+        assert _quarter_amplitudes.cache_info().currsize <= cap
 
     def test_half_plane_cache_bounded(self):
         from anisotex.synth import _half_plane
@@ -488,18 +488,26 @@ class TestSpectralGrid:
         assert list(zip(k1.tolist(), k2.tolist())) == modes
 
     def test_repeated_key_not_rebuilt(self):
-        from anisotex.synth import _folded_mass
-        first = _folded_mass(0.6, 0.35, 32)
-        misses = _folded_mass.cache_info().misses
-        assert _folded_mass(0.6, 0.35, 32) is first
-        assert _folded_mass.cache_info().misses == misses
+        from anisotex.synth import _quarter_amplitudes
+        first = _quarter_amplitudes(0.6, 0.35, 32)
+        misses = _quarter_amplitudes.cache_info().misses
+        assert _quarter_amplitudes(0.6, 0.35, 32) is first
+        assert _quarter_amplitudes.cache_info().misses == misses
         assert not first.flags.writeable  # shared by every caller
 
+    def test_cache_holds_quarter_amplitudes(self):
+        # the cache keeps the (n/2 + 1)^2 square roots of the quarter, and
+        # the full grid unfolds from it to the square roots of _folded_mass
+        from anisotex.synth import _folded_mass, _quarter_amplitudes
+        amp = _quarter_amplitudes(0.6, 0.4, 64)
+        assert amp.shape == (33, 33)
+        assert np.array_equal(synth._unfold(amp, 64), np.sqrt(_folded_mass(0.6, 0.4, 64)))
+
     def test_ensemble_builds_grid_once(self):
-        from anisotex.synth import _folded_mass
-        _folded_mass.cache_clear()
+        from anisotex.synth import _quarter_amplitudes
+        _quarter_amplitudes.cache_clear()
         synthesize_ensemble(FieldSpec.make(0.8, 0.45, grid_n=64, seed=3), 6)
-        info = _folded_mass.cache_info()
+        info = _quarter_amplitudes.cache_info()
         assert info.misses == 1
         assert info.hits == 6
 
