@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Anisotropy, SampledField, check_order
+from .core import Anisotropy, SampledField, _check_moment, _line_fit, _moment, check_order
 from .synth import _pool_map
 
 INTERIOR_MARGIN = 8        # statistics use points at least n/8 from each edge
@@ -136,23 +136,15 @@ def structure_function(field: SampledField, direction, p, lags=None) -> Structur
         raise ValueError("no valid lags for this grid and direction")
     buf = np.empty(max(a.size for _, a, _ in windows))
     out_t, out_s = [], []
-    with np.errstate(over="ignore", under="ignore"):
-        for m, a, b in windows:
-            inc = buf[:a.size].reshape(a.shape)
+    for m, a, b in windows:
+        inc = buf[:a.size].reshape(a.shape)
+        with np.errstate(over="ignore"):  # an overflowed increment is inf, and so is its moment
             np.subtract(a, b, out=inc)
-            if p == math.inf:
-                s = float(np.max(np.abs(inc, out=inc)))
-            else:
-                if p != 2:  # x**2 is an exact square; numpy's pow is not sign-symmetric
-                    np.abs(inc, out=inc)
-                inc **= p
-                s = float(np.mean(inc))
-            t = m * step_len / n
-            if s == math.inf or (s == 0.0 and np.any(a != b)):
-                what = "overflows float64" if s else "underflows to 0 on nonzero increments"
-                raise ValueError(f"order p={p}: the moment at lag {t:.6g} {what}")
-            out_t.append(t)
-            out_s.append(s)
+        s = _moment(inc, p, inc)
+        t = m * step_len / n
+        _check_moment(s, p, lambda: np.any(a != b), f"the moment at lag {t:.6g}")
+        out_t.append(t)
+        out_s.append(s)
     return StructureFunction(direction=(u / step_len, v / step_len), lattice_step=(u, v),
                              p=float(p), lags=tuple(out_t), values=tuple(out_s),
                              grid_n=n)
@@ -227,20 +219,9 @@ def directional_exponent(sf: StructureFunction, fit_range=None) -> DirectionalEx
         raise DegenerateDirectionError(
             "structure function vanishes in the fit range (constant direction)"
         )
-    lx, ly = np.log(t), np.log(s)
-    A = np.column_stack([lx, np.ones_like(lx)])
-    coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    slope = coef[0]
-    dof = t.size - 2
-    if dof > 0 and res.size:
-        sigma2 = float(res[0]) / dof
-        se = math.sqrt(sigma2 / float(np.sum((lx - lx.mean()) ** 2)))
-    else:
-        se = 0.0
-    p = sf.p
-    h = slope if p == math.inf else slope / p
-    se_h = se if p == math.inf else se / p
-    return DirectionalExponent(h=float(h), stderr=float(se_h),
+    slope, sxx, rss = _line_fit(np.log(t), np.log(s))
+    q = 1.0 if sf.p == math.inf else sf.p  # the slope is h itself for p = inf
+    return DirectionalExponent(h=slope / q, stderr=math.sqrt(rss / (t.size - 2) / sxx) / q,
                                fit_range=(float(t[0]), float(t[-1])))
 
 
@@ -322,8 +303,7 @@ def scan_exponents(exponents, alpha_grid) -> ExponentScan:
     realization. The diagonal analysis family has the axes as
     eigendirections for every alpha, so each realization's critical
     exponent is min(alpha h1, (2-alpha) h2); the scan averages these in
-    realization order. Ties in the argmax break toward the smallest alpha
-    (tolerance 1e-9).
+    realization order. The peak is picked by ``_exponent_scan``.
     """
     alphas = _scan_alphas(alpha_grid)
     hs = np.array(exponents)  # (reps, 2)
@@ -336,10 +316,18 @@ def scan_exponents(exponents, alpha_grid) -> ExponentScan:
         stderr = per.std(axis=0, ddof=1) / math.sqrt(len(hs))
     else:
         stderr = np.zeros_like(mean)
-    peak = float(mean.max())
-    argmax = float(al[np.nonzero(mean >= peak - 1e-9)[0][0]])
-    return ExponentScan(alphas=tuple(alphas), exponents=tuple(float(v) for v in mean),
-                        stderrs=tuple(float(v) for v in stderr),
+    return _exponent_scan(alphas, [float(v) for v in mean], [float(v) for v in stderr])
+
+
+def _exponent_scan(alphas, exponents, stderrs) -> ExponentScan:
+    """The scan of mean exponents per alpha; the peak is the largest, and
+    argmax_alpha the first alpha within 1e-9 of it (ties break toward the
+    smallest alpha). Raises ValueError unless they are finite and not empty."""
+    if not exponents or not all(map(math.isfinite, exponents)):
+        raise ValueError("scan needs finite exponent_mean values")
+    peak = max(exponents)
+    argmax = next(a for a, m in zip(alphas, exponents) if m >= peak - 1e-9)
+    return ExponentScan(alphas=tuple(alphas), exponents=tuple(exponents), stderrs=tuple(stderrs),
                         argmax_alpha=argmax, peak=peak)
 
 

@@ -8,6 +8,7 @@ matrix powers a^D are exact and unambiguous.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -129,6 +130,46 @@ def check_order(p):
     if not (p == np.inf or p >= 1):
         raise ValueError(f"order p must be >= 1 or inf, got {p}")
     return p
+
+
+def _moment(x, p, out):
+    """mean |x|^p, or max |x| for p = inf; |x|^p (|x|) is left in ``out``, of
+    x's shape and possibly x itself. Only p = 2 skips the abs: numpy's SIMD
+    pow is not sign-symmetric for other even p. Overflow and underflow are
+    silent (a pool worker may call it); ``_check_moment`` judges the result."""
+    with np.errstate(over="ignore", under="ignore"):
+        if p == 2:
+            np.copyto(out, x)
+        else:
+            np.abs(x, out=out)
+        if p == np.inf:
+            return float(np.max(out))
+        out **= p
+        return float(np.mean(out))
+
+
+def _check_moment(m, p, nonzero, what):
+    """Raise ValueError naming p and ``what`` when the moment m overflowed
+    float64, or underflowed to 0 though ``nonzero()`` says its data are not."""
+    if m == np.inf:
+        raise ValueError(f"order p={p}: {what} overflows float64")
+    if m == 0.0 and nonzero():
+        raise ValueError(f"order p={p}: {what} underflows to 0 on nonzero data")
+
+
+def _line_fit(x, y, w=None):
+    """Weighted least-squares line through (x, y): (slope, Sxx, RSS), with
+    Sxx = sum w (x - xbar)^2 and RSS the weighted residual sum of squares.
+    Unit weights by default. The slope is nan when Sxx = 0, with no warning.
+    """
+    w = np.ones_like(x) if w is None else w
+    sw = w.sum()
+    xb = float(np.sum(w * x) / sw)
+    sxx = float(np.sum(w * (x - xb) ** 2))
+    yb = float(np.sum(w * y) / sw)
+    slope = float(np.sum(w * (x - xb) * (y - yb)) / sxx) if sxx > 0.0 else math.nan
+    rss = float(np.sum(w * (y - yb - slope * (x - xb)) ** 2))
+    return slope, sxx, rss
 
 
 def matrix_power(D: Anisotropy, a: float) -> np.ndarray:

@@ -18,9 +18,9 @@ import tempfile
 
 import numpy as np
 
-from .besov import ExponentScan, StructureFunction
+from .besov import ExponentScan, StructureFunction, _exponent_scan
 from .core import Anisotropy, FieldSpec, SampledField
-from .hywave import RatioScan, ScaleStats
+from .hywave import RatioScan, ScaleStats, _ratio_scan
 
 ANIF_MAGIC = b"ANIF"
 ANIF_VERSION = 1
@@ -229,12 +229,10 @@ def read_scan(path) -> ExponentScan:
         alphas.append(a)
         means.append(m)
         errs.append(e)
-    if not means or not all(map(math.isfinite, means)):
-        raise ValueError(f"{path}: scan table needs finite exponent_mean values")
-    peak = max(means)
-    argmax = next(a for a, m in zip(alphas, means) if m >= peak - 1e-9)
-    return ExponentScan(alphas=tuple(alphas), exponents=tuple(means), stderrs=tuple(errs),
-                        argmax_alpha=argmax, peak=peak)
+    try:
+        return _exponent_scan(alphas, means, errs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 _STATS_HEADER = ["j1", "j2", "p", "log2_stat", "grid_n", "levels_1", "levels_2"]
@@ -277,9 +275,10 @@ def read_ratio_scan(path) -> RatioScan:
         r, d = map(float, row)
         ratios.append(r)
         rates.append(d)
-    best_i = int(np.argmax(rates))
-    return RatioScan(ratios=tuple(ratios), decay_rates=tuple(rates),
-                     best_ratio=ratios[best_i], slope_at_best=rates[best_i])
+    try:
+        return _ratio_scan(ratios, rates)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_json(path, obj) -> None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Anisotropy
-from .synth import _gauss
+from .core import Anisotropy, _line_fit
+from .synth import _gauss_panel
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,11 @@ def _shell_integral(rho, hurst, lo, hi):
     lam1 = E.axis_eigenvalue(0)
     lam2 = E.axis_eigenvalue(1)
     q = -2.0 * (hurst + 1.0)
-    xr, wr = _gauss(16)
-    xt, wt = _gauss(96)
-    r = 0.5 * (hi - lo) * xr + 0.5 * (lo + hi)
-    wr = 0.5 * (hi - lo) * wr
-    theta = math.pi * (xt + 1.0)  # full circle
-    wt = math.pi * wt
+    r, wr = _gauss_panel(lo, hi, 16)
+    theta, wt = _gauss_panel(0.0, 2.0 * math.pi, 96)  # full circle
     ct, st = np.cos(theta), np.sin(theta)
-    R1 = r[:, None] ** lam1
-    R2 = r[:, None] ** lam2
-    X = R1 * ct[None, :]
-    Y = R2 * st[None, :]
+    X = r[:, None] ** lam1 * ct
+    Y = r[:, None] ** lam2 * st
     jac = (r ** (lam1 + lam2 - 1.0))[:, None] * np.abs(lam1 * ct ** 2 + lam2 * st ** 2)[None, :]
     vals = evaluate(rho, (X, Y)) ** q
     vals *= np.minimum(1.0, X * X + Y * Y)
@@ -133,8 +127,8 @@ def _limit_ratio(sums):
     tail = np.asarray(sums[-5:], dtype=float)
     if np.any(tail <= 0) or not np.all(np.isfinite(tail)):
         return math.inf
-    slope = np.polyfit(np.arange(tail.size), np.log(tail), 1)[0]
-    return float(np.exp(slope))
+    slope, _, _ = _line_fit(np.arange(tail.size), np.log(tail))
+    return math.exp(slope)
 
 
 RATIO_TOL = 0.995
@@ -156,11 +150,8 @@ def check_integrability(rho: HomogeneousFunction, hurst: float) -> Integrability
     """
     if not hurst > 0:
         raise ValueError(f"hurst must be positive, got {hurst}")
-    inner, outer = [], []
-    for j in range(_J_INNER, 0):
-        inner.append(_shell_integral(rho, hurst, 2.0 ** j, 2.0 ** (j + 1)))
-    for j in range(0, _J_OUTER + 1):
-        outer.append(_shell_integral(rho, hurst, 2.0 ** j, 2.0 ** (j + 1)))
+    inner = [_shell_integral(rho, hurst, 2.0 ** j, 2.0 ** (j + 1)) for j in range(_J_INNER, 0)]
+    outer = [_shell_integral(rho, hurst, 2.0 ** j, 2.0 ** (j + 1)) for j in range(_J_OUTER + 1)]
     r_in = _limit_ratio(inner[::-1])  # ratios going inward
     r_out = _limit_ratio(outer)
     finite = bool(r_in < RATIO_TOL and r_out < RATIO_TOL)

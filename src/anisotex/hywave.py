@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampledField, check_order
+from .core import SampledField, _check_moment, _line_fit, _moment, check_order
 
 _SQRT2 = math.sqrt(2.0)
 _S3 = math.sqrt(3.0)
@@ -241,15 +241,11 @@ def block_moments(pyr: HyperbolicPyramid, p) -> BlockMoments:
     errstate, so it may run on a pool worker."""
     check_order(p)
     out = {}
-    with np.errstate(over="ignore", under="ignore"):
-        for key, b in pyr.blocks.items():
-            if 0 in key:
-                continue
-            if p == math.inf:
-                m = float(np.max(np.abs(b)))
-            else:  # b ** 2 squares exactly; numpy's pow is not sign-symmetric for even p > 2
-                m = np.mean((b if p == 2 else np.abs(b)) ** p)
-            out[key] = (m, m != 0.0 or bool(np.any(b)))
+    for key, b in pyr.blocks.items():
+        if 0 in key:
+            continue
+        m = _moment(b, p, np.empty_like(b))
+        out[key] = (m, m != 0.0 or bool(np.any(b)))
     return BlockMoments(grid_n=pyr.grid_n, filter=pyr.filter, levels=pyr.levels,
                         p=float(p), moments=out)
 
@@ -272,14 +268,10 @@ def pool_block_moments(per) -> ScaleStats:
     out = {}
     for key in ref.moments:
         pairs = [bm.moments[key] for bm in per]
+        ms = [m for m, _ in pairs]
         with np.errstate(over="ignore", under="ignore"):
-            if p == math.inf:
-                moment = max(m for m, _ in pairs)
-            else:
-                moment = np.mean([m for m, _ in pairs])
-        if moment == math.inf or (moment == 0.0 and any(nz for _, nz in pairs)):
-            what = "overflows float64" if moment else "underflows to 0 on nonzero coefficients"
-            raise ValueError(f"order p={p}: the moment of block {key} {what}")
+            moment = max(ms) if p == math.inf else np.mean(ms)
+        _check_moment(moment, p, lambda: any(nz for _, nz in pairs), f"the moment of block {key}")
         v = moment if p == math.inf else moment ** (1.0 / p)
         out[key] = math.log2(v) if v > 0 else -math.inf
     return ScaleStats(grid_n=ref.grid_n, levels=ref.levels, p=p, log2_stat=out)
@@ -292,8 +284,6 @@ def pooled_scale_statistics(pyramids, p) -> ScaleStats:
     A moment that overflows float64, or underflows to 0 on a block that is
     not all zero, raises ValueError naming p.
     """
-    if not pyramids:
-        raise ValueError("need at least one pyramid")
     return pool_block_moments([block_moments(pyr, p) for pyr in pyramids])
 
 
@@ -343,35 +333,32 @@ def ratio_maximize(stats: ScaleStats) -> RatioScan:
     """
     L = math.log2(stats.grid_n)
     J1, J2 = stats.levels
-    entries = [(L - j1, L - j2, s) for (j1, j2), s in stats.log2_stat.items()
-               if math.isfinite(s) and j1 != J1 and j2 != J2]
+    u1, u2, s = np.array([(L - j1, L - j2, v) for (j1, j2), v in stats.log2_stat.items()
+                          if math.isfinite(v) and j1 != J1 and j2 != J2]).reshape(-1, 3).T
     rs, slopes = [], []
     for r in default_ratio_grid():
         alpha = 2.0 * r / (1.0 + r)
-        xs, ys, ws = [], [], []
-        for u1, u2, s in entries:
-            t1 = (u1 + FREQ_ANCHOR) / alpha
-            t2 = (u2 + FREQ_ANCHOR) / (2.0 - alpha)
-            w = 1.0 - abs(t1 - t2) / (2.0 * RAY_BAND)
-            if w > 0.0:
-                xs.append(max(t1, t2))
-                ys.append(s)
-                ws.append(w)
-        if len(xs) < 3:
+        t1 = (u1 + FREQ_ANCHOR) / alpha
+        t2 = (u2 + FREQ_ANCHOR) / (2.0 - alpha)
+        w = 1.0 - np.abs(t1 - t2) / (2.0 * RAY_BAND)
+        on = w > 0.0
+        if np.count_nonzero(on) < 3:
             continue
-        xs = np.asarray(xs)
-        ys = np.asarray(ys)
-        ws = np.asarray(ws)
-        xb = float(np.sum(ws * xs) / ws.sum())
-        den = float(np.sum(ws * (xs - xb) ** 2))
-        if den <= 1e-12:
+        slope, sxx, _ = _line_fit(np.maximum(t1, t2)[on], s[on], w[on])
+        if sxx <= 1e-12:
             continue
-        yb = float(np.sum(ws * ys) / ws.sum())
-        slope = float(np.sum(ws * (xs - xb) * (ys - yb)) / den)
         rs.append(float(r))
         slopes.append(slope)
     if not rs:
         raise ValueError("no usable rays: every candidate ratio had fewer than 3 blocks")
-    best_i = int(np.argmax(slopes))
-    return RatioScan(ratios=tuple(rs), decay_rates=tuple(slopes),
-                     best_ratio=rs[best_i], slope_at_best=slopes[best_i])
+    return _ratio_scan(rs, slopes)
+
+
+def _ratio_scan(ratios, decay_rates) -> RatioScan:
+    """The scan of per-ratio decay rates; the best ratio has the largest, the
+    first on ties. Raises ValueError unless they are finite and not empty."""
+    if not decay_rates or not all(map(math.isfinite, decay_rates)):
+        raise ValueError("ratio scan needs finite decay_rate values")
+    best_i = int(np.argmax(decay_rates))
+    return RatioScan(ratios=tuple(ratios), decay_rates=tuple(decay_rates),
+                     best_ratio=ratios[best_i], slope_at_best=decay_rates[best_i])

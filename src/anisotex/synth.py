@@ -41,13 +41,18 @@ from .core import FieldSpec, SampledField, matrix_power
 TWO_PI = 2.0 * math.pi
 MAX_WORKERS = 4  # the most threads worker_count allows
 
-_GAUSS_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gauss(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gauss_panel(lo, hi, n):
+    """n-point Gauss-Legendre nodes and weights on the panels [lo, hi]; lo
+    and hi broadcast, and panels of shape S give arrays of shape S + (n,)."""
+    xg, wg = _gauss(n)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    h = 0.5 * (hi - lo)
+    return h * xg + 0.5 * (hi + lo), h * wg
 
 
 def worker_count():
@@ -100,10 +105,8 @@ def _cell_integrals(lam1, lam2, qq, k1, k2, sub):
     """Integrals of rho^{-qq} over the frequency cells centred at
     2 pi (k1[i], k2[j]), each split into sub x sub squares with 10 x 10
     tensor Gauss nodes per square; one batched evaluation for all cells."""
-    xg, wg = _gauss(10)
-    h = math.pi / sub
-    offs = ((TWO_PI * (np.arange(sub) + 0.5) / sub - math.pi)[:, None] + h * xg).ravel()
-    w = np.tile(h * wg, sub)
+    edges = TWO_PI * np.arange(sub + 1) / sub - math.pi
+    offs, w = (a.ravel() for a in _gauss_panel(edges[:-1], edges[1:], 10))
     R1 = np.abs(TWO_PI * k1[:, None] + offs) ** (1.0 / lam1)
     R2 = np.abs(TWO_PI * k2[:, None] + offs) ** (1.0 / lam2)
     return (R1[:, None, :, None] + R2[None, :, None, :]) ** (-qq) @ w @ w
@@ -452,16 +455,6 @@ def _ibp(p, s, lo, hi):
     return val, tv
 
 
-def _gauss_cos(p, s, lo, hi, nn):
-    """int_lo^hi g cos(phi) dr per c-node by nn-point Gauss."""
-    a, b, l1, l2, H2 = p
-    xg, wg = _gauss(nn)
-    h = 0.5 * (hi - lo)
-    r = h[:, None] * xg + 0.5 * (hi + lo)[:, None]
-    f = r ** (-H2 - 1.0) * np.cos(a[:, None] * r ** l1 + s * b[:, None] * r ** l2)
-    return h * (f @ wg)
-
-
 def _crossing(f, lo, hi):
     """Where the increasing f crosses zero in [lo, hi], per element, by
     bisection: lo if f(lo) >= 0, hi if f(hi) < 0."""
@@ -521,19 +514,30 @@ def _add_shell(total, bound, p, window, j):
     asym = need == len(_NODE_LADDER)
     for k in np.unique(need[~asym]):
         m = need == k
-        xg, wg = _gauss(_NODE_LADDER[k])
-        r = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
+        r, w = _gauss_panel(lo, hi, _NODE_LADDER[k])
         f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a[m], r ** l1), np.outer(b[m], r ** l2))
-        total[m] += f @ (0.5 * (hi - lo) * wg)
+        total[m] += f @ w
     if not asym.any():
         return False
-    q = (a[asym], b[asym], l1, l2, H2)
-    lo_, hi_ = np.full(q[0].shape, lo), np.full(q[0].shape, hi)
-    vp, bp = _ibp(q, 1, lo_, hi_)
-    vm, bm, _ = _cos_minus(q, window[0][asym], window[1][asym], lo_, hi_)
-    total[asym] += (lo ** -H2 - hi ** -H2) / H2 - 0.5 * (vp + vm)
-    bound[asym] += 0.5 * (bp + bm)
+    val, bnd = _asymptotic((a[asym], b[asym], l1, l2, H2), (window[0][asym], window[1][asym]), lo, hi)
+    total[asym] += val
+    bound[asym] += bnd
     return bool(asym.all())
+
+
+def _asymptotic(p, window, lo, hi):
+    """int_lo^hi g (1 - cos A cos B) dr per c-node, hi <= inf, and its bound:
+    the mean M = (lo^(-2H) - hi^(-2H))/(2H) exactly, less half of cos(phi_+)
+    and of cos(phi_-) by parts (``_ibp``, ``_cos_minus``). A cosine whose
+    bound is not below M, or is unsized, is dropped for |int g cos| <= M."""
+    H2 = p[4]
+    M = (lo ** -H2 - hi ** -H2) / H2
+    lo_, hi_ = np.full_like(p[0], lo), np.full_like(p[0], hi)
+    vp, bp = _ibp(p, 1, lo_, hi_)
+    vm, bm, sized = _cos_minus(p, *window, lo_, hi_)
+    kp, km = bp < M, sized & (bm < M)
+    val = M - 0.5 * (np.where(kp, vp, 0.0) + np.where(km, vm, 0.0))
+    return val, 0.5 * (np.where(kp, bp, M) + np.where(km, bm, M))
 
 
 def _cos_minus(p, rL, rR, lo, hi):
@@ -549,23 +553,10 @@ def _cos_minus(p, rL, rR, lo, hi):
     vg = np.zeros_like(vl)
     g = inside & ok
     if g.any():
-        vg[g] = _gauss_cos((p[0][g], p[1][g]) + p[2:], -1, glo[g], ghi[g], _N_WINDOW)
+        r, w = _gauss_panel(glo[g], ghi[g], _N_WINDOW)
+        a, b, l1, l2, H2 = p[0][g, None], p[1][g, None], *p[2:]
+        vg[g] = np.sum(r ** (-H2 - 1.0) * np.cos(a * r ** l1 - b * r ** l2) * w, axis=1)
     return vl + vg + vr, bl + br, ok
-
-
-def _tail(p, window, R):
-    """The tail [R, inf): the mean R^(-2H)/(2H) exactly, and each cosine as
-    on a shell where that bound beats |int_R^inf g cos(phi)| <= R^(-2H)/(2H)."""
-    a = p[0]
-    M = R ** -p[4] / p[4]
-    lo, hi = np.full_like(a, R), np.full_like(a, np.inf)
-    vp, bp = _ibp(p, 1, lo, hi)
-    vm, bm, sized = _cos_minus(p, *window, lo, hi)
-    val, bnd = np.full_like(a, M), np.zeros_like(a)
-    for v, tv, ok in ((vp, bp, bp < M), (vm, bm, sized & (bm < M))):
-        val -= 0.5 * np.where(ok, v, 0.0)
-        bnd += 0.5 * np.where(ok, tv, M)
-    return val, bnd
 
 
 def _radial_integral(a, b, alpha0, hurst, wt):
@@ -595,7 +586,7 @@ def _radial_integral(a, b, alpha0, hurst, wt):
     window = _window(p)
     for j in range(j0, int(_LN_R / LN2)):
         if _add_shell(total, bound, p, window, j):
-            tail, tail_bound = _tail(p, window, 2.0 ** (j + 1))
+            tail, tail_bound = _asymptotic(p, window, 2.0 ** (j + 1), math.inf)
             if wt @ tail_bound <= _TAIL_TOL * abs(wt @ (total + tail)):
                 return total + tail, bound + tail_bound
     raise RuntimeError(
@@ -608,19 +599,12 @@ _C_NODES = 12
 
 
 def _c_grid(alpha0):
-    """Graded Gauss grid on (0,1) with the Jacobi-type endpoint weight folded in."""
-    lam2 = 2.0 - alpha0
-    xg, wg = _gauss(_C_NODES)
-    cs, ws = [], []
-    for m in range(1, _C_PANELS + 1):
-        hi = 2.0 ** (-m)
-        lo = hi / 2.0
-        c = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * wg
-        cs.extend([c, 1.0 - c])
-        ws.extend([w, w])
-    c = np.concatenate(cs)
-    w = np.concatenate(ws)
+    """Graded Gauss grid on (0,1) with the Jacobi-type endpoint weight folded
+    in: panels [2^-m-1, 2^-m], m = 1.._C_PANELS, each followed by its mirror."""
+    hi = 2.0 ** -np.arange(1.0, _C_PANELS + 1)
+    c, w = _gauss_panel(hi / 2.0, hi, _C_NODES)
+    c = np.stack([c, 1.0 - c], axis=1).ravel()
+    w = np.stack([w, w], axis=1).ravel()
     wt = c ** (alpha0 - 1.0) * (1.0 - c) ** (1.0 - alpha0) * w
     return c, wt
 

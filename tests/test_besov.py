@@ -166,6 +166,20 @@ class TestDirectionalExponent:
         assert de.h == pytest.approx(0.7, abs=1e-12)
 
 
+class TestScanPeak:
+    # realization (h1, h2) = (0.5, 0.5 + d): the means at alpha 0.9 and 1.1
+    # are 0.45 and 0.45 + 0.9 d
+    @pytest.mark.parametrize("d,argmax", [(0.0, 0.9), (1e-10, 0.9), (1e-8, 1.1)])
+    def test_ties_within_1e_9_pick_the_first_alpha(self, d, argmax):
+        scan = besov.scan_exponents([(0.5, 0.5 + d)], [0.9, 1.1])
+        assert scan.argmax_alpha == argmax
+        assert scan.peak == max(scan.exponents)
+
+    def test_non_finite_means_rejected(self):
+        with pytest.raises(ValueError, match="finite exponent_mean"):
+            besov.scan_exponents([(math.nan, 0.5)], [0.9, 1.1])
+
+
 class TestTentPrediction:
     def test_peak_value_is_hurst(self):
         for alpha0, hurst in ((0.6, 0.4), (1.0, 0.5), (1.3, 0.55)):

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from anisotex import FieldSpec, SampledField, besov, fileio, synth
+from anisotex import FieldSpec, SampledField, besov, ensemble, fileio, synth
 from anisotex.cli import _parse_p, main
 
 
@@ -50,8 +50,7 @@ class TestSimulate:
 @pytest.mark.parametrize("argv", [
     ["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", str(2 ** 16)],
     ["scan", "--spec", f"alpha0=0.6,hurst=0.4,n={2 ** 16}"],
-    ["scan", "--spec", "alpha0=0.6,hurst=0.4,n=2048", "--reps", "100000"],
-], ids=["simulate_size", "scan_n", "scan_reps"])
+], ids=["simulate_size", "scan_n"])
 def test_oversized_synthesis_exit_2(argv, monkeypatch, tmp_path, capsys):
     # rejected before any allocation: building the mass grid fails the test
     monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
@@ -59,6 +58,56 @@ def test_oversized_synthesis_exit_2(argv, monkeypatch, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "GiB, over the 4 GiB limit" in err
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_streamed_scan_budgets_fields_per_worker(workers, monkeypatch, tmp_path, capsys):
+    # a streamed scan holds at most one field per worker, so 128 realizations
+    # at n = 2048 fit (the guard counted 8 B per sample for every one: 4.2 GiB);
+    # the reduction is stubbed, so nothing is synthesized
+    monkeypatch.setattr(synth, "worker_count", lambda: workers)
+    monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
+
+    def reduce_synthesis(spec, reps, alpha_grid, p):
+        assert (spec.grid_n, reps) == (2048, 128)
+        return ensemble.EnsembleReduction(exponents=((0.6, 0.3),),
+                                          scan=besov.scan_exponents([(0.6, 0.3)], alpha_grid))
+
+    monkeypatch.setattr(ensemble, "reduce_synthesis", reduce_synthesis)
+    rc = main(["scan", "--spec", "alpha0=0.6,hurst=0.4,n=2048", "--reps", "128",
+               "--out", str(tmp_path / "x")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_streamed_scan_reps_refused_before_specs(monkeypatch, tmp_path, capsys):
+    # the per-realization cost still bounds --reps: refused before
+    # ensemble_specs builds its list of 10^7 specs
+    monkeypatch.setattr(synth, "ensemble_specs", lambda *a: pytest.fail("specs built"))
+    rc = main(["scan", "--spec", "alpha0=0.6,hurst=0.4,n=128", "--reps", str(10 ** 7),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "GiB, over the 4 GiB limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--in", "{d}"],
+    ["analyze", "--in", "{d}"],
+    ["hywave", "--in", "{d}"],
+    ["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "64"],
+], ids=["scan_in", "analyze_in", "hywave_in", "simulate_out"])
+def test_directory_path_exit_2(argv, tmp_path, capsys):
+    # an OS error on an input or output path is a usage error, not an
+    # internal one (IsADirectoryError used to exit 1)
+    d = tmp_path / "dir"
+    d.mkdir()
+    argv = [a.format(d=d) for a in argv]
+    out = str(d) if argv[0] == "simulate" else str(tmp_path / "x")
+    rc = main(argv + ["--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert not list(tmp_path.rglob(".anisotex-*.tmp"))
 
 
 class TestScan:
@@ -394,8 +443,17 @@ class TestSelftest:
         assert "PASS tent_argmax" in out
         assert "PASS tent_peak" in out
 
-    def test_broken_determinism_negative_control(self, capsys):
-        rc = main(["selftest", "--quick", "--debug-break-determinism"])
+    def test_broken_determinism_negative_control(self, monkeypatch, capsys):
+        # the second synthesis draws another seed, so the check must fail
+        calls = []
+        synthesize = synth.synthesize
+
+        def shifted(spec):
+            calls.append(spec)
+            return synthesize(spec.with_seed(spec.seed + 1) if len(calls) == 2 else spec)
+
+        monkeypatch.setattr(synth, "synthesize", shifted)
+        rc = main(["selftest", "--quick"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL determinism" in out

@@ -14,7 +14,7 @@ from anisotex import (
     matrix_power,
     validate_anisotropy,
 )
-from anisotex.core import check_order
+from anisotex.core import _check_moment, _line_fit, _moment, check_order
 
 RNG = np.random.default_rng(42)
 
@@ -156,6 +156,115 @@ class TestCheckOrder:
     def test_illegal_orders_rejected(self, p):
         with pytest.raises(ValueError, match=rf"order p must be >= 1 or inf, got {p}"):
             check_order(p)
+
+
+def lstsq_line(x, y, w=None):
+    """The fit directional_exponent made before the shared line fit: LAPACK
+    least squares, on rows scaled by sqrt(w) when weighted; (slope, Sxx, RSS)."""
+    sw = np.sqrt(np.ones_like(x) if w is None else w)
+    A = np.column_stack([x, np.ones_like(x)]) * sw[:, None]
+    coef, res, *_ = np.linalg.lstsq(A, y * sw, rcond=None)
+    ww = sw ** 2
+    xb = np.sum(ww * x) / np.sum(ww)
+    return coef[0], float(np.sum(ww * (x - xb) ** 2)), float(res[0])
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lstsq_and_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-4.0, 3.0, size=9))
+        y = 0.7 * x - 1.3 + 0.1 * rng.standard_normal(9)
+        slope, sxx, rss = _line_fit(x, y)
+        ref = lstsq_line(x, y)
+        assert_allclose((slope, sxx, rss), ref, rtol=1e-12)
+        # homog._limit_ratio fitted with np.polyfit
+        assert slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_matches_scaled_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 10.0, size=12)
+        y = -1.1 * x + rng.standard_normal(12)
+        w = rng.uniform(0.05, 1.0, size=12)
+        assert_allclose(_line_fit(x, y, w), lstsq_line(x, y, w), rtol=1e-12)
+
+    def test_hand_written_ridge_fit(self):
+        # the weighted fit hywave.ratio_maximize wrote out, to the bit
+        rng = np.random.default_rng(7)
+        xs, ys, ws = rng.uniform(1, 5, 8), rng.standard_normal(8), rng.uniform(0.1, 1, 8)
+        xb = float(np.sum(ws * xs) / ws.sum())
+        den = float(np.sum(ws * (xs - xb) ** 2))
+        yb = float(np.sum(ws * ys) / ws.sum())
+        slope = float(np.sum(ws * (xs - xb) * (ys - yb)) / den)
+        assert _line_fit(xs, ys, ws)[:2] == (slope, den)
+
+    def test_exact_line_has_no_residual(self):
+        x = np.arange(6.0)
+        slope, sxx, rss = _line_fit(x, 2.0 * x + 1.0)
+        assert (slope, sxx, rss) == (2.0, 17.5, 0.0)
+
+    def test_zero_spread_is_nan_without_warning(self):
+        # RuntimeWarnings are errors under the test settings
+        slope, sxx, rss = _line_fit(np.full(4, 3.0), np.arange(4.0))
+        assert sxx == 0.0 and math.isnan(slope) and math.isnan(rss)
+
+
+def former_moments(x, p):
+    """The two p-th moment formulas the shared kernel replaced: the scratch
+    loop of structure_function, then block_moments' expression."""
+    inc = x.copy()
+    if p == math.inf:
+        sf = float(np.max(np.abs(inc, out=inc)))
+    else:
+        if p != 2:
+            np.abs(inc, out=inc)
+        inc **= p
+        sf = float(np.mean(inc))
+    if p == math.inf:
+        block = float(np.max(np.abs(x)))
+    else:
+        block = float(np.mean((x if p == 2 else np.abs(x)) ** p))
+    return sf, block
+
+
+class TestMoment:
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4, math.inf])
+    def test_equals_both_former_formulas(self, p):
+        x = np.random.default_rng(11).standard_normal((67, 45))
+        sf, block = former_moments(x, p)
+        got = _moment(x, p, np.empty_like(x))
+        assert got == sf and got == block
+
+    @pytest.mark.parametrize("p", [1.5, 2, 4, math.inf])
+    def test_scratch_overwritten_in_place(self, p):
+        x = np.random.default_rng(3).standard_normal((16, 16))
+        keep = x.copy()
+        sf, _ = former_moments(keep, p)
+        assert _moment(x, p, x) == sf
+        expected = np.abs(keep) if p == math.inf else np.abs(keep) ** p
+        assert np.array_equal(x, expected)
+
+    def test_source_untouched(self):
+        x = np.random.default_rng(4).standard_normal((8, 8))
+        keep = x.copy()
+        out = np.empty_like(x)
+        _moment(x, 3.0, out)
+        assert np.array_equal(x, keep)
+        assert np.array_equal(out, np.abs(keep) ** 3.0)
+
+    def test_overflow_and_underflow_silent(self):
+        # the judgment is _check_moment's; RuntimeWarnings are errors here
+        assert _moment(np.full(4, 1e200), 2, np.empty(4)) == math.inf
+        assert _moment(np.full(4, 1e-200), 2, np.empty(4)) == 0.0
+
+    def test_range_check(self):
+        _check_moment(1.0, 2.0, lambda: True, "the moment")
+        _check_moment(0.0, 2.0, lambda: False, "the moment")  # all-zero data
+        with pytest.raises(ValueError, match=r"^order p=4.0: the moment of x overflows float64$"):
+            _check_moment(math.inf, 4.0, lambda: True, "the moment of x")
+        with pytest.raises(ValueError, match=r"^order p=2: the moment of x underflows to 0"):
+            _check_moment(0.0, 2, lambda: True, "the moment of x")
 
 
 class TestSampledField:

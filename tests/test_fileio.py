@@ -16,7 +16,7 @@ from anisotex import (
     synthesize,
     synthesize_ensemble,
 )
-from anisotex import fileio
+from anisotex import besov, fileio
 
 
 @pytest.fixture
@@ -166,6 +166,34 @@ class TestCsvRoundTrips:
         path.write_text("alpha,exponent_mean,exponent_stderr\n" + rows)
         with pytest.raises(ValueError, match="finite exponent_mean"):
             fileio.read_scan(path)
+
+    @pytest.mark.parametrize("d,argmax", [(1e-10, 0.9), (1e-8, 1.1)])
+    def test_scan_tie_rule_read_back(self, d, argmax, tmp_path):
+        # the reader picks the peak by the estimator's rule: the first alpha
+        # within 1e-9 of the largest mean
+        scan = besov.scan_exponents([(0.5, 0.5 + d), (0.5, 0.5 + d)], [0.9, 1.1])
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, scan)
+        back = fileio.read_scan(path)
+        assert back.argmax_alpha == scan.argmax_alpha == argmax
+        assert back.peak == scan.peak
+
+    @pytest.mark.parametrize("rows", ["", "0.5,nan\n1.0,nan\n", "0.5,-1.0\n1.0,nan\n"],
+                             ids=["empty", "nan_rates", "one_nan"])
+    def test_ratio_table_without_finite_rates(self, rows, tmp_path):
+        # a NaN table used to read back as best_ratio=1.0, slope_at_best=nan,
+        # and an empty one raised numpy's argmax error without the path
+        path = tmp_path / "ratio.csv"
+        path.write_text("ratio,decay_rate\n" + rows)
+        with pytest.raises(ValueError, match="finite decay_rate") as err:
+            fileio.read_ratio_scan(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_ratio_tie_picks_first(self, tmp_path):
+        path = tmp_path / "ratio.csv"
+        path.write_text("ratio,decay_rate\n0.5,-2.0\n0.8,-1.0\n1.2,-1.0\n")
+        back = fileio.read_ratio_scan(path)
+        assert (back.best_ratio, back.slope_at_best) == (0.8, -1.0)
 
     def test_structure_function_zero_direction(self, tmp_path):
         # direction 0,0 used to escape as ZeroDivisionError

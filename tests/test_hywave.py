@@ -282,6 +282,17 @@ class TestScaleStatistics:
             seq = [t[key] for t in tables]
             assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_block_moments_leave_pyramid_untouched(self, p):
+        pyr = hyperbolic_transform(random_field(64, seed=2), filt="d4", levels=(4, 4))
+        before = {k: b.copy() for k, b in pyr.blocks.items()}
+        moments = hywave.block_moments(pyr, p).moments
+        for key, b in pyr.blocks.items():
+            assert np.array_equal(b, before[key])
+            if 0 not in key:  # the expression block_moments used before the shared kernel
+                ref = np.max(np.abs(b)) if p == math.inf else np.mean((b if p == 2 else np.abs(b)) ** p)
+                assert moments[key][0] == ref
+
     def test_pooled_matches_single(self):
         v = random_field(64, seed=5)
         pyr = hyperbolic_transform(v, filt="haar", levels=(3, 3))

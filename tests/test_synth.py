@@ -560,6 +560,85 @@ class TestEvaluateAtPoints:
         assert_allclose(vals, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+def loop_c_grid(alpha0):
+    """The 30-iteration panel loop _c_grid ran before the shared Gauss panel."""
+    xg, wg = np.polynomial.legendre.leggauss(synth._C_NODES)
+    cs, ws = [], []
+    for m in range(1, synth._C_PANELS + 1):
+        hi = 2.0 ** (-m)
+        lo = hi / 2.0
+        c = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * wg
+        cs.extend([c, 1.0 - c])
+        ws.extend([w, w])
+    c, w = np.concatenate(cs), np.concatenate(ws)
+    return c, c ** (alpha0 - 1.0) * (1.0 - c) ** (1.0 - alpha0) * w
+
+
+def inline_asymptotic(p, window, lo, hi):
+    """The asymptotic element of _add_shell (finite hi) and the former _tail
+    (hi = inf), as each was written before they shared one function."""
+    H2 = p[4]
+    lo_, hi_ = np.full_like(p[0], lo), np.full_like(p[0], hi)
+    vp, bp = synth._ibp(p, 1, lo_, hi_)
+    vm, bm, sized = synth._cos_minus(p, *window, lo_, hi_)
+    if math.isfinite(hi):
+        return (lo ** -H2 - hi ** -H2) / H2 - 0.5 * (vp + vm), 0.5 * (bp + bm)
+    M = lo ** -H2 / H2
+    val, bnd = np.full_like(p[0], M), np.zeros_like(p[0])
+    for v, tv, ok in ((vp, bp, bp < M), (vm, bm, sized & (bm < M))):
+        val -= 0.5 * np.where(ok, v, 0.0)
+        bnd += 0.5 * np.where(ok, tv, M)
+    return val, bnd
+
+
+class TestGaussPanel:
+    @pytest.mark.parametrize("alpha0", [0.25, 0.6, 1.0, 1.7])
+    def test_c_grid_equals_panel_loop(self, alpha0):
+        c, wt = synth._c_grid(alpha0)
+        ref_c, ref_wt = loop_c_grid(alpha0)
+        assert np.array_equal(c, ref_c) and np.array_equal(wt, ref_wt)
+
+    def test_panels_broadcast(self):
+        lo, hi = np.array([0.0, 1.0, -3.0]), np.array([2.0, 1.5, 5.0])
+        x, w = synth._gauss_panel(lo, hi, 7)
+        assert x.shape == w.shape == (3, 7)
+        for i in range(3):
+            xi, wi = synth._gauss_panel(lo[i], hi[i], 7)
+            assert np.array_equal(x[i], xi) and np.array_equal(w[i], wi)
+            assert w[i].sum() == pytest.approx(hi[i] - lo[i], rel=1e-14)
+            assert (w[i] * xi ** 5).sum() == pytest.approx((hi[i] ** 6 - lo[i] ** 6) / 6, rel=1e-12)
+
+    @pytest.mark.parametrize("sub", [1, 4])
+    def test_cell_subsquares_equal_centred_form(self, sub):
+        # _cell_integrals placed its nodes about the sub-square centres
+        xg, wg = np.polynomial.legendre.leggauss(10)
+        h = math.pi / sub
+        offs = ((synth.TWO_PI * (np.arange(sub) + 0.5) / sub - math.pi)[:, None] + h * xg).ravel()
+        edges = synth.TWO_PI * np.arange(sub + 1) / sub - math.pi
+        x, w = synth._gauss_panel(edges[:-1], edges[1:], 10)
+        assert np.array_equal(x.ravel(), offs) and np.array_equal(w.ravel(), np.tile(h * wg, sub))
+
+
+class TestAsymptoticPiece:
+    P = (np.array([0.3, 2.0, 40.0]), np.array([0.5, 0.05, 7.0]), 0.6, 1.4, 0.8)
+
+    def test_shell_equals_inline_form(self):
+        window = synth._window(self.P)
+        for j in (6, 10, 14):
+            got = synth._asymptotic(self.P, window, 2.0 ** j, 2.0 ** (j + 1))
+            ref = inline_asymptotic(self.P, window, 2.0 ** j, 2.0 ** (j + 1))
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_tail_equals_former_tail(self):
+        window = synth._window(self.P)
+        for j in (3, 8, 12):
+            got = synth._asymptotic(self.P, window, 2.0 ** j, math.inf)
+            ref = inline_asymptotic(self.P, window, 2.0 ** j, math.inf)
+            assert_allclose(got[0], ref[0], rtol=1e-15, atol=0.0)
+            assert_allclose(got[1], ref[1], rtol=1e-15, atol=0.0)
+
+
 class TestVariogramOracle:
     def test_zero_at_origin(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64)
