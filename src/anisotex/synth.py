@@ -21,9 +21,11 @@ values from X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1), summed
 separably over per-axis phases (never a modes x points matrix).
 
 Remaining known bias: the zero-frequency cell (|xi| < pi) cannot be
-represented by a periodic model, so variances at large lags (|x| beyond
-roughly 0.3) fall below the continuum oracle. Estimation uses small and
-mid lags where the deficit is negligible.
+represented by a periodic model, so lattice variances fall below the
+continuum oracle: by far at lags beyond roughly 0.3, and along the steep
+axis (lam = alpha0 < 1) already inside the fit window [4/n, 1/8]. At
+(0.6, 0.4) that axis is 3.4% low at m = 4 and 13.3% at m = 32 for n = 256
+(1.4% and 13.0% at m = 4 and 128 for n = 1024); the shallow one within 0.75%.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, betaincc, gamma as gamma_fn
+from scipy.special import beta as beta_fn, betainc, betaincc, gamma as gamma_fn, gammaincc, gammaln
 
 from .core import FieldSpec, SampledField, matrix_power
 
@@ -383,283 +385,161 @@ def _axis_variogram(alpha0, hurst, axis, r):
     return 8.0 * other * lam * beta_fn(lam + 2.0 * hurst, other) * _axis_radial(abs(r), lam, hurst)
 
 
-def _one_minus_coscos(A, B):
-    # stable for small phases: 1 - cosA cosB = pA + pB - pA pB, p = 2 sin^2(./2)
-    pa = 2.0 * np.sin(0.5 * A) ** 2
-    pb = 2.0 * np.sin(0.5 * B) ** 2
-    return pa + pb - pa * pb
+_V_STEP = 0.2        # step of the trapezoid rule in v (see variogram_oracle)
+_TOL = 1e-13         # a series or tail form is used where its error is below this share
+_TAYLOR_TERMS = 12   # terms of the small-y series of D_beta
+_SERIES_TERMS = 60   # terms of the large-y series of G_beta
+_U_EXP = 40.0        # the Gauss rule covers u^beta <= 40 (e^-40 of the weight is left)
+_GAUSS_NODES = 16    # per panel; a panel spans at most one period of cos(yu)
+_GRADE = 20          # base panels halve 20 times toward u = 0, in u and in u^beta
+_CHUNK = 2 ** 13     # panels per Gauss batch: a few MB of temporaries
+_ROUND = 32.0 * np.finfo(float).eps
 
 
-_HEAD_PHASE = 1e-4  # the head [0, 2^j0] ends where every phase is still below this
-_LN_R = 300.0   # shells and windows stay in e^-300 < r < e^300, where exp(2 ln r) is finite
-# Gauss rules per (c-node, shell) element; the last entry is the node budget,
-# and an element whose rule would exceed it is integrated asymptotically
-_NODE_LADDER = (20, 32, 48, 64, 96, 128, 192, 256, 384)
-_RATE = 512.0   # cos(phi_-) is integrated by Gauss where |r phi_-'| < _RATE (see _window)
-_TAIL_TOL = 1e-9  # the ladder stops once the tail bound is this fraction of the value
-LN2 = math.log(2.0)
-
-
-def _phase_terms(p, s, r):
-    """G = g / phi', h1 = G' / phi' and phi at radii r (zero at r = inf), for
-    phi = a r^l1 + s b r^l2 and g = r^(-2H-1); p = (a, b, l1, l2, 2H)."""
-    a, b, l1, l2, H2 = p
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        P, Q = a * l1 * r ** l1, b * l2 * r ** l2
-        D = P + s * Q  # r phi'
-        rg = r ** -H2
-        G = rg / D
-        h1 = -rg * ((l1 + H2) * P + s * (l2 + H2) * Q) / D ** 3
-        phi = a * r ** l1 + s * b * r ** l2
-    fin = np.isfinite(r)
-    return np.where(fin, G, 0.0), np.where(fin, h1, 0.0), np.where(fin, phi, 0.0)
-
-
-def _h1_extrema(p, s, lo, hi):
-    """Interior extrema of h1 on (lo, hi), else lo. With t = Q/P = kappa r^d,
-    h1 = -(a l1)^-2 (t/kappa)^-gam (al + s be t) / (1 + s t)^3, whose
-    derivative in t vanishes at the roots of (gam+2) be t^2 - s c1 t + gam al."""
-    a, b, l1, l2, H2 = p
-    d = l2 - l1
-    if d == 0.0:
-        return []  # h1 is a multiple of r^(-2H-2)
-    al, be = l1 + H2, l2 + H2
-    gam = (H2 + 2.0 * l1) / d
-    A, c1 = (gam + 2.0) * be, be - 3.0 * al - gam * (al + be)
-    disc = c1 * c1 - 4.0 * A * gam * al
-    if disc < 0.0:
-        return []
-    ln_kappa = np.log(b * l2) - np.log(a * l1)
-    out = []
-    for t in ((s * c1 + math.sqrt(disc)) / (2.0 * A), (s * c1 - math.sqrt(disc)) / (2.0 * A)):
-        if t > 0.0:
-            with np.errstate(over="ignore"):
-                r = np.exp((math.log(t) - ln_kappa) / d)
-            out.append(np.where((r > lo) & (r < hi), r, lo))
+def _gauss_kernel(beta, y):
+    """int_0^U 4 sin^2(yu/2) e^(-u^beta) du, U = 40^(1/beta), by composite Gauss
+    (no cancellation). The base panels halve toward 0 in u (the kink of u^beta)
+    and in w = u^beta and take unit steps in w; each is cut into
+    ceil(y width / 2 pi) equal panels, in batches of about _CHUNK panels."""
+    U = _U_EXP ** (1.0 / beta)
+    w = np.concatenate([2.0 ** -np.arange(1.0, _GRADE + 1), np.arange(1.0, _U_EXP)])
+    e = np.unique(np.concatenate([[0.0], U * 2.0 ** -np.arange(_GRADE + 1.0), w ** (1.0 / beta)]))
+    e = e[e <= U]
+    width = np.diff(e)
+    m = np.maximum(1, np.ceil(y[:, None] * width / TWO_PI)).astype(int)
+    counts = m.sum(axis=1)
+    ends = np.cumsum(counts)
+    out, r0 = np.zeros(y.size), 0
+    while r0 < y.size:
+        r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] - counts[r0] + _CHUNK, side="right")))
+        mm = m[r0:r1].ravel()
+        row = np.repeat(np.arange(r0, r1), counts[r0:r1])
+        pan = np.repeat(np.tile(np.arange(width.size), r1 - r0), mm)
+        n = np.repeat(mm, mm)
+        lo = e[pan] + width[pan] * (np.arange(n.size) - np.repeat(np.cumsum(mm) - mm, mm)) / n
+        u, wt = _gauss_panel(lo, lo + width[pan] / n, _GAUSS_NODES)
+        f = np.sin(0.5 * y[row, None] * u) ** 2 * np.exp(-u ** beta) * wt
+        out += np.bincount(row, 4.0 * f.sum(axis=1), minlength=y.size)
+        r0 = r1
     return out
 
 
-def _ibp(p, s, lo, hi):
-    """int_lo^hi g cos(phi) dr by two integration-by-parts terms,
-    [G sin(phi) + h1 cos(phi)]_lo^hi, and the total variation of h1 over
-    [lo, hi], which bounds the remainder |int h1' cos(phi) dr|. hi may be
-    inf; pieces with hi <= lo give (0, 0)."""
-    hi = np.maximum(hi, lo)
-    pts = np.sort(np.stack([lo, hi] + _h1_extrema(p, s, lo, hi)), axis=0)
-    G, h1, phi = _phase_terms(p, s, pts)
-    empty = hi <= lo
-    with np.errstate(invalid="ignore"):
-        edge = G * np.sin(phi) + h1 * np.cos(phi)
-        val = np.where(empty, 0.0, edge[-1] - edge[0])
-        tv = np.where(empty, 0.0, np.abs(np.diff(h1, axis=0)).sum(axis=0))
-    return val, tv
+def _kernel(beta, ly):
+    """D_beta(y) = 2 int_0^inf (1 - cos yu) e^(-u^beta) du at y = e^ly, and an
+    error estimate per value.
 
-
-def _crossing(f, lo, hi):
-    """Where the increasing f crosses zero in [lo, hi], per element, by
-    bisection: lo if f(lo) >= 0, hi if f(hi) < 0."""
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
-    return hi
-
-
-def _window(p):
-    """[r_L, r_R] about the stationary point r* of phi_- = a r^l1 - b r^l2
-    (l1 < l2), where |r phi_-'| = |P - Q| < D. P - Q rises from 0 to a hump,
-    falls to 0 at r*, and Q - P then grows without bound; r_L = 0 when the
-    hump stays below D. D is _RATE, or more where P* = P(r*) is large: near
-    r*, P - Q ~ -P* (l2 - l1) ln(r/r*), so D = sqrt(_RATE ln2 P* (l2 - l1)/2)
-    bounds the phase excursion across the window by _RATE ln2 / 2 and keeps
-    its width resolvable in floating point. For l1 = l2, phi_- = (a - b) r."""
-    a, b, l1, l2, _ = p
-    if l1 == l2:
-        with np.errstate(divide="ignore"):
-            return np.zeros_like(a), _RATE / np.abs(a - b)
-    d = l2 - l1
-    u_lo, u_hi = -_LN_R, np.full_like(a, _LN_R)
-    us = (np.log(a * l1) - np.log(b * l2)) / d  # ln r*
-    uh = np.clip(us + math.log(l1 / l2) / d, u_lo, u_hi)  # ln of the hump
-    us = np.clip(us, u_lo, u_hi)
-    D = np.maximum(_RATE, np.sqrt(_RATE * LN2 / 2.0 * a * l1 * np.exp(l1 * us) * d))
-
-    def pmq(u):
-        return a * l1 * np.exp(l1 * u) - b * l2 * np.exp(l2 * u)
-
-    uL = _crossing(lambda u: D - pmq(u), uh, us)
-    uR = _crossing(lambda u: -pmq(u) - D, us, u_hi)
-    return (np.where(pmq(uh) < D, 0.0, np.exp(uL)),
-            np.where(-pmq(u_hi) < D, np.inf, np.exp(uR)))
-
-
-# the phase of cos(phi_-) moves at most _RATE ln 2 across a window piece
-_N_WINDOW = _NODE_LADDER[np.searchsorted(_NODE_LADDER, 20 + 2.5 * _RATE * LN2 / TWO_PI)]
-
-
-def _add_shell(total, bound, p, window, j):
-    """Add shell [2^j, 2^(j+1)] of the radial integral for every c-node.
-
-    Elements whose Gauss rule fits the node budget keep it on the combined
-    integrand. The others split 1 - cos A cos B = 1 - cos(phi_+)/2 -
-    cos(phi_-)/2, phi_+- = A +- B: the mean term in closed form, cos(phi_+)
-    by parts, cos(phi_-) by parts outside the stationary window and by
-    Gauss inside it; their remainder bounds go to ``bound``. Returns True
-    when every element took the asymptotic path.
+    Small y: (2/beta) sum_j (-1)^(j+1) Gamma((2j+1)/beta) y^2j / (2j)!. Large
+    y: G(0) - G(y), G(0) = 2 Gamma(1 + 1/beta), with the series G(y) ~
+    sum_k (-1)^(k+1) sin(pi k beta/2) 2 Gamma(k beta + 1)/k! y^(-k beta - 1)
+    cut at its smallest term; its error is estimated by that term without the
+    sine plus, for beta > 1, the size of G's saddle point, which the series
+    misses (at even beta the series is 0). A series is used where its
+    estimate, rounding included, is below _TOL of the value; elsewhere
+    ``_gauss_kernel``, sized to stay below _TOL, and a bound on u^beta > 40.
     """
-    a, b, l1, l2, H2 = p
-    lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-    osc = (a * (hi ** l1 - lo ** l1) + b * (hi ** l2 - lo ** l2)) / TWO_PI
-    need = np.searchsorted(_NODE_LADDER, 20 + 2.5 * osc)
-    asym = need == len(_NODE_LADDER)
-    for k in np.unique(need[~asym]):
-        m = need == k
-        r, w = _gauss_panel(lo, hi, _NODE_LADDER[k])
-        f = r ** (-H2 - 1.0) * _one_minus_coscos(np.outer(a[m], r ** l1), np.outer(b[m], r ** l2))
-        total[m] += f @ w
-    if not asym.any():
-        return False
-    val, bnd = _asymptotic((a[asym], b[asym], l1, l2, H2), (window[0][asym], window[1][asym]), lo, hi)
-    total[asym] += val
-    bound[asym] += bnd
-    return bool(asym.all())
+    g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
+    D, err = np.full(ly.shape, np.nan), np.zeros(ly.shape)
+    j = np.arange(1.0, _TAYLOR_TERMS + 2)
+    lt = 2.0 * j * ly[:, None] + gammaln((2.0 * j + 1.0) / beta) - gammaln(2.0 * j + 1.0)
+    i = np.flatnonzero(lt[:, -1] - lt[:, 0] <= math.log(_TOL))
+    t = 2.0 / beta * np.exp(np.minimum(lt[i], 700.0))
+    val, est = t[:, :-1] @ (-1.0) ** (j[:-1] + 1.0), t[:, -1] + _ROUND * t.sum(axis=1)
+    ok = est <= _TOL * val
+    D[i[ok]], err[i[ok]] = val[ok], est[ok]
+
+    i = np.flatnonzero(np.isnan(D))
+    k = np.arange(1.0, _SERIES_TERMS + 1)
+    ls = math.log(2.0) + gammaln(k * beta + 1.0) - gammaln(k + 1.0) - (k * beta + 1.0) * ly[i, None]
+    kmin = np.argmin(ls, axis=1)
+    lmin = ls[np.arange(i.size), kmin]
+    if beta > 1.0:  # ln |saddle| = ln G(0) - c y^(beta/(beta-1))
+        c = (1.0 - 1.0 / beta) * beta ** (-1.0 / (beta - 1.0)) * math.sin(0.5 * math.pi / max(beta - 1.0, 1.0))
+        lmin = np.logaddexp(lmin, math.log(g0) - c * np.exp(np.minimum(beta / (beta - 1.0) * ly[i], 700.0)))
+    t = np.where(k <= kmin[:, None], np.exp(np.minimum(ls, 700.0)), 0.0)  # up to the smallest
+    val = g0 - t @ ((-1.0) ** (k + 1.0) * np.sin(0.5 * math.pi * k * beta))
+    est = np.exp(lmin) + _ROUND * (t.sum(axis=1) + g0)
+    ok = est <= _TOL * val
+    D[i[ok]], err[i[ok]] = val[ok], est[ok]
+
+    i = np.flatnonzero(np.isnan(D))
+    if i.size:
+        y = np.exp(ly[i])
+        D[i] = _gauss_kernel(beta, y)
+        beyond = np.minimum(4.0 / beta * gamma_fn(1.0 / beta) * gammaincc(1.0 / beta, _U_EXP),
+                            y ** 2 / beta * gamma_fn(3.0 / beta) * gammaincc(3.0 / beta, _U_EXP))
+        err[i] = beyond + _TOL * D[i]
+    return D, err
 
 
-def _asymptotic(p, window, lo, hi):
-    """int_lo^hi g (1 - cos A cos B) dr per c-node, hi <= inf, and its bound:
-    the mean M = (lo^(-2H) - hi^(-2H))/(2H) exactly, less half of cos(phi_+)
-    and of cos(phi_-) by parts (``_ibp``, ``_cos_minus``). A cosine whose
-    bound is not below M, or is unsized, is dropped for |int g cos| <= M."""
-    H2 = p[4]
-    M = (lo ** -H2 - hi ** -H2) / H2
-    lo_, hi_ = np.full_like(p[0], lo), np.full_like(p[0], hi)
-    vp, bp = _ibp(p, 1, lo_, hi_)
-    vm, bm, sized = _cos_minus(p, *window, lo_, hi_)
-    kp, km = bp < M, sized & (bm < M)
-    val = M - 0.5 * (np.where(kp, vp, 0.0) + np.where(km, vm, 0.0))
-    return val, 0.5 * (np.where(kp, bp, M) + np.where(km, bm, M))
-
-
-def _cos_minus(p, rL, rR, lo, hi):
-    """int_lo^hi g cos(phi_-) dr: by parts outside the window [rL, rR] and
-    by Gauss on the part inside it, with the by-parts remainder bound. The
-    third value is False where that part spans more than an octave, which
-    the Gauss rule is not sized for (possible only for hi = inf)."""
-    vl, bl = _ibp(p, -1, lo, np.minimum(hi, rL))
-    vr, br = _ibp(p, -1, np.maximum(lo, rR), hi)
-    glo, ghi = np.maximum(lo, rL), np.minimum(hi, rR)
-    inside = ghi > glo
-    ok = ~inside | (ghi <= 2.0 * glo)
-    vg = np.zeros_like(vl)
-    g = inside & ok
-    if g.any():
-        r, w = _gauss_panel(glo[g], ghi[g], _N_WINDOW)
-        a, b, l1, l2, H2 = p[0][g, None], p[1][g, None], *p[2:]
-        vg[g] = np.sum(r ** (-H2 - 1.0) * np.cos(a * r ** l1 - b * r ** l2) * w, axis=1)
-    return vl + vg + vr, bl + br, ok
-
-
-def _radial_integral(a, b, alpha0, hurst, wt):
-    """I(a, b) = int_0^inf r^(-2H-1) (1 - cos(a r^l1) cos(b r^l2)) dr for
-    a, b > 0, with per-pair error bounds: the head [0, 2^j0] by the
-    small-phase expansion, dyadic shells, and the tail in closed form and by
-    parts. j0 is the largest shell edge below which every phase stays under
-    _HEAD_PHASE, so the shells follow the scale of (a, b) exactly. The
-    ladder stops at the first shell after which the tail bound, weighted by
-    ``wt``, is below _TAIL_TOL of the weighted value."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    l1, l2, H2 = alpha0, 2.0 - alpha0, 2.0 * hurst
-    if l1 > l2:  # I is symmetric in (a, l1) <-> (b, l2); keep l1 <= l2
-        a, b, l1, l2 = b, a, l2, l1
-    p = (a, b, l1, l2, H2)
-    with np.errstate(divide="ignore", over="ignore"):
-        j0 = math.floor(math.log2(float(np.min(np.minimum((_HEAD_PHASE / a) ** (1.0 / l1),
-                                                           (_HEAD_PHASE / b) ** (1.0 / l2))))))
-    T = 2.0 ** j0
-    # 1 - cos A cos B = (A^2 + B^2)/2 + err, |err| <= (A^4 + B^4)/24 + A^2 B^2/4
-    total = 0.5 * (a ** 2 * T ** (2 * l1 - H2) / (2 * l1 - H2)
-                   + b ** 2 * T ** (2 * l2 - H2) / (2 * l2 - H2))
-    bound = (a ** 4 * T ** (4 * l1 - H2) / (24 * (4 * l1 - H2))
-             + b ** 4 * T ** (4 * l2 - H2) / (24 * (4 * l2 - H2))
-             + a ** 2 * b ** 2 * T ** (4.0 - H2) / (4 * (4.0 - H2)))
-    window = _window(p)
-    for j in range(j0, int(_LN_R / LN2)):
-        if _add_shell(total, bound, p, window, j):
-            tail, tail_bound = _asymptotic(p, window, 2.0 ** (j + 1), math.inf)
-            if wt @ tail_bound <= _TAIL_TOL * abs(wt @ (total + tail)):
-                return total + tail, bound + tail_bound
-    raise RuntimeError(
-        "variogram quadrature did not converge (oscillatory tail bound above "
-        f"{_TAIL_TOL:g} of the value up to r = e^{_LN_R:g}): alpha0={alpha0}, hurst={hurst}")
-
-
-_C_PANELS = 30
-_C_NODES = 12
-
-
-def _c_grid(alpha0):
-    """Graded Gauss grid on (0,1) with the Jacobi-type endpoint weight folded
-    in: panels [2^-m-1, 2^-m], m = 1.._C_PANELS, each followed by its mirror."""
-    hi = 2.0 ** -np.arange(1.0, _C_PANELS + 1)
-    c, w = _gauss_panel(hi / 2.0, hi, _C_NODES)
-    c = np.stack([c, 1.0 - c], axis=1).ravel()
-    w = np.stack([w, w], axis=1).ravel()
-    wt = c ** (alpha0 - 1.0) * (1.0 - c) ** (1.0 - alpha0) * w
-    return c, wt
+@functools.lru_cache(maxsize=16)
+def _kernel_range(beta):
+    """(ln y_lo, ln y_hi) for D_beta: below y_lo, D is y^2 Gamma(3/beta)/beta
+    within _TOL and D/G(0) < _TOL; above y_hi, |G(y)| < sqrt(_TOL) G(0)
+    (checked on a grid in ln y with ``_kernel``)."""
+    g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
+    lo = 0.5 * (math.log(_TOL) + min(math.log(12.0) + gammaln(3.0 / beta) - gammaln(5.0 / beta),
+                                     math.log(g0 * beta) - gammaln(3.0 / beta)))
+    ly = np.arange(-20.0, 60.0, 0.25)
+    D, err = _kernel(beta, ly)
+    near = np.flatnonzero(np.abs(g0 - D) + err > math.sqrt(_TOL) * g0)
+    return lo, ly[near[-1] + 1]
 
 
 def _variogram(spec: FieldSpec, x):
-    """(Var X(x), bound) by the quadrature of ``variogram_oracle``; the bound
-    covers the radial integration (see there)."""
+    """(Var X(x), error bound) by the separable integral of ``variogram_oracle``;
+    the bound covers the v rule, both kernels and both tails (see there)."""
     x1, x2 = abs(float(x[0])), abs(float(x[1]))
     alpha0, hurst = spec.alpha0, spec.hurst
-    if x1 == 0.0 and x2 == 0.0:
-        return 0.0, 0.0
-    if x2 == 0.0:
-        return _axis_variogram(alpha0, hurst, 0, x1), 0.0
-    if x1 == 0.0:
-        return _axis_variogram(alpha0, hurst, 1, x2), 0.0
+    if x1 == 0.0 or x2 == 0.0:  # an axis or the origin: the closed form
+        return _axis_variogram(alpha0, hurst, *((0, x1) if x2 == 0.0 else (1, x2))), 0.0
 
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    c, wt = _c_grid(alpha0)
-    vals, bounds = _radial_integral(x1 * c ** lam1, x2 * (1.0 - c) ** lam2, alpha0, hurst, wt)
-    # endpoint stubs of the graded c grid, where a = 0 or b = 0
-    eps = 2.0 ** (-_C_PANELS - 1)
-    stubs = (eps ** lam1 / lam1 * _axis_radial(x2, lam2, hurst)
-             + eps ** lam2 / lam2 * _axis_radial(x1, lam1, hurst))
-    pref = 8.0 * lam1 * lam2
-    return pref * (float(wt @ vals) + stubs), pref * float(wt @ bounds)
+    lam, lx, h, H2 = (alpha0, 2.0 - alpha0), (math.log(x1), math.log(x2)), _V_STEP, 2.0 * hurst
+    g0 = [2.0 * gamma_fn(1.0 + l) for l in lam]
+    rng = [_kernel_range(1.0 / l) for l in lam]
+    k_lo = math.floor(min((lx[i] - rng[i][1]) / lam[i] for i in (0, 1)) / h)
+    k_hi = math.ceil(max((lx[i] - rng[i][0]) / lam[i] for i in (0, 1)) / h)
+    k = np.arange(k_lo, k_hi + 1)
+    (D1, e1), (D2, e2) = (_kernel(1.0 / lam[i], lx[i] - lam[i] * h * k) for i in (0, 1))
+    ev = np.exp(H2 * h * k)
+    f = ev * (g0[0] * D2 + (g0[1] - D2) * D1)
+    fe = ev * (g0[0] * e2 + np.abs(g0[1] - D2) * e1 + D1 * e2)
+    # nodes below k_lo: G1(0) G2(0) e^(2Hv); above k_hi: the y^2 terms of D1
+    # and D2. Each is c e^(r h k), summed over the nodes in closed form, in
+    # full and with the signs (-1)^k
+    tail = alt = 0.0
+    for c, r, k0, d in ((g0[0] * g0[1], H2, k_lo - 1, -1),
+                        (g0[0] * gamma_fn(3.0 * lam[1]) * lam[1] * x2 ** 2, H2 - 2.0 * lam[1], k_hi + 1, 1),
+                        (g0[1] * gamma_fn(3.0 * lam[0]) * lam[0] * x1 ** 2, H2 - 2.0 * lam[0], k_hi + 1, 1)):
+        a, q = c * math.exp(r * h * k0), math.exp(r * h * d)
+        tail += a / (1.0 - q)
+        alt += (-1.0) ** k0 * a / (1.0 + q)
+    pref = 2.0 * h / gamma_fn(H2 + 2.0)
+    # |alt sum| is half the gap between the step-2h rules on the even and odd nodes
+    est = abs(float(np.sum((-1.0) ** k * f)) + alt)
+    return pref * (float(f.sum()) + tail), pref * (est + float(fe.sum()) + _TOL * tail)
 
 
 def variogram_oracle(spec: FieldSpec, x) -> float:
-    """Var X(x) for the continuum model, by frequency-domain quadrature.
+    """Var X(x) for the continuum model, by one separable integral.
 
-    The integral of 2 (1 - cos <x, xi>) rho(xi)^{-2(H+1)} is reduced to
-    anisotropic polar coordinates (exact for the power-sum weight): a graded
-    Gauss grid in c, and per c-node the radial integral
-    I(a, b) = int r^{-2H-1} (1 - cos(a r^l1) cos(b r^l2)) dr over dyadic
-    shells. A (c-node, shell) element whose Gauss rule would exceed the node
-    budget splits into the mean (closed form), cos(phi_+) and cos(phi_-),
-    phi_+- = a r^l1 +- b r^l2, each by two integration-by-parts terms, and
-    cos(phi_-) by Gauss on a window about its stationary point. The head,
-    where every phase is below 1e-4, and the mean tail are closed forms; the
-    shell ladder stops once the oscillatory tail bound is below 1e-9 of the
-    value (it raises if that is not reached by r = e^300). On the axes the
-    closed form is returned.
+    The power-sum weight is separable under rho^-s = Gamma(s)^-1 int t^(s-1)
+    e^(-t rho) dt, s = 2H + 2. With t = e^v and beta_i = 1/lam_i,
 
-    ``_variogram`` also returns a bound on the radial error: the head's
-    small-phase remainder, the by-parts remainders (the total variation of
-    h1 = (g/phi')'/phi') and the oscillatory tail. It does not cover the Gauss
-    rules, rounding or the angular (c) quadrature. Measured: the bound is
-    below 3e-8 of the value at the criterion-3 probes (alpha0 = 0.6, H = 0.4)
-    and below 3e-7 at alpha0 in {0.25, 0.3, 1.7} with H >= 0.15; an uncapped
-    subdivided-Gauss reference on the same c grid agrees to about 1e-11
-    relative, and the scaling identity holds to about 1e-13. The c grid agrees
-    with a twice finer one to 5e-10 at the criterion-3 probes and 3e-9 at
-    alpha0 = 0.25 and 1.7, but only to about 5e-5 for small H (e.g.
-    (1.2, 0.15), (0.8, 0.1)) and at alpha0 = 1, where the c integrand
-    oscillates or has a kink: there that is the error that dominates.
+        Var X(x) = 2/Gamma(2H+2) int e^(2Hv) [G1(0) D2 + (G2(0) - D2) D1] dv,
+
+    D_i = D_beta_i(|x_i| e^(-lam_i v)): one 1-D integral of the two 1-D kernels
+    of ``_kernel``. v takes a trapezoid rule of step 0.2; past the nodes where
+    either kernel turns over, G1(0) G2(0) e^(2Hv) below and the y^2 terms of
+    the kernels above are summed over the nodes in closed form. On the axes
+    the closed form is returned. ``_variogram`` also returns an error bound:
+    the kernels' estimates carried through the integrand, _TOL of the tails,
+    and half the gap between the step-0.4 rules on the even and odd nodes
+    (the step-0.2 rule converges geometrically, far below that gap).
+    Measured: the bound is 6e-12 to 4e-10 of the value at the criterion-3
+    probes and at small H and alpha0 = 1; an independent nested scipy quad
+    agrees to 1e-11, the axes and the alpha0 = 1 closed form to 1e-12, and
+    the scaling identity holds to 2e-15. A call takes 2-6 ms, about 12 ms for
+    the first at a new alpha0 (2-core VM, numpy 2.4).
     """
     return _variogram(spec, x)[0]
 

@@ -224,7 +224,7 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize("kind,header,column", [
         ("sf", "direction_u,direction_v,p,t,S\n1,0,2.0,0.0625,1.0\n", "grid_n"),
         ("stats", "j1,j2,p,log2_stat\n1,1,2.0,-3.0\n", "grid_n, levels_1, levels_2"),
-    ])
+    ], ids=["sf", "stats"])
     def test_table_without_new_columns(self, kind, header, column, tmp_path):
         path = tmp_path / "old.csv"
         path.write_text(header)
