@@ -24,8 +24,8 @@ Remaining known bias: the zero-frequency cell (|xi| < pi) cannot be
 represented by a periodic model, so lattice variances fall below the
 continuum oracle: by far at lags beyond roughly 0.3, and along the steep
 axis (lam = alpha0 < 1) already inside the fit window [4/n, 1/8]. At
-(0.6, 0.4) that axis is 3.4% low at m = 4 and 13.3% at m = 32 for n = 256
-(1.4% and 13.0% at m = 4 and 128 for n = 1024); the shallow one within 0.75%.
+(0.6, 0.4) that axis is 3.0% low at m = 4 and 13.1% at m = 32 for n = 256
+(1.1% and 12.9% at m = 4 and 128 for n = 1024); the shallow one within 0.72%.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, betaincc, gamma as gamma_fn, gammaincc, gammaln
+from scipy.special import beta as beta_fn, gamma as gamma_fn, gammainc, gammaincc, gammaln
 
 from .core import FieldSpec, SampledField, matrix_power
 
@@ -93,128 +93,127 @@ class SpectralGrid:
     amplitudes: np.ndarray = field(repr=False)
 
 
-_M_BOX = 3       # full alias box |m| <= 3
-_M_STRIP = 8     # axis-aligned strips out to |m| = 8, integral tails beyond
-_AXIS_BAND = 4   # base cells within 4 of an axis get tensor Gauss integrals
-_CORE = 8        # base cells within 8 of the origin get 4x4 subdivision
-# elements in one row strip of the alias fold (256 KB, as hywave._STRIP), so
-# that a strip and its term buffer stay in L2; 2^15 was the fastest from 2^13
-# to 2^16 at n = 512 and 1024 (2^16 cuts the 512 quarter into 255 + 2 rows)
-_FOLD_STRIP = 2 ** 15
+# Constants of the separable mass build (see _quarter_mass), each with the
+# most it moves a mass when changed (measured at n = 64 and 256):
+_MASS_STEP = 0.3        # trapezoid step in v = ln t: 0.4 moves masses by 5e-8, 0.15 by 1e-9
+_Z_SKIP = 50.0          # cells with t x^beta > 50 at the inner edge are skipped: 30 moves 2e-10
+_J0 = 16                # cells j < 16 by incomplete gammas: Gauss from j = 2 on moves 3e-8
+_MASS_NODES = 6         # Gauss nodes per cell from j = _J0 on: 3 move 5e-10, 4 move 2e-13
+_TAU_FLAT = 1e-8        # below tau = t L^beta, Q is taken as flat: 1e-5 moves 2e-9, 1e-10 3e-10
+_TAU_STEPS = (1e-6, 1e-4, 1e-3)  # tau from which 2, 4 and 8 periods are summed per node:
+_PERIODS = (1, 2, 4, 8)          # 1 throughout moves 2e-3; steps 10x higher, 2e-8
+_NODE_CHUNK = 4         # nodes per batch, 0.4 MB of temporaries at n = 256: 16 raised peak RSS 5-9%
+_TINY = 1e-200          # zeroed before the product: subnormal operands slow BLAS ~100x
+_NODE_BLOCK = 512       # nodes per product (one for 0.1 <= alpha0 <= 1.9): bounds memory near 0 and 2
 
 
-def _cell_integrals(lam1, lam2, qq, k1, k2, sub):
-    """Integrals of rho^{-qq} over the frequency cells centred at
-    2 pi (k1[i], k2[j]), each split into sub x sub squares with 10 x 10
-    tensor Gauss nodes per square; one batched evaluation for all cells."""
-    edges = TWO_PI * np.arange(sub + 1) / sub - math.pi
-    offs, w = (a.ravel() for a in _gauss_panel(edges[:-1], edges[1:], 10))
-    R1 = np.abs(TWO_PI * k1[:, None] + offs) ** (1.0 / lam1)
-    R2 = np.abs(TWO_PI * k2[:, None] + offs) ** (1.0 / lam2)
-    return (R1[:, None, :, None] + R2[None, :, None, :]) ** (-qq) @ w @ w
+@np.errstate(over="ignore")  # a t x^beta past e^709 is inf, and its e^(-t x^beta) 0
+def _axis_factor(lam, n, v):
+    """Q(t, k) = t^lam P(t, k) at t = e^v, 0 <= k < n/2, shape (v.size, n/2), with
+    P(t, k) = sum_m int_{I_k + L m} e^(-t |xi|^beta) dxi, beta = 1/lam,
+    I_k = 2 pi [k - 1/2, k + 1/2] and L = 2 pi n.
 
-
-def _alias_tail(c, lam, qq, L):
-    """(2/L) int_U0^inf (c + u^(1/lam))^(-qq) du with U0 = (_M_STRIP + 1/2) L,
-    per entry of c >= 0, in closed form (qq > 2 > lam, so both cases exist).
-
-    With V = U0^(1/lam) and t = c / (c + v) the integral is an incomplete
-    beta function: lam c^(lam - qq) B(qq - lam, lam) I_x(qq - lam, lam),
-    x = c / (c + V), for c > 0, and U0^(1 - qq/lam) / (qq/lam - 1) for c = 0.
-    For lam < 1 and x >= 1/2, I_x is the complement taken at 1 - x =
-    V / (c + V): there the slope of I_x is unbounded at x = 1, so the
-    rounding of x alone would drop the head when c^lam >> U0 (the mass
-    build never reaches that case). An infinite c (an overflowed weight)
-    has mass 0.
+    Per node, the cells j >= 0 of the positive axis fold into k by j mod n
+    and its reflection (cell 0 as its half x >= 0, twice). M periods, M from
+    tau = t L^beta, are summed cell by cell: j < _J0 by regularized
+    incomplete gammas, the rest by Gauss, skipping cells whose inner edge
+    has t x^beta > _Z_SKIP at the batch's first node. The shifts past M
+    periods take Euler-Maclaurin from the midpoints x0 = L (M + 1/2) +- 2 pi k:
+    int_x0^inf g / L + L g'(x0) / 24 - 7 L^3 g'''(x0) / 5760, g(x) the
+    integral over [x - pi, x + pi]. Its first term is the integral of
+    U(y) = int_y^inf e^(-t x^beta) dx over the cell about x0: one gammaincc
+    per node at the end of period M + 1, cell sums back to each right edge,
+    and a first-moment Gauss sum. Below tau = _TAU_FLAT, Q is flat at
+    2 Gamma(1 + lam) / n; where even cell 1 is skipped, only cell 0 is left
+    (2 Gamma(1 + lam)). Q is bounded at both ends of t, and t^lam, tau and
+    t x^beta come from logs, so no power overflows.
     """
-    U0 = (_M_STRIP + 0.5) * L
-    V = np.float64(U0) ** (1.0 / lam)  # inf on overflow (then x = 0), not an OverflowError
-    a = qq - lam
-    pos = (c > 0.0) & np.isfinite(c)
-    cp = np.where(pos, c, 1.0)
-    x = 1.0 / (1.0 + V / cp)
-    inc = betainc(a, lam, x)
-    if lam < 1.0:  # dI_x/dx ~ (1 - x)^(lam - 1) is unbounded at x = 1
-        far = x >= 0.5
-        inc[far] = betaincc(lam, a, 1.0 / (1.0 + cp[far] / V))
-    val = lam * cp ** -a * beta_fn(a, lam) * inc
-    at_zero = U0 ** (1.0 - qq / lam) / (qq / lam - 1.0)
-    return 2.0 / L * np.where(pos, val, np.where(c == 0.0, at_zero, 0.0))
+    beta, half, L = 1.0 / lam, n // 2, TWO_PI * n
+    g = gamma_fn(1.0 + lam)  # t^lam int_0^inf e^(-t x^beta) dx
+    ltau = v + beta * math.log(L)
+    flat, bare = ltau < math.log(_TAU_FLAT), v + beta * math.log(math.pi) > math.log(_Z_SKIP)
+    Q = np.zeros((v.size, half))
+    Q[flat] = 2.0 * g / n
+    Q[bare, 0] = 2.0 * g
+    live = np.flatnonzero(~flat & ~bare)
+    periods = np.array(_PERIODS)[np.searchsorted(np.log(_TAU_STEPS), ltau[live], side="right")]
+    j = np.arange(_J0, (periods.max(initial=1) + 1) * n)
+    x, w = _gauss_panel(TWO_PI * (j - 0.5), TWO_PI * (j + 0.5), _MASS_NODES)
+    lx = beta * np.log(x)
+    w, w1 = w[0], w[0] * (x[0] - TWO_PI * (_J0 - 0.5))  # weights and first moments, as in every cell
+    le = beta * np.log(math.pi * (2.0 * np.arange(_J0) + 1.0))  # right edges of cells 0.._J0-1
+    k = np.arange(half)
+    for c in range(0, live.size, _NODE_CHUNK):
+        i, M = live[c:c + _NODE_CHUNK], int(periods[c:c + _NODE_CHUNK].max())
+        lv = v[i, None]
+        s = np.exp(lam * lv)
+        cells = min((M + 1) * n, max(_J0, int(math.exp((math.log(_Z_SKIP) - lv[0, 0]) / beta) / TWO_PI) + 2))
+        f = np.add(lv[:, :, None], lx[:cells - _J0])
+        np.exp(f, out=f)
+        np.negative(f, out=f)
+        np.exp(f, out=f)  # e^(-t x^beta) at the Gauss nodes
+        A = np.zeros((i.size, (M + 1) * n))
+        A[:, _J0:cells] = s * (f @ w)
+        A[:, :_J0] = np.diff(g * gammainc(lam, np.exp(lv + le)), prepend=0.0)
+        A = A.reshape(i.size, M + 1, n)  # A[:, m, r] is cell m n + r
+        S = A[:, :M].sum(axis=1)
+        S[:, :half] += A[:, M, :half]
+        P = S[:, k] + S[:, -k]
+        if cells > M * n:  # not every cell past M periods is skipped
+            row = A[:, M]  # cell M n + r is centred on x0 for k = |r - n/2|
+            e = TWO_PI * (M * n + np.arange(n + 1) - 0.5)  # its edges
+            z = np.exp(np.minimum(lv + beta * np.log(e), 7.0))  # t x^beta; e^-z is 0 past e^7
+            fe = np.exp(-z)
+            d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2  # f''
+            right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))  # cells past each
+            U = g * gammaincc(lam, z[:, -1:]) + right
+            mom = np.zeros_like(row)
+            mom[:, :cells - M * n] = s * (f[:, M * n - _J0:] @ w1)
+            tail = ((TWO_PI * U + mom) / L
+                    + s * (L / 24.0 * np.diff(fe, axis=1) - 7.0 * L ** 3 / 5760.0 * np.diff(d2, axis=1)))
+            P += tail[:, half + k] + tail[:, half - k]
+        Q[i] = P
+    return Q
 
 
-@np.errstate(over="ignore")  # an overflowed weight power is inf: its mass is 0
 def _quarter_mass(alpha0, hurst, n):
     """Alias-folded spectral masses for the power-sum weight on the quarter
     k >= 0, shape (n/2 + 1, n/2 + 1); index n/2 is the Nyquist row/column.
 
-    The mass is even in k1 and in k2 (the shift set is symmetric and
-    |xi + L m| = |-xi - L m|), so the alias fold, the base cells, the
-    axis-band integrals and the tails are built on the quarter only;
-    ``_unfold`` indexes it with |k| into FFT order, exactly even. The
-    zero mode and the Nyquist row and column are 0 and are not built.
+    Under rho^-s = Gamma(s)^-1 int t^(s-1) e^(-t rho) dt, s = 2H + 2, the
+    weight is separable. With t = e^v and Q_i = t^lam_i P_i of
+    ``_axis_factor`` (lam1 + lam2 = 2), the mass of cell k summed over every
+    alias shift is
 
-    Shifts with |m| <= 8 are summed (the corners past |m| = 3 on both
-    axes dropped); along each axis the fold past |m| = 8.5 is integrated
-    exactly by ``_alias_tail``. The dyadic Gauss ladder it replaced stopped
-    at 60 doublings, before slow tails (small H, steep axis) converged: at
-    (0.25, 0.2) it lost whole tails and up to a third of a mass cell at
-    n = 256. A weight power that overflows is inf, and its mass 0.
+        mass[k1, k2] = Gamma(s)^-1 int e^(2Hv) Q1(t, k1) Q2(t, k2) dv,
 
-    The shift sum runs on ``_pool_map``, one strip of about 2^15 elements
-    (``_FOLD_STRIP``) of the quarter's rows at a time, with one strip-sized
-    term buffer. Every element sums the same shifts in the same order
-    whatever the strip size or the worker count, so the grid is exactly
-    the same for all of them.
+    which a trapezoid rule of step _MASS_STEP turns into one product of the
+    two (nodes x n/2) factors. Below the lowest node both are flat and the
+    sum is a geometric series; above the highest, every cell but the origin
+    is 0. The mass is even in k1 and in k2, so only the quarter is built;
+    ``_unfold`` indexes it with |k| into FFT order, exactly even. The zero
+    mode and the Nyquist row and column are 0.
+
+    Measured: within 5e-9 of the brute-force sum of the tests (2-D Gauss
+    over the shifts, per-node 1-D tails) at n = 64, and of a refined build
+    (half the step, twice the periods, 10 Gauss nodes) at n = 256. A cold
+    build takes 10-15 ms at n = 256 and 35-50 ms at n = 1024 on the calling
+    thread (2-core VM, numpy 2.4).
     """
-    lam1, lam2 = alpha0, 2.0 - alpha0
-    qq = 2.0 * (hurst + 1.0)
-    L = TWO_PI * n
-    half = n // 2
-    k = np.arange(half)  # the quarter below the Nyquist index
-    xi = TWO_PI * k
-
-    ms = np.arange(-_M_STRIP, _M_STRIP + 1)
-    P1 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam1)
-    P2 = np.abs(xi[:, None] + L * ms[None, :]) ** (1.0 / lam2)
-    o = _M_STRIP  # index offset: column o + m holds shift m
-
-    shifts = [(m1, m2) for m1 in ms for m2 in ms  # the far corners are negligible
-              if (m1 or m2) and (abs(m1) <= _M_BOX or abs(m2) <= _M_BOX)]
-    mass = np.zeros((half, half))
-    rows = max(1, _FOLD_STRIP // half)
-
-    def fold(s0):  # sum the shifts into rows s0:s0 + rows of mass
-        acc = mass[s0:s0 + rows]
-        term = np.empty_like(acc)  # reused: a fresh temporary per shift costs page faults
-        with np.errstate(over="ignore"):  # the decorator's errstate does not reach pool threads
-            for m1, m2 in shifts:
-                np.add(P1[s0:s0 + rows, o + m1][:, None], P2[:, o + m2][None, :], out=term)
-                acc += np.power(term, -qq, out=term)
-
-    _pool_map(fold, range(0, half, rows))
-    mass *= TWO_PI ** 2
-
-    # base cell, midpoint far from the axes
-    with np.errstate(divide="ignore"):
-        base = TWO_PI ** 2 * (P1[:, o][:, None] + P2[:, o][None, :]) ** (-qq)
-    # cells within _AXIS_BAND of an axis: Gauss integrals, subdivided in the
-    # core. The band integrals run through the Nyquist index, then drop it:
-    # the BLAS reduction of a cell depends on how many cells share the call
-    band, outer = k[:_AXIS_BAND + 1], np.arange(_CORE + 1, half + 1)
-    base[:_AXIS_BAND + 1, _CORE + 1:] = _cell_integrals(lam1, lam2, qq, band, outer, 1)[:, :-1]
-    base[_CORE + 1:, :_AXIS_BAND + 1] = _cell_integrals(lam1, lam2, qq, outer, band, 1)[:-1]
-    core = k[:_CORE + 1]
-    in_band = (core[:, None] <= _AXIS_BAND) | (core[None, :] <= _AXIS_BAND)
-    base[:_CORE + 1, :_CORE + 1][in_band] = \
-        _cell_integrals(lam1, lam2, qq, core, core, 4)[in_band]
-    mass += base
-
-    box = slice(o - _M_BOX, o + _M_BOX + 1)  # the 7 box shifts of each strip
-    col_tail = _alias_tail(P1[:, box], lam2, qq, L).sum(axis=1)
-    row_tail = _alias_tail(P2[:, box], lam1, qq, L).sum(axis=1)
-    mass += TWO_PI ** 2 * col_tail[:, None]
-    mass += TWO_PI ** 2 * row_tail[None, :]
-
+    lam, H2, h = (alpha0, 2.0 - alpha0), 2.0 * hurst, _MASS_STEP
+    lL = math.log(TWO_PI * n)
+    lo = math.floor(min(math.log(_TAU_FLAT) - lL / l for l in lam) / h)
+    hi = math.ceil(max(math.log(_Z_SKIP) - math.log(math.pi) / l for l in lam) / h)
+    mass = np.zeros((n // 2, n // 2))
+    for b in range(lo, hi + 1, _NODE_BLOCK):
+        v = h * np.arange(b, min(b + _NODE_BLOCK, hi + 1))
+        Q1, Q2 = (_axis_factor(l, n, v) for l in lam)
+        Q1 *= (h / gamma_fn(H2 + 2.0)) * np.exp(H2 * v)[:, None]
+        Q1[Q1 < _TINY] = 0.0
+        Q2[Q2 < _TINY] = 0.0
+        mass += Q1.T @ Q2
+    flat = 4.0 * gamma_fn(1.0 + lam[0]) * gamma_fn(1.0 + lam[1]) / n ** 2  # Q1 Q2 below v[0]
+    mass += flat * h / gamma_fn(H2 + 2.0) * math.exp(H2 * h * (lo - 1)) / -math.expm1(-H2 * h)
     mass[0, 0] = 0.0
     return np.pad(mass, (0, 1))  # the Nyquist row and column
 

@@ -22,6 +22,34 @@ from a dyadic Gauss ladder capped at 60 doublings to their closed form
 
 The 512 and 1024 mass entries were added when the alias fold moved to row
 strips on the worker pool, from the whole-quarter fold that preceded it.
+
+All 23 entries below that depend on the mass grid were re-pinned when the
+alias box, strip fold and band integrals gave way to the separable build
+(one matrix product over every cell and every alias shift). At n = 64
+the old grid was 0.9-1.9% off per cell in the median (9.5% at (0.3, 0.1))
+and up to 36%, from midpoint values of shifted cells and the dropped far
+alias corners; the new one agrees with a brute-force sum to 5e-9. Before
+-> after:
+
+| entry | before -> after |
+|---|---|
+| FIELDS (64, 11) | sum 3683.87 -> 3645.36; samples move up to 2.1% |
+| FIELDS (64, 2024) | sum 1337.60 -> 1361.66; samples up to 1.4%, and the near-zero one -0.01404 -> -0.00010 |
+| FIELDS (256, 11) | sum 54443.2 -> 54399.6; samples up to 0.56% |
+| FIELDS (256, 2024) | sum -113909.5 -> -114002.8; samples up to 2.3%, and the near-zero one 0.01218 -> 0.00951 |
+| MASSES (0.6, 0.4, 64) | sum 2.16939 -> 2.16775; [1, 3] 0.0056715 -> 0.0056795; [16, 1] 3.0859e-06 -> 3.1198e-06 |
+| MASSES (0.6, 0.4, 256) | sum 2.173461 -> 2.173457; [1, 3] 0.0052434 -> 0.0052433; [64, 1] 3.0370e-08 -> 3.0672e-08 |
+| MASSES (0.25, 0.2, 64) | sum 11.5066 -> 10.4138; [1, 3] 0.0029952 -> 0.0046451; [16, 1] 2.3785e-06 -> 2.3919e-06 |
+| MASSES (0.25, 0.2, 256) | sum 10.8625 -> 10.5238; [1, 3] 0.00077476 -> 0.0011694; [64, 1] 1.6177e-08 -> 1.6246e-08 |
+| MASSES (1.4, 0.5, 64) | sum 1.39274 -> 1.39190; [1, 3] 5.0128e-05 -> 5.1010e-05; [16, 1] 6.1260e-04 -> 6.1813e-04 |
+| MASSES (1.4, 0.5, 256) | sum 1.3942 (to 7e-8); [1, 3] 2.2377e-05 -> 2.2430e-05; [64, 1] 6.3784e-05 -> 6.3780e-05 |
+| MASSES (1.4, 0.5, 512) | sum 1.394306 -> 1.394355; [1, 3] 1.9085e-05 -> 1.9093e-05; [128, 1] 1.8020e-05 -> 1.8010e-05 |
+| MASSES (0.6, 0.4, 1024) | sum 2.173906 -> 2.174065; [1, 3] 0.0052061 (to 2e-6); [256, 1] 2.9894e-10 -> 3.0189e-10 |
+| STRUCTURE_FUNCTIONS (1, 0), p = 1, 2, inf | up to 0.47%, 0.95%, 0.45% (first lag, p = 2: 0.0047744 -> 0.0048196) |
+| STRUCTURE_FUNCTIONS (0, 1), p = 1, 2, inf | up to 0.013%, 0.019%, 0.042% |
+| STRUCTURE_FUNCTIONS (1, 1), p = 1, 2, inf | up to 0.013%, 0.019%, 0.063% |
+| SCANS 11 | peak 0.45176 -> 0.45173, still at alpha 0.8; exponents up to 0.036% |
+| SCANS 2024 | peak 0.40654 -> 0.40649, still at alpha 0.8; exponents up to 0.035% |
 """
 import math
 
@@ -35,15 +63,16 @@ from anisotex.synth import _folded_mass
 RTOL = 1e-12
 
 FIELDS = {  # (n, seed): (sum, values at SAMPLE_INDEX)
-    (64, 11): (3683.87490414057, (1.2421704898419006, 0.40150271156343875, 0.4389804992710645,
-                                  1.5297547610142042, 2.000259509846457)),
-    (64, 2024): (1337.600877131988, (-1.2430612327602826, -0.4045672145863993, 0.5838533889447701,
-                                     1.0040923858657753, -0.014041214632220078)),
-    (256, 11): (54443.22722438024, (1.3298663559047985, 0.8487003132350022, 2.471125135685207,
-                                    0.9442470126514261, 0.5497548564919886)),
-    (256, 2024): (-113909.53017742344, (-0.07871945892596433, -0.940465482815614,
-                                        -6.165785280297487, 0.012183010586886756,
-                                        -0.09631639811176806)),
+    (64, 11): (3645.360089938866, (1.2300165009578294, 0.40032271129637553, 0.4296835064702308,
+                                   1.5235367086603726, 1.9805302671860154)),
+    (64, 2024): (1361.6572458767646, (-1.2395814084016314, -0.40125038729187656,
+                                      0.5921320876002272, 1.009277765494148,
+                                      -0.00010047929176226766)),
+    (256, 11): (54399.56686197741, (1.3294751340367803, 0.8493653553990463, 2.4710502235635943,
+                                    0.941861419009319, 0.5466900162489581)),
+    (256, 2024): (-114002.84728545044, (-0.07825845923870434, -0.9432065128232663,
+                                        -6.167877078625478, 0.009513296142680039,
+                                        -0.09851935220568242)),
 }
 
 
@@ -52,15 +81,15 @@ def sample_index(n):
 
 
 MASSES = {  # (alpha0, hurst, n): (sum, mass[1, 3], mass[n // 4, 1])
-    (0.6, 0.4, 64): (2.1693940380038064, 0.005671495529572729, 3.0859044631897715e-06),
-    (0.6, 0.4, 256): (2.173461456942786, 0.00524341214371541, 3.037031598106136e-08),
-    (0.25, 0.2, 64): (11.506636321321627, 0.0029951877838310247, 2.378500800539027e-06),
-    (0.25, 0.2, 256): (10.86252486410855, 0.0007747624780154163, 1.6176603216480454e-08),
-    (1.4, 0.5, 64): (1.3927356610048975, 5.012777975781711e-05, 0.0006125992026758969),
-    (1.4, 0.5, 256): (1.394199517012805, 2.237659001167021e-05, 6.378396126208861e-05),
-    # several row strips of the alias fold (the entries above are one strip)
-    (1.4, 0.5, 512): (1.3943063242655855, 1.908454492748269e-05, 1.8020452821274123e-05),
-    (0.6, 0.4, 1024): (2.173905777889409, 0.0052060800411001945, 2.989370736378974e-10),
+    (0.6, 0.4, 64): (2.1677457480998266, 0.005679516263816828, 3.1197613421650722e-06),
+    (0.6, 0.4, 256): (2.173457311815957, 0.005243331908728954, 3.0672145314262334e-08),
+    (0.25, 0.2, 64): (10.413827518079703, 0.004645124645264819, 2.39187052253924e-06),
+    (0.25, 0.2, 256): (10.523810386396965, 0.0011693710613909615, 1.624606905611342e-08),
+    (1.4, 0.5, 64): (1.3919047324995049, 5.10095892702141e-05, 0.0006181343544620721),
+    (1.4, 0.5, 256): (1.3941993012047493, 2.2429964069791383e-05, 6.377975144895624e-05),
+    # the two largest grids, built on one thread like the rest
+    (1.4, 0.5, 512): (1.394354527884516, 1.9092887597306014e-05, 1.801006287875844e-05),
+    (0.6, 0.4, 1024): (2.1740649452115504, 0.005206072218798554, 3.0188834886667976e-10),
 }
 
 # per-block sums of the pyramids of one 64 x 64 standard normal field
@@ -126,61 +155,58 @@ def test_pyramid_block_sums(key):
 
 # structure functions of the (256, 11) field of FIELDS at the default lags
 STRUCTURE_FUNCTIONS = {  # (direction, p): S(t)
-    ((1, 0), 1.0): (0.05528432250130429, 0.08732498085655405, 0.11366378422865367,
-                    0.13702872894028437, 0.17845143211180492, 0.2146840381203,
-                    0.27806199987146446, 0.3334648657061501, 0.42722799182363963,
-                    0.5032352895314112, 0.6236966979173141, 0.7053433264615464),
-    ((1, 0), 2.0): (0.004774383302199841, 0.011914108259328371, 0.020195183814717046,
-                    0.029323905912153298, 0.049651314486437226, 0.07206355420233644,
-                    0.12147945913273243, 0.174939086451646, 0.28937635146969426,
-                    0.4061203136111241, 0.6277784028327545, 0.8077198489105198),
-    ((1, 0), math.inf): (0.288100218563625, 0.4510360071687807, 0.584284265733789,
-                         0.680071097163334, 0.9278379839239619, 1.123321949506863,
-                         1.401241130887775, 1.7002189878761167, 1.9011651058536363,
-                         2.4807339129942494, 3.2866650544766753, 3.5363078654638787),
-    ((0, 1), 1.0): (0.5217242223631899, 0.6350818323505454, 0.6976252778204112,
-                    0.767969060053543, 0.8639028369594757, 0.9231938436768815,
-                    1.072852244784759, 1.1798659404533642, 1.3436136747079512,
-                    1.6468270627331445, 1.8968095423469598, 2.1402694747697084),
-    ((0, 1), 2.0): (0.42759840420147865, 0.6222817580240033, 0.7671411521083307,
-                    0.90404846989625, 1.1306675340974097, 1.3366949566348048,
-                    1.7643400592947491, 2.1272904986445607, 2.928573633811437,
-                    4.089058600164417, 5.116030760244787, 6.323259022254047),
-    ((0, 1), math.inf): (2.61772430108825, 2.823564575017805, 3.3769128559001147,
-                         3.6340182376802526, 3.6546900831599243, 3.834017571049719,
-                         4.9694705852915195, 5.3718169500024935, 5.33675767324653,
-                         5.734854927654394, 6.2241709242650565, 6.278904356274926),
-    ((1, 1), 1.0): (0.5218809485472924, 0.6347318595572944, 0.6964877317174272,
-                    0.7665938530200912, 0.8605547177122145, 0.9173736188300514,
-                    1.0660514738668008, 1.1809803355813828, 1.3464085239408015,
-                    1.647177031560654),
-    ((1, 1), 2.0): (0.427626790289248, 0.6215120810301249, 0.7659730979726381,
-                    0.902032171072974, 1.126024243787767, 1.332680308747839,
-                    1.760778267131371, 2.13897949639514, 2.923411222518978,
-                    4.093386373520761),
-    ((1, 1), math.inf): (2.564791902389569, 2.784034548548484, 3.3145558501891794,
-                         3.7566133763173664, 3.6065690281250355, 3.8778827929811683,
-                         5.144518363091253, 5.538232553194035, 5.352997466541114,
-                         5.749771550355519),
+    ((1, 0), 1.0): (0.055544861743210605, 0.08754875611850356, 0.11390718823530768,
+                    0.13730931390589435, 0.17882464271801257, 0.21514823670157995,
+                    0.2786915536692724, 0.33421610957574344, 0.42805660178048666,
+                    0.503999567902901, 0.6242954715132489, 0.7058814041450039),
+    ((1, 0), 2.0): (0.004819588555415221, 0.01197534120243737, 0.020281760509766582,
+                    0.029443888220539997, 0.0498586920967955, 0.07237700554564709,
+                    0.12202999011745137, 0.17571796855905458, 0.29047645518061344,
+                    0.40732827892244594, 0.628939196180863, 0.8088799936633094),
+    ((1, 0), math.inf): (0.2893885206561304, 0.4524041324178454, 0.5856403847546114,
+                         0.6813440682393969, 0.9298384844430627, 1.126112676548348,
+                         1.4038663151531834, 1.7037274092204018, 1.9057901662158192,
+                         2.4833053119734183, 3.2902006989321593, 3.539542867390682),
+    ((0, 1), 1.0): (0.5217077615574894, 0.6350418572785573, 0.6976670847882455, 0.7679587373676481,
+                    0.8639001513534975, 0.923312806315303, 1.0728230046064284, 1.1798473905122342,
+                    1.3436326736442021, 1.6468821978888721, 1.896820650216348, 2.140301533043845),
+    ((0, 1), 2.0): (0.42751818071426445, 0.6222075965129001, 0.7671534537688321,
+                    0.9040632296682652, 1.1307288678768594, 1.336864232550231, 1.7644087302882405,
+                    2.127306508788488, 2.92852387147089, 4.089323765388768, 5.116103153058203,
+                    6.32343826538857),
+    ((0, 1), math.inf): (2.617445903597142, 2.823769052470532, 3.378347375133365,
+                         3.6350786341124235, 3.6551534545028237, 3.8344947735292925,
+                         4.968733601201153, 5.373913463806948, 5.338169907560683,
+                         5.737180630706724, 6.221638176036766, 6.281382011220338),
+    ((1, 1), 1.0): (0.5218685202541187, 0.6346949889584168, 0.6965390715142299, 0.7665996417143252,
+                    0.8605409951389498, 0.9174895054102569, 1.0660062778411288, 1.180984997681456,
+                    1.346426013761636, 1.6472301336067219),
+    ((1, 1), 2.0): (0.4275461049001374, 0.6214417094266247, 0.765988179077706, 0.9020571544398405,
+                    1.1260704303301723, 1.3328635929746617, 1.760810808154669, 2.139034582060215,
+                    2.923363382920728, 4.093704341890349),
+    ((1, 1), math.inf): (2.563909262821717, 2.784513565444609, 3.3166482038568788,
+                         3.7577217056427292, 3.6088174201976058, 3.877924793079246,
+                         5.144526304206936, 5.540699980796088, 5.353918738376007,
+                         5.753397771324038),
 }
 
 SCAN_GRID = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
 
 SCANS = {  # seed of 4 realizations at 256, p = 2: (exponents, stderrs, argmax, peak)
-    11: ((0.12833708833835333, 0.25667417667670667, 0.38501126501506, 0.45175759641069035,
-          0.3787012441753551, 0.30296099534028414, 0.22722074650521312, 0.15148049767014204,
-          0.07574024883507102),
-         (0.0010229452986949684, 0.002045890597389937, 0.0030688358960849053,
-          0.023881346223686435, 0.021861019364442975, 0.01748881549155439,
-          0.013116611618665787, 0.008744407745777187, 0.004372203872888594),
-         0.8, 0.45175759641069035),
-    2024: ((0.12822439961630044, 0.2564487992326009, 0.376354401656821, 0.40653626365877377,
-            0.3551446817791837, 0.28411574542334694, 0.21308680906751026, 0.14205787271167344,
-            0.07102893635583672),
-           (0.0016413044860786887, 0.0032826089721573774, 0.012668393068249658,
-            0.04664044183865324, 0.05261555748758197, 0.04209244599006558,
-            0.03156933449254918, 0.02104622299503278, 0.01052311149751639),
-           0.8, 0.40653626365877377),
+    11: ((0.12829102477552334, 0.2565820495510467, 0.38487307432657003, 0.45172964940023486,
+          0.37870913132753636, 0.3029673050620291, 0.22722547879652183, 0.1514836525310145,
+          0.07574182626550725),
+         (0.0010198614919135374, 0.002039722983827075, 0.0030595844757406046, 0.023824971341772794,
+          0.021841341669196268, 0.017473073335357015, 0.01310480500151776, 0.0087365366676785,
+          0.00436826833383925),
+         0.8, 0.45172964940023486),
+    2024: ((0.1281796977930783, 0.2563593955861566, 0.3762378003541028, 0.4064947004640237,
+            0.35513216403697384, 0.2841057312295791, 0.21307929842218432, 0.1420528656147895,
+            0.07102643280739475),
+           (0.0016375189237400496, 0.0032750378474800993, 0.012639389776424943,
+            0.04660945175382938, 0.052603655468797604, 0.04208292437503809, 0.03156219328127857,
+            0.02104146218751904, 0.01052073109375952),
+           0.8, 0.4064947004640237),
 }
 
 
