@@ -294,24 +294,30 @@ MASS_SPECS = [(0.6, 0.4), (0.25, 0.2), (1.4, 0.5), (0.3, 0.1), (1.7, 0.2)]
 
 
 class TestSpectralGrid:
-    # (0, 31), (1, 31) and (3, 10) are where the alias box build was off by
-    # 6.8%, 36% and 4.2%; the slow-tail specs take cells on the axes and
-    # off them, on the side of either axis. The build agrees to 5e-9 and
-    # the sum is converged to about 1e-9; (0, 2) at (1.4, 0.5) is the cell
-    # whose mass moves most (2e-8) when cells near the origin take Gauss
-    # nodes instead of incomplete gammas
-    @pytest.mark.parametrize("alpha0,hurst,cells", [
-        (0.6, 0.4, [(0, 31), (1, 31), (3, 10)]),
-        (1.0, 0.5, [(0, 31), (1, 31), (3, 10), (31, 31)]),
-        (0.25, 0.2, [(0, 31), (1, 31), (3, 10)]),
-        (1.4, 0.5, [(0, 2), (31, 3)]),
-        (0.3, 0.1, [(0, 31), (5, 2), (31, 0)]),
-        (1.7, 0.2, [(31, 1), (31, 0), (2, 7)]),
-    ])
-    def test_mass_matches_brute_force_sum(self, alpha0, hurst, cells):
-        mass = synth._folded_mass(alpha0, hurst, 64)
-        for k1, k2 in cells:
-            ref = brute_force_mass(alpha0, hurst, 64, k1, k2)
+    # cells checked against the reference builder ``brute_force_mass``; -1 is
+    # the last index below Nyquist. (0, -1), (1, -1) and (3, 10) are where
+    # the alias box build was off by 6.8%, 36% and 4.2% at n = 64; the
+    # slow-tail specs take cells on the axes and off them, on the side of
+    # either axis. The build agrees to 5e-9 at n = 64 and 128 and the sum is
+    # converged to about 1e-9; (0, 2) at (1.4, 0.5) is the cell whose mass
+    # moves most (2e-8) when cells near the origin take Gauss nodes instead
+    # of incomplete gammas
+    MASS_CELLS = {
+        (0.6, 0.4): [(0, -1), (1, -1), (3, 10)],
+        (0.25, 0.2): [(0, -1), (1, -1), (3, 10)],
+        (1.4, 0.5): [(0, 2), (-1, 3)],
+        (0.3, 0.1): [(0, -1), (5, 2), (-1, 0)],
+        (1.7, 0.2): [(-1, 1), (-1, 0), (2, 7)],
+        (1.0, 0.5): [(0, -1), (1, -1), (3, 10), (-1, -1)],
+    }
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("alpha0,hurst", MASS_SPECS + [(1.0, 0.5)])
+    def test_mass_matches_reference_builder(self, alpha0, hurst, n):
+        mass = synth._folded_mass(alpha0, hurst, n)
+        for k1, k2 in self.MASS_CELLS[alpha0, hurst]:
+            k1, k2 = k1 % (n // 2), k2 % (n // 2)
+            ref = brute_force_mass(alpha0, hurst, n, k1, k2)
             assert mass[k1, k2] == pytest.approx(ref, rel=1e-8), (k1, k2)
 
     def test_brute_force_sum_converged(self):
