@@ -10,6 +10,7 @@ H min(alpha/alpha0, (2-alpha)/(2-alpha0)), peaking at (alpha0, H).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,15 +31,24 @@ def snap_direction(direction):
     """Snap a unit vector to the nearest coprime lattice direction (u, v).
 
     Components are bounded by 8; among angle ties the shortest vector
-    wins. The sign is canonicalized (u > 0, or u = 0 and v > 0).
+    wins. The sign is canonicalized (u > 0, or u = 0 and v > 0). Each
+    direction is searched once: the result is kept in a bounded LRU cache
+    keyed by the two float components, after the checks, so a non-finite
+    or zero direction raises on every call.
     """
     d = np.asarray(direction, dtype=float)
     if not (math.isfinite(d[0]) and math.isfinite(d[1])):
         raise ValueError(f"direction ({d[0]}, {d[1]}) must have finite components")
-    nrm = math.hypot(d[0], d[1])
-    if nrm == 0:
+    if math.hypot(d[0], d[1]) == 0:
         raise ValueError("direction must be nonzero")
-    d = d / nrm
+    return _snap_search(float(d[0]), float(d[1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _snap_search(x, y):
+    """The lattice search of ``snap_direction`` for a finite nonzero (x, y)."""
+    nrm = math.hypot(x, y)
+    d = (x / nrm, y / nrm)
     best = None
     for u in range(-MAX_LATTICE_COMPONENT, MAX_LATTICE_COMPONENT + 1):
         for v in range(-MAX_LATTICE_COMPONENT, MAX_LATTICE_COMPONENT + 1):

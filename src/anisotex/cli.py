@@ -11,6 +11,7 @@ domain error, or an OS error on an input or output path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -276,9 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# main parses with one parser per process: a build is ~30 add_argument calls,
+# and parse_args leaves the parser as it was
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, AnisotropyError, OSError) as e:

@@ -127,6 +127,12 @@ def _axis_factor(lam, n, v):
     2 Gamma(1 + lam) / n; where even cell 1 is skipped, only cell 0 is left
     (2 Gamma(1 + lam)). Q is bounded at both ends of t, and t^lam, tau and
     t x^beta come from logs, so no power overflows.
+
+    The incomplete-gamma head is computed once for every live node, and the
+    tails once per period count from the rows and first moments the chunks
+    keep: each chunk still sums its own M periods (the largest over its
+    nodes) and skips cells from its first node, so Q is the same bit for
+    bit as a chunk-by-chunk build.
     """
     beta, half, L = 1.0 / lam, n // 2, TWO_PI * n
     g = gamma_fn(1.0 + lam)  # t^lam int_0^inf e^(-t x^beta) dx
@@ -142,7 +148,9 @@ def _axis_factor(lam, n, v):
     lx = beta * np.log(x)
     w, w1 = w[0], w[0] * (x[0] - TWO_PI * (_J0 - 0.5))  # weights and first moments, as in every cell
     le = beta * np.log(math.pi * (2.0 * np.arange(_J0) + 1.0))  # right edges of cells 0.._J0-1
+    head = np.diff(g * gammainc(lam, np.exp(v[live, None] + le)), prepend=0.0)  # cells 0.._J0-1
     k = np.arange(half)
+    tails = {}  # M: the nodes, rows A[:, M] and first-moment sums of chunks with a tail
     for c in range(0, live.size, _NODE_CHUNK):
         i, M = live[c:c + _NODE_CHUNK], int(periods[c:c + _NODE_CHUNK].max())
         lv = v[i, None]
@@ -154,25 +162,28 @@ def _axis_factor(lam, n, v):
         np.exp(f, out=f)  # e^(-t x^beta) at the Gauss nodes
         A = np.zeros((i.size, (M + 1) * n))
         A[:, _J0:cells] = s * (f @ w)
-        A[:, :_J0] = np.diff(g * gammainc(lam, np.exp(lv + le)), prepend=0.0)
+        A[:, :_J0] = head[c:c + _NODE_CHUNK]
         A = A.reshape(i.size, M + 1, n)  # A[:, m, r] is cell m n + r
         S = A[:, :M].sum(axis=1)
         S[:, :half] += A[:, M, :half]
-        P = S[:, k] + S[:, -k]
+        Q[i] = S[:, k] + S[:, -k]
         if cells > M * n:  # not every cell past M periods is skipped
-            row = A[:, M]  # cell M n + r is centred on x0 for k = |r - n/2|
-            e = TWO_PI * (M * n + np.arange(n + 1) - 0.5)  # its edges
-            z = np.exp(np.minimum(lv + beta * np.log(e), 7.0))  # t x^beta; e^-z is 0 past e^7
-            fe = np.exp(-z)
-            d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2  # f''
-            right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))  # cells past each
-            U = g * gammaincc(lam, z[:, -1:]) + right
-            mom = np.zeros_like(row)
+            mom = np.zeros((i.size, n))
             mom[:, :cells - M * n] = s * (f[:, M * n - _J0:] @ w1)
-            tail = ((TWO_PI * U + mom) / L
-                    + s * (L / 24.0 * np.diff(fe, axis=1) - 7.0 * L ** 3 / 5760.0 * np.diff(d2, axis=1)))
-            P += tail[:, half + k] + tail[:, half - k]
-        Q[i] = P
+            tails.setdefault(M, []).append((i, A[:, M].copy(), mom))
+    for M, parts in tails.items():  # one batch per period count
+        i, row, mom = (np.concatenate(p) for p in zip(*parts))
+        lv = v[i, None]  # cell M n + r of row is centred on x0 for k = |r - n/2|
+        e = TWO_PI * (M * n + np.arange(n + 1) - 0.5)  # its edges
+        z = np.exp(np.minimum(lv + beta * np.log(e), 7.0))  # t x^beta; e^-z is 0 past e^7
+        fe = np.exp(-z)
+        d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2  # f''
+        right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))  # cells past each
+        U = g * gammaincc(lam, z[:, -1:]) + right
+        s = np.exp(lam * lv)
+        tail = ((TWO_PI * U + mom) / L
+                + s * (L / 24.0 * np.diff(fe, axis=1) - 7.0 * L ** 3 / 5760.0 * np.diff(d2, axis=1)))
+        Q[i] += tail[:, half + k] + tail[:, half - k]
     return Q
 
 
@@ -197,8 +208,8 @@ def _quarter_mass(alpha0, hurst, n):
     Measured: within 5e-9 of the brute-force sum of the tests (2-D Gauss
     over the shifts, per-node 1-D tails) at n = 64, and of a refined build
     (half the step, twice the periods, 10 Gauss nodes) at n = 256. A cold
-    build takes 10-15 ms at n = 256 and 35-50 ms at n = 1024 on the calling
-    thread (2-core VM, numpy 2.4).
+    build takes 8-14 ms at n = 256 and 34-45 ms at n = 1024 on the calling
+    thread (medians of interleaved runs on a 2-core VM, numpy 2.4.6).
     """
     lam, H2, h = (alpha0, 2.0 - alpha0), 2.0 * hurst, _MASS_STEP
     lL = math.log(TWO_PI * n)

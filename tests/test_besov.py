@@ -87,6 +87,22 @@ class TestSnapDirection:
         with pytest.raises(ValueError, match="finite"):
             snap_direction(direction)
 
+    def test_cache_keyed_by_components(self):
+        # a tuple, a list and an array of one direction take one search: the
+        # cache key is the float pair, not the unhashable array
+        besov._snap_search.cache_clear()
+        steps = [snap_direction(d) for d in ((0.6, 0.8), [0.6, 0.8], np.array([0.6, 0.8]))]
+        assert steps == [(3, 4)] * 3
+        info = besov._snap_search.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert besov._snap_search.cache_parameters()["maxsize"] is not None
+
+    @pytest.mark.parametrize("direction", [(math.nan, 1), (math.inf, 0), (0, 0)])
+    def test_bad_direction_raises_on_every_call(self, direction):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                snap_direction(direction)
+
 
 class TestStructureFunction:
     def test_constant_field_vanishes(self, zero_field):

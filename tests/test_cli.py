@@ -301,6 +301,30 @@ class TestAnalyze:
         assert rc == 2
         assert "direction (nan, 1.0) must have finite components" in capsys.readouterr().err
 
+    def test_consecutive_calls_see_own_lists(self, tmp_path, capsys):
+        # main parses with one parser per process: the append lists of --in
+        # and --direction start empty in every call, so nothing leaks from
+        # one call into the next
+        paths = []
+        for seed in (1, 2, 3):
+            paths.append(str(tmp_path / f"{seed}.anif"))
+            main(["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "128",
+                  "--seed", str(seed), "--out", paths[-1]])
+        grid = ["--alpha-grid", "0.5:1.5:0.25"]
+        assert main(["scan", "--in", paths[0], "--in", paths[1], *grid,
+                     "--out", str(tmp_path / "s1")]) == 0
+        assert main(["scan", "--in", paths[2], *grid, "--out", str(tmp_path / "s2")]) == 0
+        assert json.loads((tmp_path / "s1.json").read_text())["realizations"] == 2
+        assert json.loads((tmp_path / "s2.json").read_text())["realizations"] == 1
+        assert main(["analyze", "--in", paths[0], "--direction", "1,0",
+                     "--out", str(tmp_path / "a1")]) == 0
+        assert main(["analyze", "--in", paths[1], "--direction", "0,1", "--direction", "1,1",
+                     "--out", str(tmp_path / "a2")]) == 0
+        assert set(json.loads((tmp_path / "a1.json").read_text())) == {"1,0"}
+        assert set(json.loads((tmp_path / "a2.json").read_text())) == {"0,1", "1,1"}
+        assert main(["analyze", "--in", paths[2], "--out", str(tmp_path / "a3")]) == 0
+        assert set(json.loads((tmp_path / "a3.json").read_text())) == {"1,0", "0,1"}
+
     def test_table_round_trip(self, tmp_path, capsys):
         # the CSV carries grid_n, so a read-back table fits to the JSON exponents
         f = tmp_path / "f.anif"

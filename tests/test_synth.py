@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats as sps
-from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn
+from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, gammainc, gammaincc
 
 from anisotex import (
     FieldSpec,
@@ -289,6 +289,72 @@ def brute_force_mass(alpha0, hurst, n, k1, k2, periods=32):
             + L / 24 * float((inner(right_o) - inner(left_o)).sum()))
 
 
+@np.errstate(over="ignore")
+def per_chunk_axis_factor(lam, n, v):
+    """``synth._axis_factor`` with its incomplete-gamma head and its
+    Euler-Maclaurin tail computed chunk by chunk, a reference for the build
+    that computes both once over the chunks' nodes (the tail once per
+    period count). Each chunk sums M periods, M the largest over its nodes,
+    and skips cells from its first node on."""
+    beta, half, L = 1.0 / lam, n // 2, synth.TWO_PI * n
+    g = gamma_fn(1.0 + lam)
+    ltau = v + beta * math.log(L)
+    flat = ltau < math.log(synth._TAU_FLAT)
+    bare = v + beta * math.log(math.pi) > math.log(synth._Z_SKIP)
+    Q = np.zeros((v.size, half))
+    Q[flat] = 2.0 * g / n
+    Q[bare, 0] = 2.0 * g
+    live = np.flatnonzero(~flat & ~bare)
+    periods = np.array(synth._PERIODS)[
+        np.searchsorted(np.log(synth._TAU_STEPS), ltau[live], side="right")]
+    J0 = synth._J0
+    j = np.arange(J0, (periods.max(initial=1) + 1) * n)
+    x, w = synth._gauss_panel(synth.TWO_PI * (j - 0.5), synth.TWO_PI * (j + 0.5), synth._MASS_NODES)
+    lx = beta * np.log(x)
+    w, w1 = w[0], w[0] * (x[0] - synth.TWO_PI * (J0 - 0.5))
+    le = beta * np.log(math.pi * (2.0 * np.arange(J0) + 1.0))
+    k = np.arange(half)
+    for c in range(0, live.size, synth._NODE_CHUNK):
+        i, M = live[c:c + synth._NODE_CHUNK], int(periods[c:c + synth._NODE_CHUNK].max())
+        lv = v[i, None]
+        s = np.exp(lam * lv)
+        cells = min((M + 1) * n, max(J0, int(math.exp((math.log(synth._Z_SKIP) - lv[0, 0]) / beta)
+                                             / synth.TWO_PI) + 2))
+        f = np.exp(-np.exp(np.add(lv[:, :, None], lx[:cells - J0])))
+        A = np.zeros((i.size, (M + 1) * n))
+        A[:, J0:cells] = s * (f @ w)
+        A[:, :J0] = np.diff(g * gammainc(lam, np.exp(lv + le)), prepend=0.0)
+        A = A.reshape(i.size, M + 1, n)
+        S = A[:, :M].sum(axis=1)
+        S[:, :half] += A[:, M, :half]
+        P = S[:, k] + S[:, -k]
+        if cells > M * n:
+            row = A[:, M]
+            e = synth.TWO_PI * (M * n + np.arange(n + 1) - 0.5)
+            z = np.exp(np.minimum(lv + beta * np.log(e), 7.0))
+            fe = np.exp(-z)
+            d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2
+            right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+            U = g * gammaincc(lam, z[:, -1:]) + right
+            mom = np.zeros_like(row)
+            mom[:, :cells - M * n] = s * (f[:, M * n - J0:] @ w1)
+            tail = ((synth.TWO_PI * U + mom) / L
+                    + s * (L / 24.0 * np.diff(fe, axis=1) - 7.0 * L ** 3 / 5760.0 * np.diff(d2, axis=1)))
+            P += tail[:, half + k] + tail[:, half - k]
+        Q[i] = P
+    return Q
+
+
+def mass_v_grid(alpha0, n):
+    """Every v = ln t node of ``synth._quarter_mass`` at alpha0 and n, its
+    blocks of _NODE_BLOCK nodes joined."""
+    lam, h = (alpha0, 2.0 - alpha0), synth._MASS_STEP
+    lL = math.log(synth.TWO_PI * n)
+    lo = math.floor(min(math.log(synth._TAU_FLAT) - lL / l for l in lam) / h)
+    hi = math.ceil(max(math.log(synth._Z_SKIP) - math.log(math.pi) / l for l in lam) / h)
+    return h * np.arange(lo, hi + 1)
+
+
 # (0.3, 0.1) and (1.7, 0.2) are the slow-tail cases: small H, steep axis
 MASS_SPECS = [(0.6, 0.4), (0.25, 0.2), (1.4, 0.5), (0.3, 0.1), (1.7, 0.2)]
 
@@ -319,6 +385,19 @@ class TestSpectralGrid:
             k1, k2 = k1 % (n // 2), k2 % (n // 2)
             ref = brute_force_mass(alpha0, hurst, n, k1, k2)
             assert mass[k1, k2] == pytest.approx(ref, rel=1e-8), (k1, k2)
+
+    # the build computes the head and the tails of the per-axis factor once
+    # over all nodes, and each chunk keeps its own period count and skipped
+    # cells: every factor equals the per-chunk reference bit for bit. At
+    # alpha0 = 0.01 the v grid is longer than one product block
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha0", [a for a, _ in MASS_SPECS] + [1.0, 0.01, 1.99])
+    def test_axis_factor_matches_per_chunk_reference(self, alpha0, n):
+        v = mass_v_grid(alpha0, n)
+        if alpha0 == 0.01:
+            assert v.size > synth._NODE_BLOCK
+        for lam in (alpha0, 2.0 - alpha0):
+            assert np.array_equal(synth._axis_factor(lam, n, v), per_chunk_axis_factor(lam, n, v))
 
     def test_brute_force_sum_converged(self):
         # more periods and the same cells: the reference moves by < 1e-8
