@@ -33,10 +33,12 @@ def snap_direction(direction):
     Components are bounded by 8; among angle ties the shortest vector
     wins. The sign is canonicalized (u > 0, or u = 0 and v > 0). Each
     direction is searched once: the result is kept in a bounded LRU cache
-    keyed by the two float components, after the checks, so a non-finite
-    or zero direction raises on every call.
+    keyed by the two float components, after the checks, so a direction
+    that is not two finite components, not both zero, raises on every call.
     """
     d = np.asarray(direction, dtype=float)
+    if d.shape != (2,):
+        raise ValueError(f"direction must have two components, got shape {d.shape}")
     if not (math.isfinite(d[0]) and math.isfinite(d[1])):
         raise ValueError(f"direction ({d[0]}, {d[1]}) must have finite components")
     if math.hypot(d[0], d[1]) == 0:

@@ -97,11 +97,16 @@ class TestSnapDirection:
         assert (info.misses, info.hits) == (1, 2)
         assert besov._snap_search.cache_parameters()["maxsize"] is not None
 
-    @pytest.mark.parametrize("direction", [(math.nan, 1), (math.inf, 0), (0, 0)])
+    @pytest.mark.parametrize("direction", [(math.nan, 1), (math.inf, 0), (0, 0),
+                                           (1, 0, 3), (1,), 5])
     def test_bad_direction_raises_on_every_call(self, direction):
+        # checked before the cache: a bad direction neither hits nor fills it
+        info = besov._snap_search.cache_info()
         for _ in range(2):
             with pytest.raises(ValueError):
                 snap_direction(direction)
+        after = besov._snap_search.cache_info()
+        assert (after.hits, after.misses) == (info.hits, info.misses)
 
 
 class TestStructureFunction:

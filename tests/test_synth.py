@@ -98,17 +98,23 @@ def equal_exponent_variogram(hurst, a, b):
     return 4.0 * math.pi / (gamma_fn(p) * math.sin(math.pi * hurst)) * ratio
 
 
+def reference_half_plane_modes(n):
+    """(k1, k2) of the half-plane modes {k2 > 0} u {k2 = 0, k1 > 0}, k in
+    (-n/2, n/2)^2, row-major in k1: the order of the draws."""
+    half = n // 2
+    rng_k = np.arange(-half + 1, half)
+    K1, K2 = np.meshgrid(rng_k, rng_k, indexing="ij")
+    sel = (K2 > 0) | ((K2 == 0) & (K1 > 0))
+    return K1[sel], K2[sel]
+
+
 def reference_spectral_coefficients(spec):
     """The original full-grid scatter, kept as the reference for the
     half-spectrum build: each half-plane mode and its conjugate at -k
     written into an n x n complex grid."""
     n = spec.grid_n
-    half = n // 2
     amp = spectral_grid(spec).amplitudes
-    rng_k = np.arange(-half + 1, half)
-    K1, K2 = np.meshgrid(rng_k, rng_k, indexing="ij")
-    sel = (K2 > 0) | ((K2 == 0) & (K1 > 0))
-    k1s, k2s = K1[sel], K2[sel]
+    k1s, k2s = reference_half_plane_modes(n)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     z = rng.standard_normal((k1s.size, 2))
     g = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
@@ -426,21 +432,28 @@ class TestSpectralGrid:
             _quarter_amplitudes(0.6, 0.3 + 0.01 * i, 32)
         assert _quarter_amplitudes.cache_info().currsize <= cap
 
-    def test_half_plane_cache_bounded(self):
-        from anisotex.synth import _half_plane
-        cap = _half_plane.cache_parameters()["maxsize"]
-        assert cap is not None
-        for i in range(cap + 3):
-            _half_plane(8 + 2 * i)
-        assert _half_plane.cache_info().currsize <= cap
-        flat = _half_plane(8)
-        assert _half_plane(8) is flat  # a hit returns the shared array
-        assert not flat.flags.writeable
-        # the half-plane modes, row-major in k1, in the (n, n/2 + 1) rfft layout
-        k1, k2 = np.unravel_index(flat, (8, 5))
-        k1 = np.where(k1 < 4, k1, k1 - 8)
-        modes = [(a, b) for a in range(-3, 4) for b in range(4) if b > 0 or a > 0]
-        assert list(zip(k1.tolist(), k2.tolist())) == modes
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_draw_blocks_enumerate_reference_modes(self, n):
+        # the blocks, row-major one after the other, in (k1, k2), against
+        # the mode order of reference_spectral_coefficients
+        modes = []
+        for rows, cols in synth._draw_blocks(n):
+            k1 = np.where(rows < n // 2, rows, rows - n)
+            k2 = np.arange(n // 2 + 1)[cols]
+            modes += [(a, b) for a in k1.tolist() for b in k2.tolist()]
+        k1s, k2s = reference_half_plane_modes(n)
+        assert modes == list(zip(k1s.tolist(), k2s.tolist()))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_block_draws_equal_half_spectrum(self, n, seed):
+        # two realizations: the second reuses the buffers (and wraps the
+        # seed from 2^64 - 1 to 0)
+        spec = FieldSpec.make(0.6, 0.4, grid_n=n, seed=seed)
+        for i, zs in enumerate(synth._block_draws(spec, 2)):
+            H = synth._half_spectrum(spec.with_seed((seed + i) % 2 ** 64))
+            for z, (rows, cols) in zip(zs, synth._draw_blocks(n)):
+                assert np.array_equal(z, H[rows, cols])
 
     def test_repeated_key_not_rebuilt(self):
         from anisotex.synth import _quarter_amplitudes
@@ -497,6 +510,26 @@ class TestSpectralGrid:
 
 
 class TestEvaluateAtPoints:
+    def test_rows_are_single_realizations(self):
+        # row i is the realization with seed spec.seed + i mod 2^64, bit for bit
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=2 ** 64 - 2)
+        pts = np.random.default_rng(4).uniform(size=(7, 2))
+        vals = synth._values_at(spec, pts, 3)
+        for i, seed in enumerate((2 ** 64 - 2, 2 ** 64 - 1, 0)):
+            assert np.array_equal(vals[i], evaluate_at_points(spec.with_seed(seed), pts))
+
+    @pytest.mark.parametrize("points", [[(0.1, 0.2, 0.3)], [(0.1,)], 0.5, [(math.nan, 0.2)]])
+    def test_malformed_points_rejected(self, points):
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
+        with pytest.raises(ValueError, match="points"):
+            evaluate_at_points(spec, points)
+
+    def test_single_point_shape(self):
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
+        one = evaluate_at_points(spec, (0.1, 0.2))
+        assert one.shape == (1,)
+        assert np.array_equal(one, evaluate_at_points(spec, [(0.1, 0.2)]))
+
     def test_matches_lattice_values(self):
         # every lattice point of the field, the origin included
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=17)
