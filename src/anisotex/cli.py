@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import besov, ensemble, fileio, homog, hywave, synth
-from .core import AnisotropyError, FieldSpec, check_order
+from .core import AnisotropyError, FieldSpec, check_order, matrix_power
 
 
 MAX_ALPHA_GRID = 10000
@@ -211,6 +211,12 @@ def cmd_selftest(args) -> int:
     f2 = synth.synthesize(spec)
     check("determinism", bool(np.array_equal(f1.values, f2.values)))
     check("zero_at_origin", f1.values[0, 0] == 0.0)
+
+    # criterion 3 by quadrature: Var X(a^E x) = a^{2H} Var X(x) at a = 2
+    x = np.array([0.25, 0.25])
+    lhs = synth.variogram_oracle(spec, matrix_power(spec.anisotropy, 2.0) @ x)
+    rhs = 2.0 ** (2.0 * spec.hurst) * synth.variogram_oracle(spec, x)
+    check("scaling_identity", abs(lhs - rhs) <= 1e-9 * rhs)
 
     rng = np.random.Generator(np.random.Philox(key=3))
     noise = rng.standard_normal((64, 64))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -439,6 +440,10 @@ _GAUSS_NODES = 16    # per panel; a panel spans at most one period of cos(yu)
 _GRADE = 20          # base panels halve 20 times toward u = 0, in u and in u^beta
 _CHUNK = 2 ** 13     # panels per Gauss batch: a few MB of temporaries
 _ROUND = 32.0 * np.finfo(float).eps
+_CHEB_NODES = 24     # Chebyshev nodes per panel of the mid-range kernel table
+_CHEB_TOL = 1e-15    # a table panel is halved while its last coefficients exceed this share
+_CHEB_PANELS = 63    # panels filled per table at most; unresolved ones are left to Gauss
+_X_MAX = 1e20        # the oracle takes coordinates |x_i| = 0 or in [1/_X_MAX, _X_MAX]
 
 
 def _gauss_kernel(beta, y):
@@ -469,19 +474,9 @@ def _gauss_kernel(beta, y):
     return out
 
 
-def _kernel(beta, ly):
-    """D_beta(y) = 2 int_0^inf (1 - cos yu) e^(-u^beta) du at y = e^ly, and an
-    error estimate per value.
-
-    Small y: (2/beta) sum_j (-1)^(j+1) Gamma((2j+1)/beta) y^2j / (2j)!. Large
-    y: G(0) - G(y), G(0) = 2 Gamma(1 + 1/beta), with the series G(y) ~
-    sum_k (-1)^(k+1) sin(pi k beta/2) 2 Gamma(k beta + 1)/k! y^(-k beta - 1)
-    cut at its smallest term; its error is estimated by that term without the
-    sine plus, for beta > 1, the size of G's saddle point, which the series
-    misses (at even beta the series is 0). A series is used where its
-    estimate, rounding included, is below _TOL of the value; elsewhere
-    ``_gauss_kernel``, sized to stay below _TOL, and a bound on u^beta > 40.
-    """
+def _series(beta, ly):
+    """(D_beta(e^ly), error estimate) from the two series of ``_kernel``, NaN
+    where neither estimate, rounding included, is below _TOL of the value."""
     g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
     D, err = np.full(ly.shape, np.nan), np.zeros(ly.shape)
     j = np.arange(1.0, _TAYLOR_TERMS + 2)
@@ -502,38 +497,115 @@ def _kernel(beta, ly):
         lmin = np.logaddexp(lmin, math.log(g0) - c * np.exp(np.minimum(beta / (beta - 1.0) * ly[i], 700.0)))
     t = np.where(k <= kmin[:, None], np.exp(np.minimum(ls, 700.0)), 0.0)  # up to the smallest
     val = g0 - t @ ((-1.0) ** (k + 1.0) * np.sin(0.5 * math.pi * k * beta))
-    est = np.exp(lmin) + _ROUND * (t.sum(axis=1) + g0)
+    est = np.exp(np.minimum(lmin, 700.0)) + _ROUND * (t.sum(axis=1) + g0)
     ok = est <= _TOL * val
     D[i[ok]], err[i[ok]] = val[ok], est[ok]
+    return D, err
 
+
+def _table(beta, a, b):
+    """Piecewise Chebyshev table of D_beta on [a, b] in ln y: (lo, hi, coeffs,
+    err) of its panels, in order. Each panel takes _CHEB_NODES first-kind
+    nodes filled by ``_gauss_kernel`` and is halved while either of its last
+    two coefficients exceeds _CHEB_TOL of its largest value; err is twice
+    their sum plus the rounding of the Clenshaw sum. Panels are filled from
+    the low end (where the Gauss rule is cheapest) and at most _CHEB_PANELS
+    of them: the span past the last resolved panel is left out."""
+    theta = math.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
+    T = np.cos(np.outer(theta, np.arange(_CHEB_NODES))) * (2.0 / _CHEB_NODES)  # values -> coefficients
+    T[:, 0] *= 0.5
+    todo, done = [(a, b)], []
+    for _ in range(_CHEB_PANELS):
+        if not todo:
+            break
+        lo, hi = todo.pop()
+        f = _gauss_kernel(beta, np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)))
+        c = f @ T
+        tail = np.abs(c[-2:])
+        if tail.max() <= _CHEB_TOL * np.abs(f).max():
+            done.append((lo, hi, c, 2.0 * tail.sum() + _ROUND * np.abs(c).sum()))
+        else:
+            todo += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]  # the low half next
+    lo, hi, c, err = zip(*done) if done else ((),) * 4
+    return np.array(lo), np.array(hi), np.reshape(c, (-1, _CHEB_NODES)), np.array(err)
+
+
+def _mid_kernel(beta, ly, table):
+    """(D_beta(e^ly), error estimate) where the series do not reach _TOL: by one
+    Clenshaw pass over the panels of ``table`` that hold ly, by
+    ``_gauss_kernel`` at the rest. Each value's error adds a bound on
+    u^beta > 40 and _TOL of the value to the panel's interpolation error."""
+    lo, hi, coeffs, cerr = table
+    p = np.searchsorted(lo, ly, side="right") - 1  # the last panel starting at or below ly
+    cover = ly <= np.append(hi, -np.inf)[p]  # p = -1 (below every panel) reads -inf
+    D, err = np.empty(ly.shape), np.zeros(ly.shape)
+    i = np.flatnonzero(cover)
+    c, p = coeffs[p[i]], p[i]
+    t = (2.0 * ly[i] - lo[p] - hi[p]) / (hi[p] - lo[p])
+    b1 = b2 = 0.0
+    for ck in c[:, :0:-1].T:
+        b1, b2 = ck + 2.0 * t * b1 - b2, b1
+    D[i], err[i] = c[:, 0] + t * b1 - b2, cerr[p]
+    i = np.flatnonzero(~cover)
+    if i.size:
+        D[i] = _gauss_kernel(beta, np.exp(ly[i]))
+    y = np.exp(ly)
+    beyond = np.minimum(4.0 / beta * gamma_fn(1.0 / beta) * gammaincc(1.0 / beta, _U_EXP),
+                        y ** 2 / beta * gamma_fn(3.0 / beta) * gammaincc(3.0 / beta, _U_EXP))
+    return D, err + beyond + _TOL * D
+
+
+def _kernel(beta, ly):
+    """D_beta(y) = 2 int_0^inf (1 - cos yu) e^(-u^beta) du at y = e^ly, and an
+    error estimate per value.
+
+    Small y: (2/beta) sum_j (-1)^(j+1) Gamma((2j+1)/beta) y^2j / (2j)!. Large
+    y: G(0) - G(y), G(0) = 2 Gamma(1 + 1/beta), with the series G(y) ~
+    sum_k (-1)^(k+1) sin(pi k beta/2) 2 Gamma(k beta + 1)/k! y^(-k beta - 1)
+    cut at its smallest term; its error is estimated by that term without the
+    sine plus, for beta > 1, the size of G's saddle point, which the series
+    misses (at even beta the series is 0). A series is used where its
+    estimate, rounding included, is below _TOL of the value (``_series``);
+    elsewhere ``_mid_kernel`` reads the per-beta table of ``_kernel_range``,
+    filled by ``_gauss_kernel``, which is sized to stay below _TOL, and adds a
+    bound on u^beta > 40.
+    """
+    D, err = _series(beta, ly)
     i = np.flatnonzero(np.isnan(D))
     if i.size:
-        y = np.exp(ly[i])
-        D[i] = _gauss_kernel(beta, y)
-        beyond = np.minimum(4.0 / beta * gamma_fn(1.0 / beta) * gammaincc(1.0 / beta, _U_EXP),
-                            y ** 2 / beta * gamma_fn(3.0 / beta) * gammaincc(3.0 / beta, _U_EXP))
-        err[i] = beyond + _TOL * D[i]
+        D[i], err[i] = _mid_kernel(beta, ly[i], _kernel_range(beta)[2])
     return D, err
 
 
 @functools.lru_cache(maxsize=16)
 def _kernel_range(beta):
-    """(ln y_lo, ln y_hi) for D_beta: below y_lo, D is y^2 Gamma(3/beta)/beta
+    """(ln y_lo, ln y_hi, table) for D_beta: below y_lo, D is y^2 Gamma(3/beta)/beta
     within _TOL and D/G(0) < _TOL; above y_hi, |G(y)| < sqrt(_TOL) G(0)
-    (checked on a grid in ln y with ``_kernel``)."""
+    (checked on a grid in ln y). The table (``_table``) spans the grid points
+    where neither series reaches _TOL, and one grid step beyond each end."""
     g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
     lo = 0.5 * (math.log(_TOL) + min(math.log(12.0) + gammaln(3.0 / beta) - gammaln(5.0 / beta),
                                      math.log(g0 * beta) - gammaln(3.0 / beta)))
     ly = np.arange(-20.0, 60.0, 0.25)
-    D, err = _kernel(beta, ly)
+    D, err = _series(beta, ly)
+    i = np.flatnonzero(np.isnan(D))  # never empty for beta > 1/2
+    table = _table(beta, ly[max(i[0] - 1, 0)], ly[min(i[-1] + 1, ly.size - 1)])
+    D[i], err[i] = _mid_kernel(beta, ly[i], table)
     near = np.flatnonzero(np.abs(g0 - D) + err > math.sqrt(_TOL) * g0)
-    return lo, ly[near[-1] + 1]
+    return lo, ly[near[-1] + 1], table
 
 
 def _variogram(spec: FieldSpec, x):
     """(Var X(x), error bound) by the separable integral of ``variogram_oracle``;
-    the bound covers the v rule, both kernels and both tails (see there)."""
+    the bound covers the v rule, both kernels and both tails (see there).
+    Raises ValueError unless x is two finite coordinates in the oracle's range."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"x must have shape (2,), got {x.shape}")
     x1, x2 = abs(float(x[0])), abs(float(x[1]))
+    if not all(c == 0.0 or 1.0 / _X_MAX <= c <= _X_MAX for c in (x1, x2)):
+        raise ValueError(f"x = {tuple(x.tolist())} must be finite, each coordinate 0 or of "
+                         f"magnitude in [{1.0 / _X_MAX:g}, {_X_MAX:g}]")
     alpha0, hurst = spec.alpha0, spec.hurst
     if x1 == 0.0 or x2 == 0.0:  # an axis or the origin: the closed form
         return _axis_variogram(alpha0, hurst, *((0, x1) if x2 == 0.0 else (1, x2))), 0.0
@@ -580,11 +652,16 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
     the kernels' estimates carried through the integrand, _TOL of the tails,
     and half the gap between the step-0.4 rules on the even and odd nodes
     (the step-0.2 rule converges geometrically, far below that gap).
+    Where neither series of a kernel reaches _TOL, its values come from a
+    piecewise Chebyshev table in ln y, built from the Gauss rule once per
+    exponent (``_kernel_range``). ``x`` must be two finite coordinates, each
+    0 or of magnitude in [1e-20, 1e20]; anything else raises ValueError.
     Measured: the bound is 6e-12 to 4e-10 of the value at the criterion-3
     probes and at small H and alpha0 = 1; an independent nested scipy quad
     agrees to 1e-11, the axes and the alpha0 = 1 closed form to 1e-12, and
-    the scaling identity holds to 2e-15. A call takes 2-6 ms, about 12 ms for
-    the first at a new alpha0 (2-core VM, numpy 2.4).
+    the scaling identity holds to 2e-15. A call takes 0.4-0.8 ms at the
+    criterion-3 probes; the first at a new alpha0 takes 15-22 ms, of which
+    the two tables take 9-12 and 4-5 ms (2-core VM, numpy 2.4).
     """
     return _variogram(spec, x)[0]
 
@@ -615,13 +692,18 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int,
     default 16 translates (48 points) a call takes 0.28-0.39 s on a
     2-core VM, about two thirds of it the Philox draws. Returns a 95%
     confidence half-width from the delta method on the per-realization
-    pair statistics.
+    pair statistics. ``x`` must have shape (2,) and ``translates`` be an
+    integer >= 1; anything else raises ValueError.
     """
     if reps < 50:
         raise ValueError("reps must be >= 50")
     if not a > 0:
         raise ValueError(f"scale a must be positive, got {a}")
+    if not isinstance(translates, numbers.Integral) or translates < 1:
+        raise ValueError(f"translates must be an integer >= 1, got {translates!r}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"x must have shape (2,), got {x.shape}")
     y = matrix_power(spec.anisotropy, a) @ x
     for name, p in (("x", x), ("a^E x", y)):
         if not (0.0 <= p[0] <= 1.0 and 0.0 <= p[1] <= 1.0):
@@ -631,7 +713,7 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int,
         return ScalingCheckResult(ratio=1.0, ci_halfwidth=0.0, target=target)
 
     rng = np.random.Generator(np.random.Philox(key=(spec.seed, 0x7a06)))
-    k = max(1, int(translates))
+    k = translates
     box = np.maximum(0.0, 1.0 - np.maximum(x, y))
     taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
     vals = _values_at(spec, np.vstack([taus, taus + y, taus + x]), reps)

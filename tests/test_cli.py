@@ -458,6 +458,7 @@ class TestSelftest:
         assert "PASS determinism" in out
         assert "PASS zero_at_origin" in out
         assert "PASS reconstruction" in out
+        assert "PASS scaling_identity" in out
         assert "FAIL" not in out
 
     def test_full_selftest_passes(self, capsys):
@@ -466,6 +467,14 @@ class TestSelftest:
         assert rc == 0
         assert "PASS tent_argmax" in out
         assert "PASS tent_peak" in out
+
+    def test_broken_scaling_negative_control(self, monkeypatch, capsys):
+        # an oracle that is not operator self-similar must fail the identity
+        monkeypatch.setattr(synth, "variogram_oracle", lambda spec, x: float(np.sum(np.abs(x))))
+        rc = main(["selftest", "--quick"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL scaling_identity" in out
 
     def test_broken_determinism_negative_control(self, monkeypatch, capsys):
         # the second synthesis draws another seed, so the check must fail

@@ -611,6 +611,66 @@ class TestVariogramOracle:
             err = err + 1e-12 * exact  # the quad reference's own tolerance
         assert np.all(np.abs(D - exact) <= err)
 
+    @pytest.mark.parametrize("beta", [1.0 / 0.6, 1.0 / 1.4, 4.0, 1.0 / 1.7, 10.0, 100.0])
+    def test_kernel_table_matches_gauss(self, beta):
+        # the per-beta table against direct Gauss at 2000 random points of the
+        # span of a fine ln y grid where neither series reaches _TOL. The table
+        # covers that span, except at beta = 100 (alpha0 = 0.01), which outruns
+        # the panel budget: the points it leaves out take the Gauss rule itself
+        lo, hi, _, _ = table = synth._kernel_range(beta)[2]
+        assert np.all(lo[1:] >= hi[:-1])
+        grid = np.linspace(-20.0, 60.0, 8001)
+        mid = grid[np.isnan(synth._series(beta, grid)[0])]
+        ly = np.random.default_rng(20).uniform(mid.min(), mid.max(), 2000)
+        D, err = synth._mid_kernel(beta, ly, table)
+        gauss = synth._gauss_kernel(beta, np.exp(ly))
+        assert np.all(np.abs(D - gauss) <= np.minimum(err, 1e-13 * gauss))
+        p = np.searchsorted(lo, ly, side="right") - 1
+        covered = (p >= 0) & (ly <= hi[p])
+        assert np.array_equal(D[~covered], gauss[~covered])
+        assert covered.all() == (beta != 100.0) and covered.any()
+
+    def test_table_with_no_panels_takes_gauss(self, monkeypatch):
+        # a budget that resolves no panel leaves every point to the Gauss rule
+        monkeypatch.setattr(synth, "_CHEB_PANELS", 0)
+        ly = np.linspace(0.0, 1.0, 5)
+        D, err = synth._mid_kernel(2.0, ly, synth._table(2.0, 0.0, 1.0))
+        assert np.array_equal(D, synth._gauss_kernel(2.0, np.exp(ly)))
+        assert np.all(err >= 1e-13 * D)
+
+    def test_series_far_exponent_finite(self):
+        # alpha0 = 1/300: the large-y series' error estimate must not overflow
+        # e^709, a RuntimeWarning and so an error in this suite
+        D, err = synth._series(300.0, np.arange(-20.0, 60.0, 0.25))
+        assert np.all(np.isfinite(err))
+
+    def test_second_call_integrates_nothing(self, monkeypatch):
+        # the first call at a new exponent builds its table; later calls read it
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64)
+        first = variogram_oracle(spec, (0.25, 0.25))
+        calls = []
+        gauss_kernel = synth._gauss_kernel
+        monkeypatch.setattr(synth, "_gauss_kernel", lambda beta, y: calls.append(y) or gauss_kernel(beta, y))
+        assert variogram_oracle(spec, (0.25, 0.25)) == first
+        variogram_oracle(spec, (2 ** 0.6 * 0.1, 2 ** 1.4 * 0.3))
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [(0.1, 0.2, 0.3), (0.1,), 5, [(0.1, 0.2)], (math.nan, 0.2),
+                                   (math.inf, 0.2), (1e200, 0.2), (1e-300, 1e-300), (0.2, 1e-21)])
+    def test_malformed_x_rejected(self, x):
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64)
+        with pytest.raises(ValueError, match="^x "):
+            variogram_oracle(spec, x)
+
+    @pytest.mark.parametrize("alpha0,hurst", [(0.6, 0.4), (1.99, 0.005)])
+    def test_range_ends_finite(self, alpha0, hurst):
+        # the largest and smallest coordinates the oracle takes; RuntimeWarning
+        # is an error in this suite
+        spec = FieldSpec.make(alpha0, hurst, grid_n=64)
+        for x in ((1e20, 1e-20), (1e-20, 1e-20), (-1e20, 1e20), (0.0, 1e-20)):
+            value, bound = synth._variogram(spec, x)
+            assert math.isfinite(value) and 0.0 < value and bound <= 1e-6 * value
+
     def test_quad_reference_matches_closed_forms(self):
         assert quad_variogram(1.0, 0.5, (0.3, 0.2)) == pytest.approx(
             equal_exponent_variogram(0.5, 0.3, 0.2), rel=1e-11)
@@ -823,6 +883,18 @@ class TestMonteCarloScaling:
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
         with pytest.raises(ValueError, match="reps"):
             monte_carlo_scaling_check(spec, 2.0, (0.1, 0.1), 10)
+
+    @pytest.mark.parametrize("translates", [0, -5, 2.5])
+    def test_bad_translates_rejected(self, translates):
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
+        with pytest.raises(ValueError, match="translates"):
+            monte_carlo_scaling_check(spec, 2.0, (0.2, 0.1), 50, translates=translates)
+
+    @pytest.mark.parametrize("x", [(0.2, 0.1, 0.3), (0.2,), [(0.2, 0.1)], 0.2])
+    def test_malformed_x_rejected(self, x):
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
+        with pytest.raises(ValueError, match="x must have shape"):
+            monte_carlo_scaling_check(spec, 2.0, x, 50)
 
 
 class TestDistributional:
