@@ -106,6 +106,7 @@ _PERIODS = (1, 2, 4, 8)          # 1 throughout moves 2e-3; steps 10x higher, 2e
 _NODE_CHUNK = 4         # nodes per batch, 0.4 MB of temporaries at n = 256: 16 raised peak RSS 5-9%
 _TINY = 1e-200          # zeroed before the product: subnormal operands slow BLAS ~100x
 _NODE_BLOCK = 512       # nodes per product (one for 0.1 <= alpha0 <= 1.9): bounds memory near 0 and 2
+_GEMM_TILE = 1 << 18    # multiply-adds per product tile: OpenBLAS runs a gemm this small on the calling thread
 
 
 @np.errstate(over="ignore")  # a t x^beta past e^709 is inf, and its e^(-t x^beta) 0
@@ -200,30 +201,44 @@ def _quarter_mass(alpha0, hurst, n):
         mass[k1, k2] = Gamma(s)^-1 int e^(2Hv) Q1(t, k1) Q2(t, k2) dv,
 
     which a trapezoid rule of step _MASS_STEP turns into one product of the
-    two (nodes x n/2) factors. Below the lowest node both are flat and the
-    sum is a geometric series; above the highest, every cell but the origin
-    is 0. The mass is even in k1 and in k2, so only the quarter is built;
-    ``_unfold`` indexes it with |k| into FFT order, exactly even. The zero
-    mode and the Nyquist row and column are 0.
+    two (nodes x n/2) factors. The product is computed in tiles of at most
+    _GEMM_TILE multiply-adds, which OpenBLAS runs on the calling thread (its
+    gemm threshold is 65536 x 4). Run whole, it went to OpenBLAS's threads,
+    which cost up to 20 ms to wake and then spun for about 0.12 s of CPU,
+    taking a core from the worker pool. Tiles split only the output's rows
+    and columns, so each entry sums over the nodes in the same order: the
+    masses do not depend on the BLAS thread count, and equal the single
+    product's bit for bit up to 256 nodes per block. Below the lowest node
+    both are flat and the sum is a geometric series; above the highest,
+    every cell but the origin is 0. The mass is even in k1 and in k2, so
+    only the quarter is built; ``_unfold`` indexes it with |k| into FFT
+    order, exactly even. The zero mode and the Nyquist row and column are 0.
 
     Measured: within 5e-9 of the brute-force sum of the tests (2-D Gauss
     over the shifts, per-node 1-D tails) at n = 64, and of a refined build
     (half the step, twice the periods, 10 Gauss nodes) at n = 256. A cold
-    build takes 8-14 ms at n = 256 and 34-45 ms at n = 1024 on the calling
-    thread (medians of interleaved runs on a 2-core VM, numpy 2.4.6).
+    build takes 9-15 ms at n = 256 and 35-47 ms at n = 1024, back to back or
+    0.4 s apart (medians of 10 builds per process on a 2-core VM, numpy
+    2.4.6, OpenBLAS 0.3.31).
     """
-    lam, H2, h = (alpha0, 2.0 - alpha0), 2.0 * hurst, _MASS_STEP
+    lam, H2, h, half = (alpha0, 2.0 - alpha0), 2.0 * hurst, _MASS_STEP, n // 2
     lL = math.log(TWO_PI * n)
     lo = math.floor(min(math.log(_TAU_FLAT) - lL / l for l in lam) / h)
     hi = math.ceil(max(math.log(_Z_SKIP) - math.log(math.pi) / l for l in lam) / h)
-    mass = np.zeros((n // 2, n // 2))
+    mass = np.zeros((half, half))
     for b in range(lo, hi + 1, _NODE_BLOCK):
         v = h * np.arange(b, min(b + _NODE_BLOCK, hi + 1))
         Q1, Q2 = (_axis_factor(l, n, v) for l in lam)
         Q1 *= (h / gamma_fn(H2 + 2.0)) * np.exp(H2 * v)[:, None]
         Q1[Q1 < _TINY] = 0.0
         Q2[Q2 < _TINY] = 0.0
-        mass += Q1.T @ Q2
+        # tiles per side, of near-equal widths: numpy sends a one-wide tile
+        # to gemv, which sums in another order
+        t = -(-half // math.isqrt(_GEMM_TILE // v.size))
+        e = [half * i // t for i in range(t + 1)]
+        for r0, r1 in zip(e, e[1:]):
+            for c0, c1 in zip(e, e[1:]):
+                mass[r0:r1, c0:c1] += Q1[:, r0:r1].T @ Q2[:, c0:c1]
     flat = 4.0 * gamma_fn(1.0 + lam[0]) * gamma_fn(1.0 + lam[1]) / n ** 2  # Q1 Q2 below v[0]
     mass += flat * h / gamma_fn(H2 + 2.0) * math.exp(H2 * h * (lo - 1)) / -math.expm1(-H2 * h)
     mass[0, 0] = 0.0

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -361,6 +364,21 @@ def mass_v_grid(alpha0, n):
     return h * np.arange(lo, hi + 1)
 
 
+def run_child(code, **env):
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    anisotex, with ``env`` set in its environment (None unsets a name)."""
+    child = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(synth.__file__))
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, (src, child.get("PYTHONPATH"))))
+    for name, value in env.items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=child, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 # (0.3, 0.1) and (1.7, 0.2) are the slow-tail cases: small H, steep axis
 MASS_SPECS = [(0.6, 0.4), (0.25, 0.2), (1.4, 0.5), (0.3, 0.1), (1.7, 0.2)]
 
@@ -470,6 +488,26 @@ class TestSpectralGrid:
         amp = _quarter_amplitudes(0.6, 0.4, 64)
         assert amp.shape == (33, 33)
         assert np.array_equal(synth._unfold(amp, 64), np.sqrt(_folded_mass(0.6, 0.4, 64)))
+
+    # results must not depend on the BLAS thread count: at alpha0 = 0.08 and
+    # n = 1024 the product block has 440 v nodes, where the last bits of one
+    # threaded product moved with OPENBLAS_NUM_THREADS
+    def test_mass_independent_of_blas_threads(self):
+        code = ("import hashlib; from anisotex import synth; "
+                "print(hashlib.sha256(synth._quarter_mass(0.08, 0.04, 1024).tobytes()).hexdigest())")
+        assert run_child(code, OPENBLAS_NUM_THREADS="1") == run_child(code, OPENBLAS_NUM_THREADS=None)
+
+    # a product large enough for OpenBLAS to spread over its threads left one
+    # thread spinning after it returned (120 ms of CPU in the 0.3 s below on
+    # 2 cores); the tiled product runs on the calling thread. The first sleep
+    # lets any spin from the child's import end
+    def test_no_blas_thread_left_spinning(self):
+        pytest.importorskip("resource")
+        code = ("import resource, time; from anisotex import synth\n"
+                "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])\n"
+                "time.sleep(0.5); synth._quarter_mass(0.6, 0.3999999, 256)\n"
+                "c = cpu(); time.sleep(0.3); print(cpu() - c)")
+        assert float(run_child(code)) < 0.03
 
     def test_ensemble_builds_grid_once(self):
         from anisotex.synth import _quarter_amplitudes
