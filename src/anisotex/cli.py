@@ -39,7 +39,8 @@ def _parse_alpha_grid(text):
     if (stop - start) / step >= MAX_ALPHA_GRID:
         raise ValueError(f"alpha grid {text!r} has more than {MAX_ALPHA_GRID} points")
     grid = list(np.arange(start, stop + step * 1e-6, step))
-    return [round(a, 12) for a in grid]
+    # past 1e296, a * 10^12 overflows inside round; floats that large are integers already
+    return [round(a, 12) if abs(a) < 1e296 else a for a in grid]
 
 
 def _parse_p(text):
@@ -203,8 +204,12 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures += 1
 
-    rep = homog.check_homogeneity(homog.rho_power_sum(0.6), trials=1000)
+    rho = homog.rho_power_sum(0.6)
+    rep = homog.check_homogeneity(rho, trials=1000)
     check("homogeneity", rep.max_relative_error <= 1e-10)
+    # admissible iff hurst < min(0.6, 1.4)
+    check("admissibility", homog.check_integrability(rho, 0.4).finite
+          and not homog.check_integrability(rho, 0.7).finite)
 
     spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=11)
     f1 = synth.synthesize(spec)

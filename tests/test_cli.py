@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from anisotex import FieldSpec, SampledField, besov, ensemble, fileio, synth
+from anisotex import FieldSpec, SampledField, besov, ensemble, fileio, homog, synth
 from anisotex.cli import _parse_p, main
 
 
@@ -459,6 +459,7 @@ class TestSelftest:
         assert "PASS zero_at_origin" in out
         assert "PASS reconstruction" in out
         assert "PASS scaling_identity" in out
+        assert "PASS admissibility" in out
         assert "FAIL" not in out
 
     def test_full_selftest_passes(self, capsys):
@@ -475,6 +476,15 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL scaling_identity" in out
+
+    def test_broken_admissibility_negative_control(self, monkeypatch, capsys):
+        # a check that calls every spec finite must fail at hurst = 0.7 > 0.6
+        monkeypatch.setattr(homog, "check_integrability",
+                            lambda rho, hurst: homog.IntegrabilityReport(True, 1.0, 0.5, 0.5))
+        rc = main(["selftest", "--quick"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL admissibility" in out
 
     def test_broken_determinism_negative_control(self, monkeypatch, capsys):
         # the second synthesis draws another seed, so the check must fail

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from anisotex import FieldSpec, fileio, synth  # noqa: E402
 from anisotex.cli import MAX_ALPHA_GRID, _parse_alpha_grid, _parse_spec, main  # noqa: E402
@@ -162,6 +162,7 @@ class TestParserFuzz:
     @FUZZ
     @given(st.one_of(st.text(max_size=30),
                      st.builds(lambda a, b, c: f"{a}:{b}:{c}", _NUM, _NUM, _NUM)))
+    @example("0.0:1.7976913371691814e+296:1.797693134862316e+296")  # round overflowed
     def test_parse_alpha_grid(self, text):
         grid = _value_or_value_error(_parse_alpha_grid, text)
         assert grid is None or len(grid) <= MAX_ALPHA_GRID + 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from anisotex import (
     check_homogeneity,
     check_integrability,
     evaluate,
+    homog,
     matrix_power,
     rho_power_sum,
 )
+from anisotex.synth import _gauss_panel
 
 
 class TestPowerSum:
@@ -87,6 +90,11 @@ class TestHomogeneityCheck:
         with pytest.raises(ValueError):
             check_homogeneity(rho_power_sum(1.0), trials=0)
 
+    @pytest.mark.parametrize("trials", [-3, 1.5, True, "10", None])
+    def test_trials_must_be_integer(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            check_homogeneity(rho_power_sum(1.0), trials=trials)
+
 
 class TestIntegrability:
     def test_admissible_case_finite(self):
@@ -105,4 +113,75 @@ class TestIntegrability:
     def test_hurst_must_be_positive(self):
         with pytest.raises(ValueError):
             check_integrability(rho_power_sum(1.0), hurst=0.0)
+
+    @pytest.mark.parametrize("hurst", [-0.5, math.nan, math.inf, True, "x", None])
+    def test_hurst_must_be_finite_real(self, hurst):
+        with pytest.raises(ValueError, match="hurst"):
+            check_integrability(rho_power_sum(1.0), hurst=hurst)
+
+    @pytest.mark.parametrize("hurst", [1e-300, 1.0, 30.0, 1e300])
+    def test_any_finite_hurst_reports_without_warning(self, hurst):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha0 in (0.3, 1.0, 1.7):
+                rep = check_integrability(rho_power_sum(alpha0), hurst=hurst)
+                assert not rep.finite and rep.estimate == math.inf
+
+
+def reference_shell_integral(rho, hurst, lo, hi):
+    """The shell integral by a full 16 x 96 Gauss grid in the warped polar
+    coordinates of the tag, evaluating rho and min(1, |xi|^2) at every node."""
+    E = rho.anisotropy
+    lam1, lam2 = E.axis_eigenvalue(0), E.axis_eigenvalue(1)
+    q = -2.0 * (hurst + 1.0)
+    r, wr = _gauss_panel(lo, hi, 16)
+    theta, wt = _gauss_panel(0.0, 2.0 * math.pi, 96)
+    ct, st = np.cos(theta), np.sin(theta)
+    X = r[:, None] ** lam1 * ct
+    Y = r[:, None] ** lam2 * st
+    jac = (r ** (lam1 + lam2 - 1.0))[:, None] * np.abs(lam1 * ct ** 2 + lam2 * st ** 2)[None, :]
+    vals = evaluate(rho, (X, Y)) ** q * np.minimum(1.0, X * X + Y * Y)
+    return float(((wr[:, None] * wt[None, :]) * jac * vals).sum())
+
+
+def reference_shells(alpha0, hurst):
+    rho = rho_power_sum(alpha0)
+    return np.array([reference_shell_integral(rho, hurst, 2.0 ** j, 2.0 ** (j + 1))
+                     for j in range(homog._J_INNER, homog._J_OUTER + 1)])
+
+
+class TestShellSums:
+    @pytest.mark.parametrize("alpha0,hurst", [(0.3, 0.1), (0.6, 0.4), (1.0, 0.5), (1.0, 1.2),
+                                              (1.5, 0.2), (1.7, 0.28), (0.05, 0.9)])
+    def test_match_full_grid_on_every_shell(self, alpha0, hurst):
+        got = homog._shell_sums(alpha0, hurst)
+        ref = reference_shells(alpha0, hurst)
+        assert got.shape == ref.shape == (homog._J_OUTER + 1 - homog._J_INNER,)
+        # every shell, [1/2, 1) and [1, 2) among them, where min(1, |xi|^2) changes form
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_finite_decision_matches_full_grid_on_criterion_5_grid(self):
+        for alpha0 in (0.3, 0.6, 1.0, 1.4, 1.7):
+            lam_min = min(alpha0, 2 - alpha0)
+            for frac in (0.5, 0.75, 0.9, 1.1, 1.25):
+                hurst = frac * lam_min
+                ref = reference_shells(alpha0, hurst)
+                inner, outer = ref[:-homog._J_INNER], ref[-homog._J_INNER:]
+                finite = (homog._limit_ratio(inner[::-1]) < homog.RATIO_TOL
+                          and homog._limit_ratio(outer) < homog.RATIO_TOL)
+                rep = check_integrability(rho_power_sum(alpha0), hurst)
+                assert rep.finite == finite == (frac < 1.0), (alpha0, hurst)
+
+    @pytest.mark.parametrize("alpha0,hurst", [(0.6, 0.4), (1.0, 0.5), (1.5, 0.2), (0.3, 0.1)])
+    def test_ratios_are_the_geometric_limits(self, alpha0, hurst):
+        rep = check_integrability(rho_power_sum(alpha0), hurst)
+        lam_min = min(alpha0, 2 - alpha0)
+        assert rep.inner_ratio == pytest.approx(2.0 ** -(2 * lam_min - 2 * hurst), rel=1e-6)
+        assert rep.outer_ratio == pytest.approx(2.0 ** (-2 * hurst), rel=1e-6)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.9])
+    def test_mistagged_weight_reads_as_its_twin(self, hurst):
+        # the integral is a property of the weight, not of its tag
+        mistagged = HomogeneousFunction(Anisotropy.diagonal(1.0), 0.6)
+        assert check_integrability(mistagged, hurst) == check_integrability(rho_power_sum(0.6), hurst)
 
