@@ -106,11 +106,9 @@ _TAU_STEPS = (1e-6, 1e-4, 1e-3)  # tau from which 2, 4 and 8 periods are summed 
 _PERIODS = (1, 2, 4, 8)          # 1 throughout moves 2e-3; steps 10x higher, 2e-8
 _NODE_CHUNK = 4         # nodes per batch, 0.4 MB of temporaries at n = 256: 16 raised peak RSS 5-9%
 _TINY = 1e-200          # zeroed before the product: subnormal operands slow BLAS ~100x
-_NODE_BLOCK = 512       # nodes per product (one for 0.1 <= alpha0 <= 1.9): bounds memory near 0 and 2
 _GEMM_TILE = 1 << 18    # multiply-adds per product tile: OpenBLAS runs a gemm this small on the calling thread
 
 
-@np.errstate(over="ignore")  # a t x^beta past e^709 is inf, and its e^(-t x^beta) 0
 def _axis_factor(lam, n, v):
     """Q(t, k) = t^lam P(t, k) at t = e^v, 0 <= k < n/2, shape (v.size, n/2), with
     P(t, k) = sum_m int_{I_k + L m} e^(-t |xi|^beta) dxi, beta = 1/lam,
@@ -178,7 +176,7 @@ def _axis_factor(lam, n, v):
         i, row, mom = (np.concatenate(p) for p in zip(*parts))
         lv = v[i, None]  # cell M n + r of row is centred on x0 for k = |r - n/2|
         e = TWO_PI * (M * n + np.arange(n + 1) - 0.5)  # its edges
-        z = np.exp(np.minimum(lv + beta * np.log(e), 7.0))  # t x^beta; e^-z is 0 past e^7
+        z = np.exp(lv + beta * np.log(e))  # t x^beta
         fe = np.exp(-z)
         d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2  # f''
         right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))  # cells past each
@@ -209,7 +207,7 @@ def _quarter_mass(alpha0, hurst, n):
     taking a core from the worker pool. Tiles split only the output's rows
     and columns, so each entry sums over the nodes in the same order: the
     masses do not depend on the BLAS thread count, and equal the single
-    product's bit for bit up to 256 nodes per block. Below the lowest node
+    product's bit for bit up to 256 nodes. Below the lowest node
     both are flat and the sum is a geometric series; above the highest,
     every cell but the origin is 0. The mass is even in k1 and in k2, so
     only the quarter is built; ``_unfold`` indexes it with |k| into FFT
@@ -226,20 +224,19 @@ def _quarter_mass(alpha0, hurst, n):
     lL = math.log(TWO_PI * n)
     lo = math.floor(min(math.log(_TAU_FLAT) - lL / l for l in lam) / h)
     hi = math.ceil(max(math.log(_Z_SKIP) - math.log(math.pi) / l for l in lam) / h)
+    v = h * np.arange(lo, hi + 1)
+    Q1, Q2 = (_axis_factor(l, n, v) for l in lam)
+    Q1 *= (h / gamma_fn(H2 + 2.0)) * np.exp(H2 * v)[:, None]
+    Q1[Q1 < _TINY] = 0.0
+    Q2[Q2 < _TINY] = 0.0
+    # tiles per side, of near-equal widths: numpy sends a one-wide tile to
+    # gemv, which sums in another order
+    t = -(-half // math.isqrt(_GEMM_TILE // v.size))
+    e = [half * i // t for i in range(t + 1)]
     mass = np.zeros((half, half))
-    for b in range(lo, hi + 1, _NODE_BLOCK):
-        v = h * np.arange(b, min(b + _NODE_BLOCK, hi + 1))
-        Q1, Q2 = (_axis_factor(l, n, v) for l in lam)
-        Q1 *= (h / gamma_fn(H2 + 2.0)) * np.exp(H2 * v)[:, None]
-        Q1[Q1 < _TINY] = 0.0
-        Q2[Q2 < _TINY] = 0.0
-        # tiles per side, of near-equal widths: numpy sends a one-wide tile
-        # to gemv, which sums in another order
-        t = -(-half // math.isqrt(_GEMM_TILE // v.size))
-        e = [half * i // t for i in range(t + 1)]
-        for r0, r1 in zip(e, e[1:]):
-            for c0, c1 in zip(e, e[1:]):
-                mass[r0:r1, c0:c1] += Q1[:, r0:r1].T @ Q2[:, c0:c1]
+    for r0, r1 in zip(e, e[1:]):
+        for c0, c1 in zip(e, e[1:]):
+            mass[r0:r1, c0:c1] += Q1[:, r0:r1].T @ Q2[:, c0:c1]
     flat = 4.0 * gamma_fn(1.0 + lam[0]) * gamma_fn(1.0 + lam[1]) / n ** 2  # Q1 Q2 below v[0]
     mass += flat * h / gamma_fn(H2 + 2.0) * math.exp(H2 * h * (lo - 1)) / -math.expm1(-H2 * h)
     mass[0, 0] = 0.0
@@ -250,12 +247,6 @@ def _unfold(quarter, n):
     """The n x n grid in FFT order of an even quarter grid: entry k is quarter[|k|]."""
     q = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
     return quarter[np.ix_(q, q)]
-
-
-def _folded_mass(alpha0, hurst, n):
-    """The alias-folded mass grid, n x n in FFT order (see ``_quarter_mass``).
-    Built afresh on each call: synthesis reads the cached quarter amplitudes."""
-    return _unfold(_quarter_mass(alpha0, hurst, n), n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -458,11 +449,10 @@ _SERIES_TERMS = 60   # terms of the large-y series of G_beta
 _U_EXP = 40.0        # the Gauss rule covers u^beta <= 40 (e^-40 of the weight is left)
 _GAUSS_NODES = 16    # per panel; a panel spans at most one period of cos(yu)
 _GRADE = 20          # base panels halve 20 times toward u = 0, in u and in u^beta
-_CHUNK = 2 ** 13     # panels per Gauss batch: a few MB of temporaries
 _ROUND = 32.0 * np.finfo(float).eps
 _CHEB_NODES = 24     # Chebyshev nodes per panel of the mid-range kernel table
 _CHEB_TOL = 1e-15    # a table panel is halved while its last coefficients exceed this share
-_CHEB_PANELS = 63    # panels filled per table at most; unresolved ones are left to Gauss
+_CHEB_PANELS = 63    # panels filled per table at most (37 at beta = 10); more raise RuntimeError
 _X_MAX = 1e20        # the oracle takes coordinates |x_i| = 0 or in [1/_X_MAX, _X_MAX]
 
 
@@ -470,28 +460,21 @@ def _gauss_kernel(beta, y):
     """int_0^U 4 sin^2(yu/2) e^(-u^beta) du, U = 40^(1/beta), by composite Gauss
     (no cancellation). The base panels halve toward 0 in u (the kink of u^beta)
     and in w = u^beta and take unit steps in w; each is cut into
-    ceil(y width / 2 pi) equal panels, in batches of about _CHUNK panels."""
+    ceil(y width / 2 pi) equal panels, all in one batch (at most 2400 panels
+    for the 24 points of a table panel over the field domain)."""
     U = _U_EXP ** (1.0 / beta)
     w = np.concatenate([2.0 ** -np.arange(1.0, _GRADE + 1), np.arange(1.0, _U_EXP)])
     e = np.unique(np.concatenate([[0.0], U * 2.0 ** -np.arange(_GRADE + 1.0), w ** (1.0 / beta)]))
     e = e[e <= U]
     width = np.diff(e)
-    m = np.maximum(1, np.ceil(y[:, None] * width / TWO_PI)).astype(int)
-    counts = m.sum(axis=1)
-    ends = np.cumsum(counts)
-    out, r0 = np.zeros(y.size), 0
-    while r0 < y.size:
-        r1 = max(r0 + 1, int(np.searchsorted(ends, ends[r0] - counts[r0] + _CHUNK, side="right")))
-        mm = m[r0:r1].ravel()
-        row = np.repeat(np.arange(r0, r1), counts[r0:r1])
-        pan = np.repeat(np.tile(np.arange(width.size), r1 - r0), mm)
-        n = np.repeat(mm, mm)
-        lo = e[pan] + width[pan] * (np.arange(n.size) - np.repeat(np.cumsum(mm) - mm, mm)) / n
-        u, wt = _gauss_panel(lo, lo + width[pan] / n, _GAUSS_NODES)
-        f = np.sin(0.5 * y[row, None] * u) ** 2 * np.exp(-u ** beta) * wt
-        out += np.bincount(row, 4.0 * f.sum(axis=1), minlength=y.size)
-        r0 = r1
-    return out
+    m = np.maximum(1, np.ceil(y[:, None] * width / TWO_PI)).astype(int).ravel()
+    row = np.repeat(np.arange(y.size), m.reshape(y.size, -1).sum(axis=1))
+    pan = np.repeat(np.tile(np.arange(width.size), y.size), m)
+    n = np.repeat(m, m)
+    lo = e[pan] + width[pan] * (np.arange(n.size) - np.repeat(np.cumsum(m) - m, m)) / n
+    u, wt = _gauss_panel(lo, lo + width[pan] / n, _GAUSS_NODES)
+    f = np.sin(0.5 * y[row, None] * u) ** 2 * np.exp(-u ** beta) * wt
+    return np.bincount(row, 4.0 * f.sum(axis=1), minlength=y.size)
 
 
 def _series(beta, ly):
@@ -502,7 +485,7 @@ def _series(beta, ly):
     j = np.arange(1.0, _TAYLOR_TERMS + 2)
     lt = 2.0 * j * ly[:, None] + gammaln((2.0 * j + 1.0) / beta) - gammaln(2.0 * j + 1.0)
     i = np.flatnonzero(lt[:, -1] - lt[:, 0] <= math.log(_TOL))
-    t = 2.0 / beta * np.exp(np.minimum(lt[i], 700.0))
+    t = 2.0 / beta * np.exp(lt[i])
     val, est = t[:, :-1] @ (-1.0) ** (j[:-1] + 1.0), t[:, -1] + _ROUND * t.sum(axis=1)
     ok = est <= _TOL * val
     D[i[ok]], err[i[ok]] = val[ok], est[ok]
@@ -517,7 +500,7 @@ def _series(beta, ly):
         lmin = np.logaddexp(lmin, math.log(g0) - c * np.exp(np.minimum(beta / (beta - 1.0) * ly[i], 700.0)))
     t = np.where(k <= kmin[:, None], np.exp(np.minimum(ls, 700.0)), 0.0)  # up to the smallest
     val = g0 - t @ ((-1.0) ** (k + 1.0) * np.sin(0.5 * math.pi * k * beta))
-    est = np.exp(np.minimum(lmin, 700.0)) + _ROUND * (t.sum(axis=1) + g0)
+    est = np.exp(lmin) + _ROUND * (t.sum(axis=1) + g0)
     ok = est <= _TOL * val
     D[i[ok]], err[i[ok]] = val[ok], est[ok]
     return D, err
@@ -529,15 +512,13 @@ def _table(beta, a, b):
     nodes filled by ``_gauss_kernel`` and is halved while either of its last
     two coefficients exceeds _CHEB_TOL of its largest value; err is twice
     their sum plus the rounding of the Clenshaw sum. Panels are filled from
-    the low end (where the Gauss rule is cheapest) and at most _CHEB_PANELS
-    of them: the span past the last resolved panel is left out."""
+    the low end (where the Gauss rule is cheapest); a span that takes more
+    than _CHEB_PANELS fills raises RuntimeError."""
     theta = math.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
     T = np.cos(np.outer(theta, np.arange(_CHEB_NODES))) * (2.0 / _CHEB_NODES)  # values -> coefficients
     T[:, 0] *= 0.5
     todo, done = [(a, b)], []
     for _ in range(_CHEB_PANELS):
-        if not todo:
-            break
         lo, hi = todo.pop()
         f = _gauss_kernel(beta, np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)))
         c = f @ T
@@ -546,33 +527,28 @@ def _table(beta, a, b):
             done.append((lo, hi, c, 2.0 * tail.sum() + _ROUND * np.abs(c).sum()))
         else:
             todo += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]  # the low half next
-    lo, hi, c, err = zip(*done) if done else ((),) * 4
-    return np.array(lo), np.array(hi), np.reshape(c, (-1, _CHEB_NODES)), np.array(err)
+        if not todo:
+            return tuple(map(np.array, zip(*done)))
+    raise RuntimeError(f"the kernel table of beta = {beta:g} takes more than {_CHEB_PANELS} panels")
 
 
 def _mid_kernel(beta, ly, table):
     """(D_beta(e^ly), error estimate) where the series do not reach _TOL: by one
-    Clenshaw pass over the panels of ``table`` that hold ly, by
-    ``_gauss_kernel`` at the rest. Each value's error adds a bound on
+    Clenshaw pass over the panels of ``table`` that hold ly (over the field
+    domain the table spans every such ly). Each value's error adds a bound on
     u^beta > 40 and _TOL of the value to the panel's interpolation error."""
     lo, hi, coeffs, cerr = table
-    p = np.searchsorted(lo, ly, side="right") - 1  # the last panel starting at or below ly
-    cover = ly <= np.append(hi, -np.inf)[p]  # p = -1 (below every panel) reads -inf
-    D, err = np.empty(ly.shape), np.zeros(ly.shape)
-    i = np.flatnonzero(cover)
-    c, p = coeffs[p[i]], p[i]
-    t = (2.0 * ly[i] - lo[p] - hi[p]) / (hi[p] - lo[p])
+    p = np.searchsorted(lo, ly, side="right") - 1  # the panel that holds ly
+    c = coeffs[p]
+    t = (2.0 * ly - lo[p] - hi[p]) / (hi[p] - lo[p])
     b1 = b2 = 0.0
     for ck in c[:, :0:-1].T:
         b1, b2 = ck + 2.0 * t * b1 - b2, b1
-    D[i], err[i] = c[:, 0] + t * b1 - b2, cerr[p]
-    i = np.flatnonzero(~cover)
-    if i.size:
-        D[i] = _gauss_kernel(beta, np.exp(ly[i]))
+    D = c[:, 0] + t * b1 - b2
     y = np.exp(ly)
     beyond = np.minimum(4.0 / beta * gamma_fn(1.0 / beta) * gammaincc(1.0 / beta, _U_EXP),
                         y ** 2 / beta * gamma_fn(3.0 / beta) * gammaincc(3.0 / beta, _U_EXP))
-    return D, err + beyond + _TOL * D
+    return D, cerr[p] + beyond + _TOL * D
 
 
 def _kernel(beta, ly):

@@ -29,14 +29,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "min(0.6, 1.4)" in err and "0.6" in err
 
-    @pytest.mark.parametrize("alpha0", ["0.01", "1.99"])
+    @pytest.mark.parametrize("alpha0", ["0.1", "1.9", "0.01", "1.99"])
     def test_extreme_alpha0_no_warning(self, alpha0, tmp_path, capsys):
-        # the steep-axis weight overflows to inf (mass 0); RuntimeWarnings are
-        # errors under the test settings, so a warning would exit 1
+        # the ends of the field domain run, and specs beyond them are refused
+        # with exit 2 before any work; RuntimeWarnings are errors under the
+        # test settings, so a warning would exit 1
         rc = main(["simulate", "--alpha0", alpha0, "--hurst", "0.005", "--size", "256",
                    "--out", str(tmp_path / "x.anif")])
-        assert rc == 0
-        assert capsys.readouterr().err == ""
+        err = capsys.readouterr().err
+        if alpha0 in ("0.01", "1.99"):
+            assert rc == 2 and err.startswith(f"error: alpha0 = {alpha0} is beyond the floor")
+        else:
+            assert rc == 0 and err == ""
 
     def test_byte_identical_repeat(self, tmp_path):
         a, b = tmp_path / "a.anif", tmp_path / "b.anif"
@@ -58,6 +62,25 @@ def test_oversized_synthesis_exit_2(argv, monkeypatch, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "GiB, over the 4 GiB limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha0", "1e-06", "--hurst", "5e-07", "--size", "64"],
+    ["scan", "--spec", "alpha0=0.05,hurst=0.01,n=64", "--reps", "2"],
+    ["scan", "--spec", "alpha0=1.95,hurst=0.01,n=64", "--reps", "2"],
+    ["scan", "--in", "{below}"],
+], ids=["simulate_1e-6", "scan_0.05", "scan_1.95", "scan_in"])
+def test_below_floor_exit_2(argv, monkeypatch, tmp_path, capsys):
+    # refused before any mass grid is built (1e-6 ran for minutes before the
+    # floor); the file's header spec is below it
+    below = tmp_path / "below.anif"
+    spec = json.dumps({"alpha0": 0.05, "hurst": 0.01, "grid_n": 64}).encode()
+    below.write_bytes(b"ANIF" + struct.pack("<III", 1, 64, len(spec)) + spec + bytes(8 * 64 * 64))
+    monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
+    rc = main([a.format(below=below) for a in argv] + ["--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha0 = " in err and "floor" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

@@ -14,7 +14,7 @@ from anisotex import (
     matrix_power,
     validate_anisotropy,
 )
-from anisotex.core import _check_moment, _line_fit, _moment, check_order
+from anisotex.core import ALPHA0_FLOOR, _check_moment, _line_fit, _moment, check_order
 
 RNG = np.random.default_rng(42)
 
@@ -127,6 +127,16 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec.make(0.6, 0.0)
         FieldSpec.make(0.6, 0.599)  # inside the open interval
+
+    @pytest.mark.parametrize("alpha0", [0.0999, 1.9001, 0.01, 1.99])
+    def test_alpha0_below_floor_refused(self, alpha0):
+        with pytest.raises(ValueError, match=rf"alpha0 = {alpha0} is beyond the floor: .* >= 0\.1"):
+            FieldSpec.make(alpha0, 0.05)
+
+    def test_alpha0_at_floor_builds(self):
+        assert FieldSpec.make(0.1, 0.05).alpha0 == 0.1
+        assert FieldSpec.make(1.9, 0.05).alpha0 == 1.9
+        assert ALPHA0_FLOOR == 0.1
 
     def test_grid_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -58,7 +58,7 @@ import pytest
 
 from anisotex import (FieldSpec, hyperbolic_transform, scan_anisotropy, structure_function,
                       synthesize, synthesize_ensemble)
-from anisotex.synth import _folded_mass
+from anisotex.synth import _quarter_mass, _unfold
 
 RTOL = 1e-12
 
@@ -134,7 +134,7 @@ def test_synthesized_field(key):
 @pytest.mark.parametrize("key", sorted(MASSES))
 def test_mass_grid(key):
     alpha0, hurst, n = key
-    m = _folded_mass(alpha0, hurst, n)
+    m = _unfold(_quarter_mass(alpha0, hurst, n), n)
     np.testing.assert_allclose([m.sum(), m[1, 3], m[n // 4, 1]], MASSES[key], rtol=RTOL)
 
 

@@ -154,7 +154,8 @@ class TestShellSums:
     @pytest.mark.parametrize("alpha0,hurst", [(0.3, 0.1), (0.6, 0.4), (1.0, 0.5), (1.0, 1.2),
                                               (1.5, 0.2), (1.7, 0.28), (0.05, 0.9)])
     def test_match_full_grid_on_every_shell(self, alpha0, hurst):
-        got = homog._shell_sums(alpha0, hurst)
+        inner, outer = homog._shell_sums(alpha0, hurst)
+        got = np.concatenate([inner.sum(axis=0), outer])
         ref = reference_shells(alpha0, hurst)
         assert got.shape == ref.shape == (homog._J_OUTER + 1 - homog._J_INNER,)
         # every shell, [1/2, 1) and [1, 2) among them, where min(1, |xi|^2) changes form
@@ -167,8 +168,7 @@ class TestShellSums:
                 hurst = frac * lam_min
                 ref = reference_shells(alpha0, hurst)
                 inner, outer = ref[:-homog._J_INNER], ref[-homog._J_INNER:]
-                finite = (homog._limit_ratio(inner[::-1]) < homog.RATIO_TOL
-                          and homog._limit_ratio(outer) < homog.RATIO_TOL)
+                finite = homog._limit_ratio(inner[::-1]) < 1.0 and homog._limit_ratio(outer) < 1.0
                 rep = check_integrability(rho_power_sum(alpha0), hurst)
                 assert rep.finite == finite == (frac < 1.0), (alpha0, hurst)
 
@@ -178,6 +178,19 @@ class TestShellSums:
         lam_min = min(alpha0, 2 - alpha0)
         assert rep.inner_ratio == pytest.approx(2.0 ** -(2 * lam_min - 2 * hurst), rel=1e-6)
         assert rep.outer_ratio == pytest.approx(2.0 ** (-2 * hurst), rel=1e-6)
+
+    # the finite cut is at ratio 1: a cut at 0.995 called 120 admissible
+    # specs of this scan infinite, and every hurst <= 0.0036 at any alpha0.
+    # At H/lam_min = 1.001 near alpha0 = 1 the summed inner shells read a
+    # ratio below 1 (0.9994 at 0.97); their two parts read 1.0013 and 0.92
+    def test_finite_decision_exact_over_domain_scan(self):
+        for alpha0 in np.linspace(0.02, 1.98, 197):
+            lam_min = min(alpha0, 2 - alpha0)
+            for frac in (0.9, 0.95, 0.98, 0.99, 0.999, 1.001, 1.01, 1.02, 1.05, 1.1):
+                rep = check_integrability(rho_power_sum(alpha0), frac * lam_min)
+                assert rep.finite == (frac < 1.0), (alpha0, frac)
+        for hurst in (1e-3, 1e-6):
+            assert check_integrability(rho_power_sum(0.6), hurst).finite
 
     @pytest.mark.parametrize("hurst", [0.3, 0.9])
     def test_mistagged_weight_reads_as_its_twin(self, hurst):

@@ -352,6 +352,18 @@ class TestRatioMaximize:
             assert scan.best_ratio == pytest.approx(r_star, rel=1e-12)
             assert scan.slope_at_best == pytest.approx(-1.4, rel=1e-9)
 
+    def test_usable_rays_window(self):
+        # whatever the statistic, a full d4 (9, 9) table at n = 1024 gives 3
+        # blocks within RAY_BAND to 9 of the 21 default ratios only, so the
+        # implied alpha0 cannot leave [0.642, 1.358]
+        table = {(j1, j2): -float(j1 + j2) for j1 in range(1, 10) for j2 in range(1, 10)}
+        scan = ratio_maximize(ScaleStats(grid_n=1024, levels=(9, 9), p=2.0, log2_stat=table))
+        grid = default_ratio_grid()
+        assert len(grid) == 21 and scan.ratios == grid[6:15]
+        assert round(scan.ratios[0], 3) == 0.473 and round(scan.ratios[-1], 3) == 2.114
+        implied = [2.0 * r / (1.0 + r) for r in scan.ratios]
+        assert round(implied[0], 3) == 0.642 and round(implied[-1], 3) == 1.358
+
     def test_grid_closed_under_inversion(self):
         grid = np.asarray(default_ratio_grid())
         inv = np.sort(1.0 / grid)

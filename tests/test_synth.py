@@ -22,6 +22,19 @@ from anisotex import (
     synthesize_ensemble,
     variogram_oracle,
 )
+from anisotex.core import ALPHA0_FLOOR
+
+
+def refused_below_floor(alpha0):
+    """False inside the field domain; beyond its floor, True once FieldSpec
+    is seen to refuse alpha0. Tests that took such an alpha0 before the
+    floor keep it as this twin: no spec, and so no synthesis or oracle call,
+    exists there."""
+    if min(alpha0, 2.0 - alpha0) >= ALPHA0_FLOOR:
+        return False
+    with pytest.raises(ValueError, match="floor"):
+        FieldSpec.make(alpha0, 0.005, grid_n=64)
+    return True
 
 
 def axis_oracle(alpha0, hurst, axis, r):
@@ -355,8 +368,7 @@ def per_chunk_axis_factor(lam, n, v):
 
 
 def mass_v_grid(alpha0, n):
-    """Every v = ln t node of ``synth._quarter_mass`` at alpha0 and n, its
-    blocks of _NODE_BLOCK nodes joined."""
+    """Every v = ln t node of ``synth._quarter_mass`` at alpha0 and n."""
     lam, h = (alpha0, 2.0 - alpha0), synth._MASS_STEP
     lL = math.log(synth.TWO_PI * n)
     lo = math.floor(min(math.log(synth._TAU_FLAT) - lL / l for l in lam) / h)
@@ -404,7 +416,7 @@ class TestSpectralGrid:
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("alpha0,hurst", MASS_SPECS + [(1.0, 0.5)])
     def test_mass_matches_reference_builder(self, alpha0, hurst, n):
-        mass = synth._folded_mass(alpha0, hurst, n)
+        mass = synth._unfold(synth._quarter_mass(alpha0, hurst, n), n)
         for k1, k2 in self.MASS_CELLS[alpha0, hurst]:
             k1, k2 = k1 % (n // 2), k2 % (n // 2)
             ref = brute_force_mass(alpha0, hurst, n, k1, k2)
@@ -412,14 +424,14 @@ class TestSpectralGrid:
 
     # the build computes the head and the tails of the per-axis factor once
     # over all nodes, and each chunk keeps its own period count and skipped
-    # cells: every factor equals the per-chunk reference bit for bit. At
-    # alpha0 = 0.01 the v grid is longer than one product block
+    # cells: every factor equals the per-chunk reference bit for bit. The
+    # field domain ends at alpha0 = 0.1 and 1.9 (beta = 10 on the steep axis)
     @pytest.mark.parametrize("n", [64, 256])
-    @pytest.mark.parametrize("alpha0", [a for a, _ in MASS_SPECS] + [1.0, 0.01, 1.99])
+    @pytest.mark.parametrize("alpha0", [a for a, _ in MASS_SPECS] + [1.0, 0.1, 1.9, 0.01, 1.99])
     def test_axis_factor_matches_per_chunk_reference(self, alpha0, n):
+        if refused_below_floor(alpha0):
+            return
         v = mass_v_grid(alpha0, n)
-        if alpha0 == 0.01:
-            assert v.size > synth._NODE_BLOCK
         for lam in (alpha0, 2.0 - alpha0):
             assert np.array_equal(synth._axis_factor(lam, n, v), per_chunk_axis_factor(lam, n, v))
 
@@ -429,18 +441,38 @@ class TestSpectralGrid:
             a, b = (brute_force_mass(0.25, 0.2, 64, k1, k2, periods=p) for p in (32, 64))
             assert a == pytest.approx(b, rel=1e-8)
 
-    # at alpha0 = 0.01 and 1.99 the steep axis has beta = 100: the build
+    # at alpha0 = 0.1 and 1.9 the steep axis has beta = 10: the build
     # takes t, t^lam and t x^beta from logs, and no RuntimeWarning (an error
     # here) may escape; every cell but the origin and Nyquist holds mass
-    @pytest.mark.parametrize("alpha0,hurst", MASS_SPECS + [(0.01, 0.005), (1.99, 0.005)])
+    @pytest.mark.parametrize("alpha0,hurst", MASS_SPECS + [(0.1, 0.005), (1.9, 0.005),
+                                                           (0.01, 0.005), (1.99, 0.005)])
     def test_mass_exactly_even(self, alpha0, hurst):
+        if refused_below_floor(alpha0):
+            return
         n = 128
-        mass = synth._folded_mass(alpha0, hurst, n)
+        mass = synth._unfold(synth._quarter_mass(alpha0, hurst, n), n)
         assert np.all(np.isfinite(mass))
         quarter = mass[:n // 2, :n // 2]  # k >= 0 below the Nyquist index
         assert quarter[0, 0] == 0.0 and np.all(quarter.ravel()[1:] > 0.0)
         neg = (-np.arange(n)) % n
         assert np.array_equal(mass, mass[neg][:, neg])
+
+    # counts, not timings, bound the build at the floor: one product over
+    # 413 v nodes at n = 4096 (mass_v_grid replicates the same range)
+    def test_mass_v_grid_size_at_floor(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        sizes = []
+
+        def axis_factor(lam, n, v):
+            sizes.append(v.size)
+            raise Stop
+
+        monkeypatch.setattr(synth, "_axis_factor", axis_factor)
+        with pytest.raises(Stop):
+            synth._quarter_mass(0.1, 0.05, 4096)
+        assert sizes == [413] == [mass_v_grid(0.1, 4096).size]
 
     def test_mass_cache_bounded(self):
         from anisotex.synth import _quarter_amplitudes
@@ -483,14 +515,15 @@ class TestSpectralGrid:
 
     def test_cache_holds_quarter_amplitudes(self):
         # the cache keeps the (n/2 + 1)^2 square roots of the quarter, and
-        # the full grid unfolds from it to the square roots of _folded_mass
-        from anisotex.synth import _folded_mass, _quarter_amplitudes
+        # the full grid unfolds from it to the square roots of the masses
+        from anisotex.synth import _quarter_amplitudes
         amp = _quarter_amplitudes(0.6, 0.4, 64)
         assert amp.shape == (33, 33)
-        assert np.array_equal(synth._unfold(amp, 64), np.sqrt(_folded_mass(0.6, 0.4, 64)))
+        assert np.array_equal(synth._unfold(amp, 64),
+                              np.sqrt(synth._unfold(synth._quarter_mass(0.6, 0.4, 64), 64)))
 
     # results must not depend on the BLAS thread count: at alpha0 = 0.08 and
-    # n = 1024 the product block has 440 v nodes, where the last bits of one
+    # n = 1024 the product has 440 v nodes, where the last bits of one
     # threaded product moved with OPENBLAS_NUM_THREADS
     def test_mass_independent_of_blas_threads(self):
         code = ("import hashlib; from anisotex import synth; "
@@ -649,38 +682,44 @@ class TestVariogramOracle:
             err = err + 1e-12 * exact  # the quad reference's own tolerance
         assert np.all(np.abs(D - exact) <= err)
 
-    @pytest.mark.parametrize("beta", [1.0 / 0.6, 1.0 / 1.4, 4.0, 1.0 / 1.7, 10.0, 100.0])
+    @pytest.mark.parametrize("beta", [1.0 / 0.6, 1.0 / 1.4, 4.0, 1.0 / 1.7, 10.0, 1.0 / 1.9, 100.0])
     def test_kernel_table_matches_gauss(self, beta):
         # the per-beta table against direct Gauss at 2000 random points of the
         # span of a fine ln y grid where neither series reaches _TOL. The table
-        # covers that span, except at beta = 100 (alpha0 = 0.01), which outruns
-        # the panel budget: the points it leaves out take the Gauss rule itself
+        # covers that span; beta = 10 and 1/1.9 are the ends of the field
+        # domain. Beyond it, at beta = 100 (alpha0 = 0.01), the span outruns
+        # the panel budget, and the table raises rather than leave points out
+        if beta == 100.0:
+            assert refused_below_floor(1.0 / beta)
+            with pytest.raises(RuntimeError, match="more than 63 panels"):
+                synth._kernel_range.__wrapped__(beta)
+            return
         lo, hi, _, _ = table = synth._kernel_range(beta)[2]
         assert np.all(lo[1:] >= hi[:-1])
         grid = np.linspace(-20.0, 60.0, 8001)
         mid = grid[np.isnan(synth._series(beta, grid)[0])]
         ly = np.random.default_rng(20).uniform(mid.min(), mid.max(), 2000)
-        D, err = synth._mid_kernel(beta, ly, table)
-        gauss = synth._gauss_kernel(beta, np.exp(ly))
-        assert np.all(np.abs(D - gauss) <= np.minimum(err, 1e-13 * gauss))
         p = np.searchsorted(lo, ly, side="right") - 1
-        covered = (p >= 0) & (ly <= hi[p])
-        assert np.array_equal(D[~covered], gauss[~covered])
-        assert covered.all() == (beta != 100.0) and covered.any()
+        assert np.all((p >= 0) & (ly <= hi[p]))
+        D, err = synth._mid_kernel(beta, ly, table)
+        gauss = np.concatenate([synth._gauss_kernel(beta, np.exp(ly[i:i + 24]))
+                                for i in range(0, ly.size, 24)])
+        assert np.all(np.abs(D - gauss) <= np.minimum(err, 1e-13 * gauss))
 
-    def test_table_with_no_panels_takes_gauss(self, monkeypatch):
-        # a budget that resolves no panel leaves every point to the Gauss rule
-        monkeypatch.setattr(synth, "_CHEB_PANELS", 0)
-        ly = np.linspace(0.0, 1.0, 5)
-        D, err = synth._mid_kernel(2.0, ly, synth._table(2.0, 0.0, 1.0))
-        assert np.array_equal(D, synth._gauss_kernel(2.0, np.exp(ly)))
-        assert np.all(err >= 1e-13 * D)
+    def test_table_raises_when_budget_cut(self, monkeypatch):
+        # beta = 10 fills 37 panels; a table is never returned partial
+        monkeypatch.setattr(synth, "_CHEB_PANELS", 36)
+        with pytest.raises(RuntimeError, match="more than 36 panels"):
+            synth._kernel_range.__wrapped__(10.0)
 
-    def test_series_far_exponent_finite(self):
-        # alpha0 = 1/300: the large-y series' error estimate must not overflow
-        # e^709, a RuntimeWarning and so an error in this suite
-        D, err = synth._series(300.0, np.arange(-20.0, 60.0, 0.25))
-        assert np.all(np.isfinite(err))
+    def test_table_fills_within_budget_at_floor(self, monkeypatch):
+        # counts, not timings: the table of beta = 10 (alpha0 = 0.1 or 1.9)
+        # takes at most _CHEB_PANELS Gauss fills of 24 points
+        calls = []
+        gauss_kernel = synth._gauss_kernel
+        monkeypatch.setattr(synth, "_gauss_kernel", lambda beta, y: calls.append(y.size) or gauss_kernel(beta, y))
+        synth._kernel_range.__wrapped__(10.0)
+        assert 0 < len(calls) <= synth._CHEB_PANELS and set(calls) == {synth._CHEB_NODES}
 
     def test_second_call_integrates_nothing(self, monkeypatch):
         # the first call at a new exponent builds its table; later calls read it
@@ -700,10 +739,12 @@ class TestVariogramOracle:
         with pytest.raises(ValueError, match="^x "):
             variogram_oracle(spec, x)
 
-    @pytest.mark.parametrize("alpha0,hurst", [(0.6, 0.4), (1.99, 0.005)])
+    @pytest.mark.parametrize("alpha0,hurst", [(0.6, 0.4), (1.9, 0.005), (1.99, 0.005)])
     def test_range_ends_finite(self, alpha0, hurst):
         # the largest and smallest coordinates the oracle takes; RuntimeWarning
         # is an error in this suite
+        if refused_below_floor(alpha0):
+            return
         spec = FieldSpec.make(alpha0, hurst, grid_n=64)
         for x in ((1e20, 1e-20), (1e-20, 1e-20), (-1e20, 1e20), (0.0, 1e-20)):
             value, bound = synth._variogram(spec, x)
@@ -758,10 +799,13 @@ class TestVariogramOracle:
         value, bound = synth._variogram(spec, (0.1, 0.2))
         assert abs(value - quad_variogram(0.8, 0.1, (0.1, 0.2))) <= bound <= 1e-6 * value
 
-    @pytest.mark.parametrize("alpha0,hurst", [(0.01, 0.005), (1.99, 0.005), (1.99, 0.001)])
+    @pytest.mark.parametrize("alpha0,hurst", [(0.1, 0.005), (1.9, 0.005), (1.9, 0.001),
+                                              (0.01, 0.005), (1.99, 0.005), (1.99, 0.001)])
     def test_extreme_anisotropy_finite(self, alpha0, hurst):
-        # one kernel turns over across thousands of v nodes; RuntimeWarning
+        # one kernel turns over across hundreds of v nodes; RuntimeWarning
         # is an error in this suite, so no overflow may occur on the way
+        if refused_below_floor(alpha0):
+            return
         value, bound = synth._variogram(FieldSpec.make(alpha0, hurst, grid_n=64), (0.2, 0.3))
         assert math.isfinite(value) and 0.0 < bound <= 1e-6 * value
 
