@@ -58,19 +58,6 @@ class Anisotropy:
     def eigenvectors(self):
         return (np.asarray(self.e1), np.asarray(self.e2))
 
-    def is_diagonal(self) -> bool:
-        """True when the eigenvectors are the coordinate axes."""
-        vecs = [tuple(abs(c) for c in v) for v in (self.e1, self.e2)]
-        return sorted(vecs) == [(0.0, 1.0), (1.0, 0.0)]
-
-    def axis_eigenvalue(self, axis: int) -> float:
-        """Eigenvalue paired with coordinate axis 0 or 1 (diagonal only)."""
-        target = (1.0, 0.0) if axis == 0 else (0.0, 1.0)
-        for lam, vec in zip((self.lambda1, self.lambda2), (self.e1, self.e2)):
-            if tuple(abs(c) for c in vec) == target:
-                return lam
-        raise AnisotropyError(["anisotropy is not diagonal"])
-
     @classmethod
     def diagonal(cls, alpha: float) -> "Anisotropy":
         """diag(alpha, 2 - alpha) with axis eigenvectors."""
@@ -195,37 +182,35 @@ def matrix_power(D: Anisotropy, a: float) -> np.ndarray:
 class FieldSpec:
     """Complete generative description of an operator scaling field.
 
-    ``anisotropy`` is the field anisotropy (diagonal in this version),
-    ``hurst`` the self-similarity index, ``grid_n`` the sample count per
+    ``alpha0`` fixes the field anisotropy diag(alpha0, 2 - alpha0),
+    ``hurst`` is the self-similarity index, ``grid_n`` the sample count per
     axis on [0,1]^2, and ``seed`` the 64-bit generator seed. The weight
     ``rho`` is a class constant: the power sum homogeneous for the anisotropy.
 
-    alpha0 must satisfy min(alpha0, 2 - alpha0) >= ALPHA0_FLOOR = 0.1: the
-    mass build and the variogram oracle cost more without bound toward 0 and
-    2 (at 0.01, 0.29 s per cold grid at n = 1024 and 83 ms per oracle call),
-    while at the floor a cold mass build takes 9-15, 40-52 and 470-520 ms
-    at n = 256, 1024 and 4096 and the first oracle call 40-56 ms (2-core
-    VM). The estimators resolve alpha0 in [0.2, 1.8].
+    alpha0 must lie in [ALPHA0_FLOOR, 2 - ALPHA0_FLOOR] = [0.1, 1.9] (NaN and
+    infinities are refused): the mass build and the variogram oracle cost
+    more without bound toward 0 and 2 (at 0.01, 0.29 s per cold grid at
+    n = 1024 and 83 ms per oracle call), while at the floor a cold mass build
+    takes 9-15, 40-52 and 470-520 ms at n = 256, 1024 and 4096 and the first
+    oracle call 40-56 ms (2-core VM). The estimators resolve alpha0 in
+    [0.2, 1.8].
     """
 
     rho: ClassVar[str] = "power_sum"
-    anisotropy: Anisotropy
+    alpha0: float
     hurst: float
     grid_n: int = 256
     seed: int = 0
 
     def __post_init__(self):
-        if not self.anisotropy.is_diagonal():
-            raise ValueError("field anisotropy must be diagonal (axis eigenvectors)")
         alpha0 = self.alpha0
-        if min(alpha0, 2.0 - alpha0) < ALPHA0_FLOOR:
+        if not ALPHA0_FLOOR <= alpha0 <= 2.0 - ALPHA0_FLOOR:
             raise ValueError(f"alpha0 = {alpha0} is beyond the floor: min(alpha0, 2 - alpha0) must be "
                              f">= {ALPHA0_FLOOR:g} (alpha0 in [{ALPHA0_FLOOR:g}, {2.0 - ALPHA0_FLOOR:g}])")
-        l1, l2 = self.anisotropy.lambda1, self.anisotropy.lambda2
-        lam_min = min(l1, l2)
-        if not 0.0 < self.hurst < lam_min:
+        l1, l2 = sorted((alpha0, 2.0 - alpha0))
+        if not 0.0 < self.hurst < l1:
             raise ValueError(
-                f"hurst must lie in (0, min({l1:g}, {l2:g})) = (0, {lam_min:g}), "
+                f"hurst must lie in (0, min({l1:g}, {l2:g})) = (0, {l1:g}), "
                 f"got {self.hurst}"
             )
         n = self.grid_n
@@ -235,17 +220,17 @@ class FieldSpec:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     @property
-    def alpha0(self) -> float:
-        """Eigenvalue paired with the first coordinate axis."""
-        return self.anisotropy.axis_eigenvalue(0)
+    def anisotropy(self) -> Anisotropy:
+        """The field anisotropy diag(alpha0, 2 - alpha0)."""
+        return Anisotropy.diagonal(self.alpha0)
 
     def with_seed(self, seed: int) -> "FieldSpec":
         return replace(self, seed=seed)
 
     @classmethod
     def make(cls, alpha0, hurst, grid_n=256, seed=0) -> "FieldSpec":
-        """Convenience constructor for the diagonal family diag(alpha0, 2 - alpha0)."""
-        return cls(Anisotropy.diagonal(alpha0), hurst, grid_n, seed)
+        """Convenience constructor: alpha0 is stored as a float."""
+        return cls(float(alpha0), hurst, grid_n, seed)
 
 
 @dataclass(frozen=True, eq=False)

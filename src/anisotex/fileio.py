@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .besov import ExponentScan, StructureFunction, _exponent_scan
-from .core import Anisotropy, FieldSpec, SampledField
+from .core import FieldSpec, SampledField
 from .hywave import RatioScan, ScaleStats, _ratio_scan
 
 ANIF_MAGIC = b"ANIF"
@@ -73,7 +73,7 @@ def spec_from_dict(d) -> FieldSpec:
         alpha0, hurst = float(d["alpha0"]), float(d["hurst"])
     except OverflowError:  # an integer beyond the float64 range
         raise ValueError("spec value beyond the float64 range") from None
-    return FieldSpec(Anisotropy.diagonal(alpha0), hurst, int(d["grid_n"]), int(d["seed"]))
+    return FieldSpec(alpha0, hurst, int(d["grid_n"]), int(d["seed"]))
 
 
 def write_field(path, field: SampledField) -> None:

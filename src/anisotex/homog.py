@@ -154,13 +154,11 @@ def check_integrability(rho: HomogeneousFunction, hurst: float) -> Integrability
     two inward ratios. For the power-sum family this is hurst < min(alpha0,
     2 - alpha0): the sums are exact geometric series at both ends, and a
     scan over alpha0 in [0.02, 1.98] and hurst from 0.9 to 1.1 of the bound
-    gave no false verdict. ``hurst`` must be a finite real > 0 and the tag
-    diagonal, else ValueError.
+    gave no false verdict. The integral reads ``rho.alpha0``, never the
+    tag. ``hurst`` must be a finite real > 0, else ValueError.
     """
     if isinstance(hurst, bool) or not (isinstance(hurst, numbers.Real) and 0 < hurst < math.inf):
         raise ValueError(f"hurst must be a finite real > 0, got {hurst!r}")
-    if not rho.anisotropy.is_diagonal():
-        raise ValueError("integrability check requires a diagonally tagged function")
     inner, outer = _shell_sums(rho.alpha0, float(hurst))
     ratios = [_limit_ratio(part[::-1]) for part in inner]  # going inward
     r_in, r_out = max(ratios), _limit_ratio(outer)

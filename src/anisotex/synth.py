@@ -15,7 +15,9 @@ continuum scaling laws down to fine lags. Without it, the steep-exponent
 axis of an anisotropic weight loses its sub-grid spectral ridge and the
 sampled field is measurably too smooth along that axis.
 
-A realization is stored only as its half-plane coefficients in the
+One function, ``_block_draws``, turns specs into coefficients: one Philox
+stream per realization, scaled by the alias-folded amplitudes. A
+realization is stored only as its half-plane coefficients, in the
 (n, n/2 + 1) rfft layout: fields come from one real ``irfft2``, and point
 values from X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1), summed
 separably over per-axis phases (never a modes x points matrix).
@@ -42,7 +44,7 @@ from scipy.special import beta as beta_fn, gamma as gamma_fn, gammainc, gammainc
 from .core import FieldSpec, SampledField, matrix_power
 
 TWO_PI = 2.0 * math.pi
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # a float64 view times this is numpy's complex / sqrt(2), bit for bit
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # scales _block_draws' float64 view: numpy's complex / sqrt(2), bit for bit
 MAX_WORKERS = 4  # the most threads worker_count allows
 
 @functools.lru_cache(maxsize=None)
@@ -285,31 +287,13 @@ def _draw_blocks(n):
 
 
 def _half_spectrum(spec: FieldSpec) -> np.ndarray:
-    """Half-plane coefficients of one realization in the (n, n/2 + 1) rfft
-    layout, zero elsewhere (the k2 = 0 column at k1 < 0 included).
-
-    The Gaussian stream is drawn from a Philox generator keyed by
-    ``spec.seed``: two standard normals per half-plane mode, enumerated
-    row-major over {k2 > 0} plus {k2 = 0, k1 > 0}, even draws real parts.
-    The modes fill the two ``_draw_blocks`` in turn. The amplitudes are
-    even, so the cached quarter scales them in place: rows k1 = 0..n/2
-    directly and rows n/2 + 1..n - 1 (k1 < 0) by its rows |k1| in reverse
-    (no n x n grid and no square root per draw).
-    """
-    n, half = spec.grid_n, spec.grid_n // 2
-    amp = _amplitudes(spec)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    w = rng.standard_normal((2 * half * (half - 1), 2))
-    w *= _INV_SQRT2  # in place: a scaled copy measured 8 MB more peak RSS at 1024^2
-    z = w.view(complex)[:, 0]
-    H = np.zeros((n, half + 1), dtype=complex)
-    start = 0
-    for rows, cols in _draw_blocks(n):
-        size = rows.size * (cols.stop - cols.start)
-        H[rows, cols] = z[start:start + size].reshape(rows.size, -1)
-        start += size
-    H[:half + 1] *= amp
-    H[half + 1:] *= amp[half - 1:0:-1]
+    """Half-plane coefficients of one realization, those of ``_block_draws``,
+    placed in the (n, n/2 + 1) rfft layout, zero elsewhere (the k2 = 0
+    column at k1 < 0 included)."""
+    n = spec.grid_n
+    H = np.zeros((n, n // 2 + 1), dtype=complex)
+    for z, (rows, cols) in zip(next(_block_draws([spec])), _draw_blocks(n)):
+        H[rows, cols] = z
     return H
 
 
@@ -354,29 +338,31 @@ def synthesize_ensemble(spec: FieldSpec, reps: int):
     return _pool_map(synthesize, ensemble_specs(spec, reps))
 
 
-def _block_draws(spec: FieldSpec, reps: int):
-    """Yield, for each realization with seed spec.seed + i (mod 2^64), its
-    half-plane coefficients as one array per ``_draw_blocks`` block.
+def _block_draws(specs):
+    """Yield, for each of ``specs`` (realizations of one spec, differing in
+    seed only), its half-plane coefficients as one array per
+    ``_draw_blocks`` block. This is the only code that draws coefficients.
 
-    Each block is drawn into a buffer reused across realizations
-    (consecutive draws continue one stream) and scaled in place on its
-    float64 view, by 1/sqrt(2) and then by the amplitudes repeated for the
-    real and imaginary parts, so the coefficients are bit-identical to the
-    entries of ``_half_spectrum``. A yielded block is overwritten by the
-    next realization."""
-    n = spec.grid_n
-    amp = _amplitudes(spec)
-    blocks = [(np.empty((rows.size, 2 * (cols.stop - cols.start))),
-               np.repeat(amp[np.minimum(rows, n - rows), cols], 2, axis=1))
-              for rows, cols in _draw_blocks(n)]
-    for i in range(reps):
-        rng = np.random.Generator(np.random.Philox(key=(spec.seed + i) % 2 ** 64))
-        zs = []
-        for buf, a2 in blocks:
-            rng.standard_normal(out=buf)
-            buf *= _INV_SQRT2
-            buf *= a2
-            zs.append(buf.view(complex))
+    The Gaussian stream comes from a Philox generator keyed by the seed: two
+    standard normals per half-plane mode, the modes in block order and each
+    block row-major, even draws real parts. One complex buffer holds every
+    mode, reused across realizations (a yielded block is overwritten by the
+    next), and the blocks are consecutive slices of it. It is scaled in
+    place, by 1/sqrt(2) on its float64 view, then each block by the cached
+    quarter read at |k1| (the amplitudes are even): no amplitude grid is
+    built and no square root taken per draw."""
+    half = specs[0].grid_n // 2
+    amp = _amplitudes(specs[0])
+    size = half * (half - 1)  # the modes of each block
+    buf = np.empty(2 * size, dtype=complex)
+    flat = buf.view(float)
+    zs = [buf[:size].reshape(half, half - 1), buf[size:].reshape(half - 1, half)]
+    scales = [amp[half - 1::-1, 1:half], amp[1:half, :half]]
+    for spec in specs:
+        np.random.Generator(np.random.Philox(key=spec.seed)).standard_normal(out=flat)
+        flat *= _INV_SQRT2
+        for z, a in zip(zs, scales):
+            z *= a
         yield zs
 
 
@@ -394,7 +380,7 @@ def _values_at(spec: FieldSpec, pts: np.ndarray, reps: int) -> np.ndarray:
     e2 = np.exp(1j * TWO_PI * np.outer(np.arange(n // 2 + 1), pts[:, 1]))
     phases = [(e1[rows], e2[cols]) for rows, cols in _draw_blocks(n)]
     out = np.empty((reps, pts.shape[0]))
-    for i, zs in enumerate(_block_draws(spec, reps)):
+    for i, zs in enumerate(_block_draws(ensemble_specs(spec, reps))):
         out[i] = 2.0 * sum(np.einsum("km,km->m", p1, z @ p2).real - z.sum().real
                            for z, (p1, p2) in zip(zs, phases))
     return out
@@ -498,7 +484,7 @@ def _series(beta, ly):
     if beta > 1.0:  # ln |saddle| = ln G(0) - c y^(beta/(beta-1))
         c = (1.0 - 1.0 / beta) * beta ** (-1.0 / (beta - 1.0)) * math.sin(0.5 * math.pi / max(beta - 1.0, 1.0))
         lmin = np.logaddexp(lmin, math.log(g0) - c * np.exp(np.minimum(beta / (beta - 1.0) * ly[i], 700.0)))
-    t = np.where(k <= kmin[:, None], np.exp(np.minimum(ls, 700.0)), 0.0)  # up to the smallest
+    t = np.exp(np.where(k <= kmin[:, None], ls, -np.inf))  # up to the smallest
     val = g0 - t @ ((-1.0) ** (k + 1.0) * np.sin(0.5 * math.pi * k * beta))
     est = np.exp(lmin) + _ROUND * (t.sum(axis=1) + g0)
     ok = est <= _TOL * val

@@ -48,16 +48,18 @@ def _file64(**spec):
                         (_file64(alpha0="0.6"), "bad spec: spec value of the wrong type: alpha0 = '0.6'"),
                         (_file64(seed="1"), "bad spec: spec value of the wrong type: seed = '1'"),
                         (_file64(hurst=10 ** 400), "bad spec: spec value beyond the float64 range"),
-                        (_file64(alpha0=0.05, hurst=0.01), "bad spec: alpha0 = 0.05 is beyond the floor")],
+                        (_file64(alpha0=0.05, hurst=0.01), "bad spec: alpha0 = 0.05 is beyond the floor"),
+                        (_file64(alpha0=float("nan")), "bad spec: alpha0 = nan is beyond the floor")],
                 ids=["after_magic", "mid_header", "n_2_31", "empty_spec", "list_spec",
                      "null_alpha0", "unknown_rho", "fractional_grid_n", "fractional_seed",
-                     "bool_hurst", "string_alpha0", "string_seed", "huge_int_hurst", "below_floor"])
+                     "bool_hurst", "string_alpha0", "string_seed", "huge_int_hurst", "below_floor",
+                     "nan_alpha0"])
 def malformed_anif(request, tmp_path):
     """(path, expected message) for an ANIF file cut off in its header, whose
     header claims n = 2^31, or a well-sized 64^2 file whose spec JSON is an
     empty object or a list, has a null, boolean, string, fractional or
     unrepresentable value, names a weight other than power_sum, or has an
-    alpha0 below the floor of the field domain."""
+    alpha0 below the floor of the field domain or NaN."""
     data, message = request.param
     path = tmp_path / "bad.anif"
     path.write_bytes(data)

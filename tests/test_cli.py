@@ -29,15 +29,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "min(0.6, 1.4)" in err and "0.6" in err
 
-    @pytest.mark.parametrize("alpha0", ["0.1", "1.9", "0.01", "1.99"])
+    @pytest.mark.parametrize("alpha0", ["0.1", "1.9", "0.01", "1.99", "nan"])
     def test_extreme_alpha0_no_warning(self, alpha0, tmp_path, capsys):
-        # the ends of the field domain run, and specs beyond them are refused
-        # with exit 2 before any work; RuntimeWarnings are errors under the
-        # test settings, so a warning would exit 1
+        # the ends of the field domain run, and specs beyond them (or NaN)
+        # are refused with exit 2 before any work; RuntimeWarnings are errors
+        # under the test settings, so a warning would exit 1
         rc = main(["simulate", "--alpha0", alpha0, "--hurst", "0.005", "--size", "256",
                    "--out", str(tmp_path / "x.anif")])
         err = capsys.readouterr().err
-        if alpha0 in ("0.01", "1.99"):
+        if alpha0 in ("0.01", "1.99", "nan"):
             assert rc == 2 and err.startswith(f"error: alpha0 = {alpha0} is beyond the floor")
         else:
             assert rc == 0 and err == ""

@@ -128,7 +128,7 @@ class TestFieldSpec:
             FieldSpec.make(0.6, 0.0)
         FieldSpec.make(0.6, 0.599)  # inside the open interval
 
-    @pytest.mark.parametrize("alpha0", [0.0999, 1.9001, 0.01, 1.99])
+    @pytest.mark.parametrize("alpha0", [0.0999, 1.9001, 0.01, 1.99, math.nan, math.inf, -math.inf])
     def test_alpha0_below_floor_refused(self, alpha0):
         with pytest.raises(ValueError, match=rf"alpha0 = {alpha0} is beyond the floor: .* >= 0\.1"):
             FieldSpec.make(alpha0, 0.05)

@@ -132,7 +132,7 @@ def reference_shell_integral(rho, hurst, lo, hi):
     """The shell integral by a full 16 x 96 Gauss grid in the warped polar
     coordinates of the tag, evaluating rho and min(1, |xi|^2) at every node."""
     E = rho.anisotropy
-    lam1, lam2 = E.axis_eigenvalue(0), E.axis_eigenvalue(1)
+    lam1, lam2 = np.diag(E.matrix())
     q = -2.0 * (hurst + 1.0)
     r, wr = _gauss_panel(lo, hi, 16)
     theta, wt = _gauss_panel(0.0, 2.0 * math.pi, 96)
@@ -194,7 +194,10 @@ class TestShellSums:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.9])
     def test_mistagged_weight_reads_as_its_twin(self, hurst):
-        # the integral is a property of the weight, not of its tag
-        mistagged = HomogeneousFunction(Anisotropy.diagonal(1.0), 0.6)
-        assert check_integrability(mistagged, hurst) == check_integrability(rho_power_sum(0.6), hurst)
+        # the integral is a property of the weight, not of its tag, be the
+        # tag isotropic or rotated off the axes
+        s = math.sqrt(0.5)
+        twin = check_integrability(rho_power_sum(0.6), hurst)
+        for tag in (Anisotropy.diagonal(1.0), Anisotropy.from_eigen(0.6, 1.4, (s, s), (s, -s))):
+            assert check_integrability(HomogeneousFunction(tag, 0.6), hurst) == twin
 

@@ -497,11 +497,13 @@ class TestSpectralGrid:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     def test_block_draws_equal_half_spectrum(self, n, seed):
-        # two realizations: the second reuses the buffers (and wraps the
+        # two realizations: the second reuses the buffer (and wraps the
         # seed from 2^64 - 1 to 0)
         spec = FieldSpec.make(0.6, 0.4, grid_n=n, seed=seed)
-        for i, zs in enumerate(synth._block_draws(spec, 2)):
-            H = synth._half_spectrum(spec.with_seed((seed + i) % 2 ** 64))
+        specs = synth.ensemble_specs(spec, 2)
+        assert specs[1].seed == (seed + 1) % 2 ** 64
+        for s, zs in zip(specs, synth._block_draws(specs)):
+            H = synth._half_spectrum(s)
             for z, (rows, cols) in zip(zs, synth._draw_blocks(n)):
                 assert np.array_equal(z, H[rows, cols])
 
