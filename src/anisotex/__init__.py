@@ -58,7 +58,6 @@ from .hywave import (
 )
 from .synth import (
     ScalingCheckResult,
-    SpectralGrid,
     evaluate_at_points,
     monte_carlo_scaling_check,
     spectral_coefficients,
@@ -76,7 +75,7 @@ __all__ = [
     "HomogeneousFunction", "HomogeneityReport", "IntegrabilityReport",
     "check_homogeneity", "check_integrability", "evaluate",
     "rho_power_sum",
-    "SpectralGrid", "ScalingCheckResult", "spectral_grid",
+    "ScalingCheckResult", "spectral_grid",
     "spectral_coefficients", "synthesize", "synthesize_ensemble",
     "evaluate_at_points", "variogram_oracle", "monte_carlo_scaling_check",
     "StructureFunction", "DirectionalExponent", "ExponentScan",

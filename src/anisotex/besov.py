@@ -54,9 +54,7 @@ def _snap_search(x, y):
     best = None
     for u in range(-MAX_LATTICE_COMPONENT, MAX_LATTICE_COMPONENT + 1):
         for v in range(-MAX_LATTICE_COMPONENT, MAX_LATTICE_COMPONENT + 1):
-            if u == 0 and v == 0:
-                continue
-            if math.gcd(abs(u), abs(v)) != 1:
+            if math.gcd(abs(u), abs(v)) != 1:  # gcd(0, 0) = 0 skips the zero vector
                 continue
             ln = math.hypot(u, v)
             cos = abs(u * d[0] + v * d[1]) / ln
@@ -103,7 +101,7 @@ class StructureFunction:
     p: float
     lags: tuple               # lag lengths t, exact lattice multiples
     values: tuple             # S(t), mean |increment|^p (max for p = inf)
-    grid_n: int = 0
+    grid_n: int               # samples per axis of the field measured
 
 
 def structure_function(field: SampledField, direction, p, lags=None) -> StructureFunction:
@@ -221,8 +219,6 @@ def directional_exponent(sf: StructureFunction, fit_range=None) -> DirectionalEx
     if fit_range is not None:
         keep = (t >= fit_range[0] - 1e-12) & (t <= fit_range[1] + 1e-12)
     else:
-        if not sf.grid_n:
-            raise ValueError("structure function lacks grid_n; pass fit_range explicitly")
         keep = _default_fit_mask(t, sf.grid_n)
     t, s = t[keep], s[keep]
     if t.size < MIN_FIT_LAGS:

@@ -54,18 +54,15 @@ def _parse_spec(text):
         if key in kv:
             raise ValueError(f"--spec repeats the key {key!r}")
         kv[key] = val
-    if "n" in kv and "grid_n" in kv:
-        raise ValueError("--spec gives both 'n' and 'grid_n'; give the grid size once")
+    unknown = sorted(kv.keys() - {"alpha0", "hurst", "n", "seed"})
+    if unknown:
+        raise ValueError(f"unknown keys in --spec: {unknown}")
     try:
-        alpha0 = float(kv.pop("alpha0"))
-        hurst = float(kv.pop("hurst"))
+        alpha0 = float(kv["alpha0"])
+        hurst = float(kv["hurst"])
     except KeyError as e:
         raise ValueError(f"--spec needs alpha0=..,hurst=..: missing {e}") from None
-    n = int(kv.pop("n", kv.pop("grid_n", 256)))
-    sd = int(kv.pop("seed", 0))
-    if kv:
-        raise ValueError(f"unknown keys in --spec: {sorted(kv)}")
-    return FieldSpec.make(alpha0, hurst, grid_n=n, seed=sd)
+    return FieldSpec.make(alpha0, hurst, grid_n=int(kv.get("n", 256)), seed=int(kv.get("seed", 0)))
 
 
 # one synthesis peaks at 44 B per grid sample (measured, n = 512..2048) and

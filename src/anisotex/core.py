@@ -189,11 +189,8 @@ class FieldSpec:
 
     alpha0 must lie in [ALPHA0_FLOOR, 2 - ALPHA0_FLOOR] = [0.1, 1.9] (NaN and
     infinities are refused): the mass build and the variogram oracle cost
-    more without bound toward 0 and 2 (at 0.01, 0.29 s per cold grid at
-    n = 1024 and 83 ms per oracle call), while at the floor a cold mass build
-    takes 9-15, 40-52 and 470-520 ms at n = 256, 1024 and 4096 and the first
-    oracle call 40-56 ms (2-core VM). The estimators resolve alpha0 in
-    [0.2, 1.8].
+    more without bound toward 0 and 2 (at 0.01 the oracle's kernel table
+    outruns its panel budget). The estimators resolve alpha0 in [0.2, 1.8].
     """
 
     rho: ClassVar[str] = "power_sum"
@@ -238,7 +235,7 @@ class SampledField:
     """An n x n realization sampled at x = (i/n, j/n) on [0,1]^2."""
 
     values: np.ndarray = field(repr=False)
-    spec: FieldSpec = None
+    spec: FieldSpec
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -255,7 +252,3 @@ class SampledField:
     @property
     def grid_n(self) -> int:
         return self.spec.grid_n
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.spec.grid_n

@@ -146,17 +146,11 @@ def read_field(path) -> SampledField:
     return SampledField(values=values.astype(float, copy=False), spec=spec)
 
 
-def _fmt(x) -> str:
-    if x == math.inf:
-        return "inf"
-    return repr(float(x))
-
-
 def _write_csv(path, header, rows):
     def writer(fh):
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for row in rows:
-            fh.write((",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n").encode("utf-8"))
+            fh.write((",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n").encode("utf-8"))
 
     _atomic_write(path, writer)
 

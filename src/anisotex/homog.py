@@ -27,9 +27,6 @@ class HomogeneousFunction:
     anisotropy: Anisotropy
     alpha0: float
 
-    def __call__(self, xi):
-        return evaluate(self, xi)
-
 
 def rho_power_sum(alpha0: float) -> HomogeneousFunction:
     """The power-sum weight |xi1|^(1/alpha0) + |xi2|^(1/(2-alpha0)).
@@ -146,16 +143,15 @@ def check_integrability(rho: HomogeneousFunction, hurst: float) -> Integrability
     """Decide whether int (1 ^ |xi|^2) rho(xi)^{-2(H+1)} dxi is finite.
 
     The dyadic shells of ``_shell_sums`` run from 2^-48 out past 1e4, each
-    one radial sum against three angular constants (0.15-0.25 ms a call on
-    a 2-core VM; a 16 x 96 grid per shell took 5-7 ms). The integral is
+    one 16-node radial sum against three angular constants. The integral is
     finite when each part of the sums decays geometrically at its end (ratio
     below 1 from a log-linear fit of its last five shells); the estimate
     adds the three geometric tails, and ``inner_ratio`` is the larger of the
     two inward ratios. For the power-sum family this is hurst < min(alpha0,
     2 - alpha0): the sums are exact geometric series at both ends, and a
     scan over alpha0 in [0.02, 1.98] and hurst from 0.9 to 1.1 of the bound
-    gave no false verdict. The integral reads ``rho.alpha0``, never the
-    tag. ``hurst`` must be a finite real > 0, else ValueError.
+    gave no false verdict. The integral reads ``rho.alpha0``, never the tag.
+    ``hurst`` must be a finite real > 0, else ValueError.
     """
     if isinstance(hurst, bool) or not (isinstance(hurst, numbers.Real) and 0 < hurst < math.inf):
         raise ValueError(f"hurst must be a finite real > 0, got {hurst!r}")

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as beta_fn, gamma as gamma_fn, gammainc, gammaincc, gammaln
@@ -83,19 +82,6 @@ def _pool_map(fn, items):
 # ---------------------------------------------------------------------------
 # spectral masses
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SpectralGrid:
-    """Per-mode amplitudes for the synthesis lattice xi_k = 2 pi k.
-
-    ``amplitudes[k1, k2]`` (FFT index order) is the standard deviation of
-    mode k; its square is the alias-folded cell mass of rho^{-2(H+1)}.
-    The zero mode and the Nyquist row/column are zero.
-    """
-
-    n: int
-    amplitudes: np.ndarray = field(repr=False)
-
 
 # Constants of the separable mass build (see _quarter_mass), each with the
 # most it moves a mass when changed (measured at n = 64 and 256):
@@ -205,22 +191,19 @@ def _quarter_mass(alpha0, hurst, n):
     two (nodes x n/2) factors. The product is computed in tiles of at most
     _GEMM_TILE multiply-adds, which OpenBLAS runs on the calling thread (its
     gemm threshold is 65536 x 4). Run whole, it went to OpenBLAS's threads,
-    which cost up to 20 ms to wake and then spun for about 0.12 s of CPU,
-    taking a core from the worker pool. Tiles split only the output's rows
-    and columns, so each entry sums over the nodes in the same order: the
-    masses do not depend on the BLAS thread count, and equal the single
-    product's bit for bit up to 256 nodes. Below the lowest node
-    both are flat and the sum is a geometric series; above the highest,
-    every cell but the origin is 0. The mass is even in k1 and in k2, so
-    only the quarter is built; ``_unfold`` indexes it with |k| into FFT
-    order, exactly even. The zero mode and the Nyquist row and column are 0.
+    which were slow to wake and then spun, taking a core from the worker
+    pool. Tiles split only the output's rows and columns, so each entry sums
+    over the nodes in the same order: the masses do not depend on the BLAS
+    thread count, and equal the single product's bit for bit up to 256
+    nodes. Below the lowest node both are flat and the sum is a geometric
+    series; above the highest, every cell but the origin is 0. The mass is
+    even in k1 and in k2, so only the quarter is built; ``_unfold`` indexes
+    it with |k| into FFT order, exactly even. The zero mode and the Nyquist
+    row and column are 0.
 
     Measured: within 5e-9 of the brute-force sum of the tests (2-D Gauss
     over the shifts, per-node 1-D tails) at n = 64, and of a refined build
-    (half the step, twice the periods, 10 Gauss nodes) at n = 256. A cold
-    build takes 9-15 ms at n = 256 and 35-47 ms at n = 1024, back to back or
-    0.4 s apart (medians of 10 builds per process on a 2-core VM, numpy
-    2.4.6, OpenBLAS 0.3.31).
+    (half the step, twice the periods, 10 Gauss nodes) at n = 256.
     """
     lam, H2, h, half = (alpha0, 2.0 - alpha0), 2.0 * hurst, _MASS_STEP, n // 2
     lL = math.log(TWO_PI * n)
@@ -266,9 +249,14 @@ def _amplitudes(spec: FieldSpec) -> np.ndarray:
     return _quarter_amplitudes(spec.alpha0, spec.hurst, spec.grid_n)
 
 
-def spectral_grid(spec: FieldSpec) -> SpectralGrid:
-    """Amplitude grid for a field specification."""
-    return SpectralGrid(n=spec.grid_n, amplitudes=_unfold(_amplitudes(spec), spec.grid_n))
+def spectral_grid(spec: FieldSpec) -> np.ndarray:
+    """Per-mode amplitudes for the synthesis lattice xi_k = 2 pi k, n x n.
+
+    Entry [k1, k2] (FFT index order) is the standard deviation of mode k;
+    its square is the alias-folded cell mass of rho^{-2(H+1)}. The zero
+    mode and the Nyquist row/column are zero.
+    """
+    return _unfold(_amplitudes(spec), spec.grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +307,6 @@ def synthesize(spec: FieldSpec) -> SampledField:
     H[n - half + 1:, 0] = np.conj(H[half - 1:0:-1, 0])
     X = np.fft.irfft2(H, s=(n, n), norm="forward")
     X -= X[0, 0]
-    X[0, 0] = 0.0
     return SampledField(values=X, spec=spec)
 
 
@@ -434,7 +421,7 @@ _TAYLOR_TERMS = 12   # terms of the small-y series of D_beta
 _SERIES_TERMS = 60   # terms of the large-y series of G_beta
 _U_EXP = 40.0        # the Gauss rule covers u^beta <= 40 (e^-40 of the weight is left)
 _GAUSS_NODES = 16    # per panel; a panel spans at most one period of cos(yu)
-_GRADE = 20          # base panels halve 20 times toward u = 0, in u and in u^beta
+_GRADE = 20          # base panels halve 20 times in u^beta toward u = 0
 _ROUND = 32.0 * np.finfo(float).eps
 _CHEB_NODES = 24     # Chebyshev nodes per panel of the mid-range kernel table
 _CHEB_TOL = 1e-15    # a table panel is halved while its last coefficients exceed this share
@@ -444,14 +431,13 @@ _X_MAX = 1e20        # the oracle takes coordinates |x_i| = 0 or in [1/_X_MAX, _
 
 def _gauss_kernel(beta, y):
     """int_0^U 4 sin^2(yu/2) e^(-u^beta) du, U = 40^(1/beta), by composite Gauss
-    (no cancellation). The base panels halve toward 0 in u (the kink of u^beta)
-    and in w = u^beta and take unit steps in w; each is cut into
+    (no cancellation). The base panels have their edges at w = u^beta = 0,
+    2^-_GRADE, ..., 1/2, then 1, 2, ..., 40: they halve toward 0 in w, where
+    u^beta has its kink, and take unit steps beyond. Each is cut into
     ceil(y width / 2 pi) equal panels, all in one batch (at most 2400 panels
     for the 24 points of a table panel over the field domain)."""
-    U = _U_EXP ** (1.0 / beta)
-    w = np.concatenate([2.0 ** -np.arange(1.0, _GRADE + 1), np.arange(1.0, _U_EXP)])
-    e = np.unique(np.concatenate([[0.0], U * 2.0 ** -np.arange(_GRADE + 1.0), w ** (1.0 / beta)]))
-    e = e[e <= U]
+    w = np.concatenate([[0.0], 2.0 ** -np.arange(_GRADE, 0.0, -1.0), np.arange(1.0, _U_EXP + 1.0)])
+    e = w ** (1.0 / beta)
     width = np.diff(e)
     m = np.maximum(1, np.ceil(y[:, None] * width / TWO_PI)).astype(int).ravel()
     row = np.repeat(np.arange(y.size), m.reshape(y.size, -1).sum(axis=1))
@@ -641,9 +627,8 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
     Measured: the bound is 6e-12 to 4e-10 of the value at the criterion-3
     probes and at small H and alpha0 = 1; an independent nested scipy quad
     agrees to 1e-11, the axes and the alpha0 = 1 closed form to 1e-12, and
-    the scaling identity holds to 2e-15. A call takes 0.4-0.8 ms at the
-    criterion-3 probes; the first at a new alpha0 takes 15-22 ms, of which
-    the two tables take 9-12 and 4-5 ms (2-core VM, numpy 2.4).
+    the scaling identity holds to 2e-15. The first call at a new alpha0
+    builds the two tables; later calls integrate nothing.
     """
     return _variogram(spec, x)[0]
 
@@ -652,6 +637,9 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
 # Monte Carlo scaling check
 # ---------------------------------------------------------------------------
 
+_TRANSLATES = 16  # base points per realization of the Monte Carlo scaling check
+
+
 @dataclass(frozen=True)
 class ScalingCheckResult:
     ratio: float
@@ -659,30 +647,25 @@ class ScalingCheckResult:
     target: float
 
 
-def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int,
-                              translates: int = 16) -> ScalingCheckResult:
+def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int) -> ScalingCheckResult:
     """Estimate Var X(a^E x) / Var X(x) over independent realizations.
 
     Under the model the ratio targets a^{2 H}. The model has exactly
     stationary increments (true for the lattice field as well), so each
     realization's variance estimate averages squared increments
-    (X(tau + y) - X(tau))^2 over ``translates`` base points tau, with
-    tau = 0 always included; this cuts the estimator noise several-fold
-    without changing its target. Points are evaluated by direct mode
-    summation (no interpolation), contracted from each realization's
-    draws in draw order (``_values_at``): at 256^2 with 200 reps and the
-    default 16 translates (48 points) a call takes 0.28-0.39 s on a
-    2-core VM, about two thirds of it the Philox draws. Returns a 95%
-    confidence half-width from the delta method on the per-realization
-    pair statistics. ``x`` must have shape (2,) and ``translates`` be an
-    integer >= 1; anything else raises ValueError.
+    (X(tau + y) - X(tau))^2 over _TRANSLATES = 16 base points tau (48
+    points in all), with tau = 0 always included; this cuts the estimator
+    noise several-fold without changing its target. Points are evaluated
+    by direct mode summation (no interpolation), contracted from each
+    realization's draws in draw order (``_values_at``). Returns a 95%
+    confidence half-width from the delta method on the per-realization pair
+    statistics. ``reps`` must be at least 50, ``a`` positive and ``x`` of
+    shape (2,); anything else raises ValueError.
     """
     if reps < 50:
         raise ValueError("reps must be >= 50")
     if not a > 0:
         raise ValueError(f"scale a must be positive, got {a}")
-    if not isinstance(translates, numbers.Integral) or translates < 1:
-        raise ValueError(f"translates must be an integer >= 1, got {translates!r}")
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError(f"x must have shape (2,), got {x.shape}")
@@ -695,7 +678,7 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int,
         return ScalingCheckResult(ratio=1.0, ci_halfwidth=0.0, target=target)
 
     rng = np.random.Generator(np.random.Philox(key=(spec.seed, 0x7a06)))
-    k = translates
+    k = _TRANSLATES
     box = np.maximum(0.0, 1.0 - np.maximum(x, y))
     taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
     vals = _values_at(spec, np.vstack([taus, taus + y, taus + x]), reps)

@@ -141,6 +141,13 @@ class TestStructureFunction:
             structure_function(ramp_field, (1, 0), 2.0, lags=[0.3])
         with pytest.raises(ValueError):
             structure_function(ramp_field, (1, 0), 2.0, lags=[-0.1])
+        with pytest.raises(ValueError, match="no valid lags"):
+            structure_function(ramp_field, (1, 0), 2.0, lags=[])
+
+    @pytest.mark.parametrize("p", [0.5, -1.0, math.nan])
+    def test_illegal_order(self, ramp_field, p):
+        with pytest.raises(ValueError, match="order p must be >= 1 or inf"):
+            structure_function(ramp_field, (1, 0), p)
 
     def test_off_axis_direction(self, ramp_field):
         # along (1,1)/sqrt2 the ramp rises by t/sqrt(2) per unit lag length
@@ -179,6 +186,31 @@ class TestDirectionalExponent:
         with pytest.raises(ValueError, match="at least 4"):
             directional_exponent(sf)
 
+    @pytest.mark.parametrize("step,ms,window", [
+        # the default lags along (2, 1) at n = 256: the [4/n, 1/8] clip keeps
+        # m = 2 (2 sqrt 5 >= 4), so only dropping the two finest lags starts
+        # the window at m = 3
+        ((2, 1), (1, 2, 3, 4, 6, 8, 12, 16, 24), (3, 12)),
+        # every lag inside the clip: only dropping the two coarsest ends the
+        # window before 1/8
+        ((1, 0), (4, 6, 8, 12, 16, 20, 24, 28, 32), (8, 24)),
+    ])
+    def test_default_window_drops_two_lags_at_each_end(self, step, ms, window):
+        s = math.hypot(*step)
+        lags = tuple(m * s / 256 for m in ms)
+        sf = StructureFunction(direction=(step[0] / s, step[1] / s), lattice_step=step, p=2.0,
+                               lags=lags, values=tuple(t ** 0.8 for t in lags), grid_n=256)
+        assert directional_exponent(sf).fit_range == (window[0] * s / 256, window[1] * s / 256)
+
+    def test_zero_inside_window_is_degenerate(self):
+        # one zero among nonzero values: no log is taken of it
+        lags = tuple(m / 256 for m in (4, 6, 8, 12, 16, 24, 32))
+        values = tuple(0.0 if m == 12 else (m / 256) ** 0.8 for m in (4, 6, 8, 12, 16, 24, 32))
+        sf = StructureFunction(direction=(1.0, 0.0), lattice_step=(1, 0), p=2.0,
+                               lags=lags, values=values, grid_n=256)
+        with pytest.raises(DegenerateDirectionError, match="vanishes in the fit range"):
+            directional_exponent(sf, fit_range=(0.0, 1.0))
+
     def test_sup_order_slope_not_divided(self):
         lags = tuple(m / 256 for m in (4, 6, 8, 12, 16, 24, 32))
         sf = StructureFunction(direction=(1.0, 0.0), lattice_step=(1, 0), p=math.inf,
@@ -199,6 +231,12 @@ class TestScanPeak:
     def test_non_finite_means_rejected(self):
         with pytest.raises(ValueError, match="finite exponent_mean"):
             besov.scan_exponents([(math.nan, 0.5)], [0.9, 1.1])
+
+    def test_no_realization_rejected(self):
+        with pytest.raises(ValueError, match="need at least one field"):
+            besov.scan_exponents([], [0.9, 1.1])
+        with pytest.raises(ValueError, match="need at least one field"):
+            scan_anisotropy([], [0.9, 1.1], 2.0)
 
 
 class TestTentPrediction:

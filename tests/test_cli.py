@@ -375,6 +375,33 @@ def test_conflicting_spec_keys_exit_2(spec, key, monkeypatch, tmp_path, capsys):
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["scan"], "provide field files with --in or a --spec with --reps"),
+    (["scan", "--spec", "alpha0=0.6,hurst=0.4,k=1"], "unknown keys in --spec: ['k']"),
+    (["scan", "--spec", "alpha0=0.6,hurst=0.4", "--reps", "0"], "reps must be >= 1"),
+    (["analyze", "--in", "a.anif", "--in", "b.anif"], "analyze expects exactly one --in field file"),
+], ids=["scan_no_input", "scan_unknown_key", "scan_zero_reps", "analyze_two_inputs"])
+def test_usage_errors_exit_2(argv, message, monkeypatch, tmp_path, capsys):
+    # refused before any synthesis or file read
+    monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
+    monkeypatch.setattr(fileio, "read_field", lambda *a: pytest.fail("file read"))
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_internal_failure_exit_1(monkeypatch, tmp_path, capsys):
+    # an error other than a usage, domain or OS error is an internal one
+    def fail(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(synth, "synthesize", fail)
+    rc = main(["simulate", "--alpha0", "0.6", "--hurst", "0.4", "--size", "64",
+               "--out", str(tmp_path / "x.anif")])
+    assert rc == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
 @pytest.fixture
 def field_64(tmp_path):
     path = tmp_path / "f64.anif"

@@ -98,6 +98,17 @@ class TestValidateAnisotropy:
         assert any("norm" in v for v in bad)
         assert any("collinear" in v for v in bad)
 
+    def test_second_eigenvalue_not_positive(self):
+        assert anisotropy_violations(2.5, -0.5, (1, 0), (0, 1)) == [
+            "eigenvalue lambda2 = -0.5 not positive"]
+
+    def test_constructor_domain_errors(self):
+        with pytest.raises(AnisotropyError, match=r"diagonal parameter 2.5 outside \(0, 2\)"):
+            Anisotropy.diagonal(2.5)
+        for l1, l2 in ((-1.0, 0.5), (0.0, 0.0)):
+            with pytest.raises(AnisotropyError, match=f"cannot normalize trace {l1 + l2} <= 0"):
+                Anisotropy.from_eigen(l1, l2, (1, 0), (0, 1), normalize=True)
+
     def test_canonical_order(self):
         D = validate_anisotropy(1.4, 0.6, (1, 0), (0, 1))
         assert D.lambda1 == 0.6
@@ -302,7 +313,7 @@ class TestSampledField:
         with pytest.raises(ValueError):
             f.values[1, 1] = 3.0
 
-    def test_spacing(self):
-        spec = FieldSpec.make(1.0, 0.5, grid_n=128)
-        f = SampledField(values=np.zeros((128, 128)), spec=spec)
-        assert f.spacing == 1.0 / 128
+    def test_spec_required(self):
+        # the spec gives the grid size the values are checked against
+        with pytest.raises(TypeError, match="spec"):
+            SampledField(values=np.zeros((64, 64)))

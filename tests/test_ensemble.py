@@ -78,3 +78,8 @@ def test_bad_grid_fails_before_synthesis(monkeypatch):
         reduce_synthesis(spec, 2, [0.1, 0.5], 2.0)
     with pytest.raises(ValueError, match="empty alpha grid"):
         reduce_synthesis(spec, 2, [], 2.0)
+
+
+def test_no_items_rejected():
+    with pytest.raises(ValueError, match="need at least one field"):
+        reduce_fields(lambda item: pytest.fail("loaded"), [], GRID, 2.0)

@@ -257,6 +257,10 @@ class TestTransform:
         with pytest.raises(ValueError, match="filter"):
             hyperbolic_transform(random_field(64), filt="db9")
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a square array, got \(64, 32\)"):
+            hyperbolic_transform(np.zeros((64, 32)))
+
 
 class TestScaleStatistics:
     def test_zero_blocks_flagged_minus_inf(self, zero_field):
@@ -319,6 +323,10 @@ class TestScaleStatistics:
                     for s in seeds]
             stats = pooled_scale_statistics(pyrs, p)
             assert stats.log2_stat == whole_array_pooled_log2_stat(pyrs, p)
+
+    def test_pool_needs_a_pyramid(self):
+        with pytest.raises(ValueError, match="need at least one pyramid"):
+            hywave.pool_block_moments([])
 
     @pytest.mark.parametrize("p", [0.5, -1.0, math.nan])
     def test_illegal_order(self, p):

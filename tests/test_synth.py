@@ -129,7 +129,7 @@ def reference_spectral_coefficients(spec):
     half-spectrum build: each half-plane mode and its conjugate at -k
     written into an n x n complex grid."""
     n = spec.grid_n
-    amp = spectral_grid(spec).amplitudes
+    amp = spectral_grid(spec)
     k1s, k2s = reference_half_plane_modes(n)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     z = rng.standard_normal((k1s.size, 2))
@@ -156,13 +156,13 @@ def reference_evaluate_at_points(spec, points):
     return out
 
 
-def reference_monte_carlo(spec, a, x, reps, translates=16):
-    """The original Monte Carlo loop, one point evaluation per realization;
-    returns (ratio, ci_halfwidth)."""
+def reference_monte_carlo(spec, a, x, reps):
+    """The original Monte Carlo loop, one point evaluation per realization,
+    over 16 base points; returns (ratio, ci_halfwidth)."""
     x = np.asarray(x, dtype=float)
     y = np.array([a ** spec.alpha0 * x[0], a ** (2.0 - spec.alpha0) * x[1]])
     rng = np.random.Generator(np.random.Philox(key=(spec.seed, 0x7a06)))
-    k = translates
+    k = 16
     box = np.maximum(0.0, 1.0 - np.maximum(x, y))
     taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
     pts = np.vstack([taus, taus + y, taus + x])
@@ -212,6 +212,10 @@ class TestSynthesize:
         C = spectral_coefficients(spec)
         Y = np.fft.ifft2(C) * spec.grid_n ** 2
         assert np.max(np.abs(Y.imag)) < 1e-9 * np.max(np.abs(Y))
+
+    def test_ensemble_needs_a_realization(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            synth.ensemble_specs(FieldSpec.make(0.6, 0.4, grid_n=64), 0)
 
     def test_ensemble_deterministic_and_parallel_consistent(self, monkeypatch):
         spec = FieldSpec.make(1.0, 0.5, grid_n=64, seed=9)
@@ -565,7 +569,7 @@ class TestSpectralGrid:
 
     def test_amplitude_invariants(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=0)
-        A = spectral_grid(spec).amplitudes
+        A = spectral_grid(spec)
         n = 64
         assert A[0, 0] == 0.0
         assert np.all(np.isfinite(A))
@@ -577,7 +581,7 @@ class TestSpectralGrid:
 
     def test_nyquist_zeroed(self):
         spec = FieldSpec.make(1.0, 0.5, grid_n=64, seed=0)
-        A = spectral_grid(spec).amplitudes
+        A = spectral_grid(spec)
         assert np.all(A[32, :] == 0.0)
         assert np.all(A[:, 32] == 0.0)
 
@@ -722,6 +726,16 @@ class TestVariogramOracle:
         monkeypatch.setattr(synth, "_gauss_kernel", lambda beta, y: calls.append(y.size) or gauss_kernel(beta, y))
         synth._kernel_range.__wrapped__(10.0)
         assert 0 < len(calls) <= synth._CHEB_PANELS and set(calls) == {synth._CHEB_NODES}
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0, 10.0])
+    def test_kernel_range_upper_end(self, beta):
+        # y_hi is the first point of the ln y grid (step 1/4) from which
+        # D = G(0) - G(y) is G(0) within sqrt(_TOL) G(0), judged from the
+        # table where neither series reaches _TOL; direct Gauss agrees
+        g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
+        ly_hi = synth._kernel_range(beta)[1]
+        gap = np.abs(g0 - synth._gauss_kernel(beta, np.exp([ly_hi, ly_hi - 0.25])))
+        assert gap[0] < math.sqrt(synth._TOL) * g0 < gap[1]
 
     def test_second_call_integrates_nothing(self, monkeypatch):
         # the first call at a new exponent builds its table; later calls read it
@@ -886,7 +900,7 @@ class TestVariogramOracle:
         # alias-folding numerics directly.
         for alpha0, hurst in ((0.6, 0.4), (1.0, 0.5)):
             spec = FieldSpec.make(alpha0, hurst, grid_n=256)
-            mass = spectral_grid(spec).amplitudes ** 2
+            mass = spectral_grid(spec) ** 2
             k = np.fft.fftfreq(256, d=1.0 / 256)
             for axis, lam in ((0, alpha0), (1, 2.0 - alpha0)):
                 col = mass.sum(axis=1 - axis)
@@ -903,7 +917,7 @@ class TestVariogramOracle:
         # factor) sits within a few percent of the continuum oracle at the
         # interior probe points
         spec = FieldSpec.make(0.6, 0.4, grid_n=256)
-        mass = spectral_grid(spec).amplitudes ** 2
+        mass = spectral_grid(spec) ** 2
         k = np.fft.fftfreq(256, d=1.0 / 256)
         for (i, j) in ((24, 40), (32, 32), (32, 48)):
             x = (i / 256, j / 256)
@@ -926,7 +940,7 @@ class TestVariogramOracle:
         # lags sits well below the continuum oracle (deterministic check,
         # no Monte Carlo). Estimation therefore never uses such lags.
         spec = FieldSpec.make(1.0, 0.5, grid_n=256)
-        A = spectral_grid(spec).amplitudes
+        A = spectral_grid(spec)
         k = np.fft.fftfreq(256, d=1.0 / 256)
         x = (0.5, 0.5)
         ph = 2 * np.pi * (k[:, None] * x[0] + k[None, :] * x[1])
@@ -942,6 +956,12 @@ class TestMonteCarloScaling:
         res = monte_carlo_scaling_check(spec, 1.0, (0.2, 0.2), 60)
         assert res.ratio == 1.0
         assert res.ci_halfwidth == 0.0
+
+    def test_origin_is_exactly_one(self):
+        # x = 0 gives a^E x = x, with no increment to average: no 0/0
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
+        res = monte_carlo_scaling_check(spec, 2.0, (0.0, 0.0), 50)
+        assert (res.ratio, res.ci_halfwidth) == (1.0, 0.0)
 
     def test_quick_ratio(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=31)
@@ -968,11 +988,11 @@ class TestMonteCarloScaling:
         with pytest.raises(ValueError, match="reps"):
             monte_carlo_scaling_check(spec, 2.0, (0.1, 0.1), 10)
 
-    @pytest.mark.parametrize("translates", [0, -5, 2.5])
-    def test_bad_translates_rejected(self, translates):
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    def test_nonpositive_scale_rejected(self, a):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
-        with pytest.raises(ValueError, match="translates"):
-            monte_carlo_scaling_check(spec, 2.0, (0.2, 0.1), 50, translates=translates)
+        with pytest.raises(ValueError, match="scale a must be positive"):
+            monte_carlo_scaling_check(spec, a, (0.2, 0.1), 50)
 
     @pytest.mark.parametrize("x", [(0.2, 0.1, 0.3), (0.2,), [(0.2, 0.1)], 0.2])
     def test_malformed_x_rejected(self, x):
