@@ -27,9 +27,7 @@ from .core import (
     AnisotropyError,
     FieldSpec,
     SampledField,
-    anisotropy_violations,
     matrix_power,
-    validate_anisotropy,
 )
 from .ensemble import EnsembleReduction, reduce_fields, reduce_synthesis
 from .homog import (
@@ -70,8 +68,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Anisotropy", "AnisotropyError", "FieldSpec", "SampledField",
-    "anisotropy_violations", "matrix_power", "validate_anisotropy",
+    "Anisotropy", "AnisotropyError", "FieldSpec", "SampledField", "matrix_power",
     "HomogeneousFunction", "HomogeneityReport", "IntegrabilityReport",
     "check_homogeneity", "check_integrability", "evaluate",
     "rho_power_sum",

@@ -96,12 +96,18 @@ def _fit_lags(n: int, step_len: float):
 class StructureFunction:
     """Table of p-th order increment statistics along one direction."""
 
-    direction: tuple          # unit vector of the snapped direction
     lattice_step: tuple       # integer step (u, v)
     p: float
     lags: tuple               # lag lengths t, exact lattice multiples
     values: tuple             # S(t), mean |increment|^p (max for p = inf)
     grid_n: int               # samples per axis of the field measured
+
+    @property
+    def direction(self) -> tuple:
+        """Unit vector of the snapped direction."""
+        u, v = self.lattice_step
+        nrm = math.hypot(u, v)
+        return (u / nrm, v / nrm)
 
 
 def structure_function(field: SampledField, direction, p, lags=None) -> StructureFunction:
@@ -155,9 +161,8 @@ def structure_function(field: SampledField, direction, p, lags=None) -> Structur
         _check_moment(s, p, lambda: np.any(a != b), f"the moment at lag {t:.6g}")
         out_t.append(t)
         out_s.append(s)
-    return StructureFunction(direction=(u / step_len, v / step_len), lattice_step=(u, v),
-                             p=float(p), lags=tuple(out_t), values=tuple(out_s),
-                             grid_n=n)
+    return StructureFunction(lattice_step=(u, v), p=float(p), lags=tuple(out_t),
+                             values=tuple(out_s), grid_n=n)
 
 
 def average_structure_functions(sfs) -> StructureFunction:
@@ -167,9 +172,8 @@ def average_structure_functions(sfs) -> StructureFunction:
         if sf.lags != first.lags or sf.p != first.p or sf.lattice_step != first.lattice_step:
             raise ValueError("structure functions do not share lags, order, and direction")
     vals = np.mean([sf.values for sf in sfs], axis=0)
-    return StructureFunction(direction=first.direction, lattice_step=first.lattice_step,
-                             p=first.p, lags=first.lags, values=tuple(float(v) for v in vals),
-                             grid_n=first.grid_n)
+    return StructureFunction(lattice_step=first.lattice_step, p=first.p, lags=first.lags,
+                             values=tuple(float(v) for v in vals), grid_n=first.grid_n)
 
 
 @dataclass(frozen=True)
@@ -273,11 +277,29 @@ def tent_prediction(alpha: float, alpha0: float, hurst: float) -> float:
 
 @dataclass(frozen=True)
 class ExponentScan:
+    """Mean critical exponent and stderr per analysis alpha, as float tuples;
+    ValueError unless each of at least one alpha has one finite exponent and
+    one stderr. ``peak`` is the largest exponent and ``argmax_alpha`` the
+    first alpha within 1e-9 of it (ties break toward the smallest alpha)."""
+
     alphas: tuple
     exponents: tuple
     stderrs: tuple
-    argmax_alpha: float
-    peak: float
+
+    def __post_init__(self):
+        for name in ("alphas", "exponents", "stderrs"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if not (self.exponents and all(map(math.isfinite, self.exponents))
+                and len(self.alphas) == len(self.exponents) == len(self.stderrs)):
+            raise ValueError("scan needs one finite exponent_mean and one exponent_stderr per alpha")
+
+    @property
+    def peak(self) -> float:
+        return max(self.exponents)
+
+    @property
+    def argmax_alpha(self) -> float:
+        return next(a for a, m in zip(self.alphas, self.exponents) if m >= self.peak - 1e-9)
 
 
 ALPHA_SCAN_RANGE = (0.2, 1.8)
@@ -311,7 +333,7 @@ def scan_exponents(exponents, alpha_grid) -> ExponentScan:
     realization. The diagonal analysis family has the axes as
     eigendirections for every alpha, so each realization's critical
     exponent is min(alpha h1, (2-alpha) h2); the scan averages these in
-    realization order. The peak is picked by ``_exponent_scan``.
+    realization order.
     """
     alphas = _scan_alphas(alpha_grid)
     hs = np.array(exponents)  # (reps, 2)
@@ -324,19 +346,7 @@ def scan_exponents(exponents, alpha_grid) -> ExponentScan:
         stderr = per.std(axis=0, ddof=1) / math.sqrt(len(hs))
     else:
         stderr = np.zeros_like(mean)
-    return _exponent_scan(alphas, [float(v) for v in mean], [float(v) for v in stderr])
-
-
-def _exponent_scan(alphas, exponents, stderrs) -> ExponentScan:
-    """The scan of mean exponents per alpha; the peak is the largest, and
-    argmax_alpha the first alpha within 1e-9 of it (ties break toward the
-    smallest alpha). Raises ValueError unless they are finite and not empty."""
-    if not exponents or not all(map(math.isfinite, exponents)):
-        raise ValueError("scan needs finite exponent_mean values")
-    peak = max(exponents)
-    argmax = next(a for a, m in zip(alphas, exponents) if m >= peak - 1e-9)
-    return ExponentScan(alphas=tuple(alphas), exponents=tuple(exponents), stderrs=tuple(stderrs),
-                        argmax_alpha=argmax, peak=peak)
+    return ExponentScan(alphas, mean, stderr)
 
 
 def scan_anisotropy(fields, alpha_grid, p) -> ExponentScan:

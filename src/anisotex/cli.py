@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import besov, ensemble, fileio, homog, hywave, synth
-from .core import AnisotropyError, FieldSpec, check_order, matrix_power
+from .core import FieldSpec, check_order, matrix_power
 
 
 MAX_ALPHA_GRID = 10000
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AnisotropyError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # numerical or internal failure

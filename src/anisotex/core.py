@@ -35,9 +35,11 @@ class AnisotropyError(ValueError):
 class Anisotropy:
     """Trace-2 diagonalizable anisotropy, stored by eigenpairs.
 
-    Eigenpairs are kept in canonical order ``lambda1 <= lambda2``.
-    Eigenvectors are unit vectors stored explicitly (never recomputed
-    from a matrix) so that sign and ordering are stable.
+    The constructor raises AnisotropyError listing every violated invariant
+    (trace 2, positive eigenvalues, unit eigenvectors not collinear); NaN and
+    infinities violate each one they enter. Eigenpairs are stored as floats
+    in canonical order ``lambda1 <= lambda2``, the eigenvectors explicitly
+    (never recomputed from a matrix) so that sign and ordering are stable.
     """
 
     lambda1: float
@@ -45,10 +47,26 @@ class Anisotropy:
     e1: tuple = (1.0, 0.0)
     e2: tuple = (0.0, 1.0)
 
-    def matrix(self) -> np.ndarray:
-        """The 2x2 matrix P diag(lambda) P^-1 with P = [e1 e2]."""
-        P = np.column_stack([self.e1, self.e2])
-        return P @ np.diag([self.lambda1, self.lambda2]) @ np.linalg.inv(P)
+    def __post_init__(self):
+        l1, l2 = float(self.lambda1), float(self.lambda2)
+        e1, e2 = tuple(map(float, self.e1)), tuple(map(float, self.e2))
+        out = []
+        if not abs(l1 + l2 - 2.0) <= TRACE_TOL:
+            out.append(f"trace = {l1 + l2} != 2")
+        for name, lam in (("lambda1", l1), ("lambda2", l2)):
+            if not lam > 0:
+                out.append(f"eigenvalue {name} = {lam} not positive")
+        for name, (x, y) in (("e1", e1), ("e2", e2)):
+            if not abs(math.hypot(x, y) - 1.0) <= NORM_TOL:
+                out.append(f"{name} has norm {math.hypot(x, y)} != 1")
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        if not abs(det) > INDEP_TOL:
+            out.append(f"eigenvectors nearly collinear, |det| = {abs(det)}")
+        if out:
+            raise AnisotropyError(out)
+        (l1, e1), (l2, e2) = sorted([(l1, e1), (l2, e2)], key=lambda pair: pair[0])
+        for name, value in (("lambda1", l1), ("lambda2", l2), ("e1", e1), ("e2", e2)):
+            object.__setattr__(self, name, value)
 
     @property
     def eigenvalues(self):
@@ -61,56 +79,7 @@ class Anisotropy:
     @classmethod
     def diagonal(cls, alpha: float) -> "Anisotropy":
         """diag(alpha, 2 - alpha) with axis eigenvectors."""
-        if not 0.0 < alpha < 2.0:
-            raise AnisotropyError([f"diagonal parameter {alpha} outside (0, 2)"])
-        return validate_anisotropy(alpha, 2.0 - alpha, (1.0, 0.0), (0.0, 1.0))
-
-    @classmethod
-    def from_eigen(cls, lambda1, lambda2, e1, e2, normalize=False) -> "Anisotropy":
-        """Build from eigenpairs, optionally rescaling eigenvalues to trace 2."""
-        if normalize:
-            s = lambda1 + lambda2
-            if s <= 0:
-                raise AnisotropyError([f"cannot normalize trace {s} <= 0"])
-            lambda1, lambda2 = 2.0 * lambda1 / s, 2.0 * lambda2 / s
-        return validate_anisotropy(lambda1, lambda2, e1, e2)
-
-
-def anisotropy_violations(lambda1, lambda2, e1, e2):
-    """Collect every violated invariant; empty list means valid."""
-    out = []
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    trace = lambda1 + lambda2
-    if abs(trace - 2.0) > TRACE_TOL:
-        out.append(f"trace = {trace} != 2")
-    if lambda1 <= 0:
-        out.append(f"eigenvalue lambda1 = {lambda1} not positive")
-    if lambda2 <= 0:
-        out.append(f"eigenvalue lambda2 = {lambda2} not positive")
-    for name, vec in (("e1", e1), ("e2", e2)):
-        nrm = float(np.hypot(vec[0], vec[1]))
-        if abs(nrm - 1.0) > NORM_TOL:
-            out.append(f"{name} has norm {nrm} != 1")
-    det = float(e1[0] * e2[1] - e1[1] * e2[0])
-    if abs(det) <= INDEP_TOL:
-        out.append(f"eigenvectors nearly collinear, |det| = {abs(det)}")
-    return out
-
-
-def validate_anisotropy(lambda1, lambda2, e1=(1.0, 0.0), e2=(0.0, 1.0)) -> Anisotropy:
-    """Validate eigenpairs and return a canonically ordered Anisotropy.
-
-    Raises AnisotropyError listing all violated invariants at once.
-    """
-    violations = anisotropy_violations(lambda1, lambda2, e1, e2)
-    if violations:
-        raise AnisotropyError(violations)
-    pairs = [(float(lambda1), tuple(float(c) for c in e1)),
-             (float(lambda2), tuple(float(c) for c in e2))]
-    pairs.sort(key=lambda p: p[0])
-    (l1, v1), (l2, v2) = pairs
-    return Anisotropy(l1, l2, v1, v2)
+        return cls(alpha, 2.0 - alpha)
 
 
 def check_order(p):

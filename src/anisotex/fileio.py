@@ -18,9 +18,9 @@ import tempfile
 
 import numpy as np
 
-from .besov import ExponentScan, StructureFunction, _exponent_scan
+from .besov import ExponentScan, StructureFunction
 from .core import FieldSpec, SampledField
-from .hywave import RatioScan, ScaleStats, _ratio_scan
+from .hywave import RatioScan, ScaleStats
 
 ANIF_MAGIC = b"ANIF"
 ANIF_VERSION = 1
@@ -202,9 +202,7 @@ def read_structure_functions(path):
     out = []
     for (u, v, p), pairs in groups.items():
         pairs.sort()
-        nrm = math.hypot(u, v)
-        out.append(StructureFunction(direction=(u / nrm, v / nrm), lattice_step=(u, v),
-                                     p=p, lags=tuple(t for t, _ in pairs),
+        out.append(StructureFunction(lattice_step=(u, v), p=p, lags=tuple(t for t, _ in pairs),
                                      values=tuple(s for _, s in pairs), grid_n=grid_n))
     return out
 
@@ -224,7 +222,7 @@ def read_scan(path) -> ExponentScan:
         means.append(m)
         errs.append(e)
     try:
-        return _exponent_scan(alphas, means, errs)
+        return ExponentScan(alphas, means, errs)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -270,7 +268,7 @@ def read_ratio_scan(path) -> RatioScan:
         ratios.append(r)
         rates.append(d)
     try:
-        return _ratio_scan(ratios, rates)
+        return RatioScan(ratios, rates)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -1,8 +1,8 @@
 """Homogeneous frequency weights and their admissibility checks.
 
 A weight rho is positive, continuous away from the origin, and scales as
-rho(a^{E^T} xi) = a rho(xi) for the anisotropy E it is tagged with. The
-weights are the power sums
+rho(a^{E^T} xi) = a rho(xi) for an anisotropy E. The weights are the
+power sums
 
     rho(xi1, xi2) = |xi1|^(1/alpha0) + |xi2|^(1/(2-alpha0)),
 
@@ -22,21 +22,23 @@ from .synth import _gauss_panel
 
 @dataclass(frozen=True)
 class HomogeneousFunction:
-    """A power-sum weight: its anisotropy tag and its alpha0."""
+    """The power-sum weight of alpha0, which must lie in (0, 2)."""
 
-    anisotropy: Anisotropy
     alpha0: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha0 < 2.0:
+            raise ValueError(f"alpha0 must lie in (0, 2), got {self.alpha0}")
+
+    @property
+    def anisotropy(self) -> Anisotropy:
+        """diag(alpha0, 2 - alpha0), for which the weight is exactly homogeneous."""
+        return Anisotropy.diagonal(self.alpha0)
 
 
 def rho_power_sum(alpha0: float) -> HomogeneousFunction:
-    """The power-sum weight |xi1|^(1/alpha0) + |xi2|^(1/(2-alpha0)).
-
-    Tagged with the diagonal anisotropy diag(alpha0, 2-alpha0) for which
-    it is exactly homogeneous.
-    """
-    if not 0.0 < alpha0 < 2.0:
-        raise ValueError(f"alpha0 must lie in (0, 2), got {alpha0}")
-    return HomogeneousFunction(Anisotropy.diagonal(alpha0), float(alpha0))
+    """The power-sum weight |xi1|^(1/alpha0) + |xi2|^(1/(2-alpha0))."""
+    return HomogeneousFunction(float(alpha0))
 
 
 def evaluate(rho: HomogeneousFunction, xi):
@@ -60,23 +62,19 @@ class HomogeneityReport:
 
 
 def check_homogeneity(rho: HomogeneousFunction, trials: int, seed: int = 0) -> HomogeneityReport:
-    """Probe |rho(a^{E^T} xi) - a rho(xi)| / (a rho(xi)) over random (a, xi).
+    """Probe |rho(a^{E^T} xi) - a rho(xi)| / (a rho(xi)) over random (a, xi),
+    E = diag(alpha0, 2 - alpha0) the weight's anisotropy.
 
     Scales ``a`` are log-uniform in [0.01, 100], directions uniform on the
-    unit circle. The anisotropy used is the function's own tag, so a
-    mis-tagged function reports a large error.
+    unit circle.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=trials)
     a = np.exp(rng.uniform(math.log(0.01), math.log(100.0), size=trials))
-    xi = np.vstack([np.cos(theta), np.sin(theta)])
-    # (P D P^-1)^T xi = P^-T D P^T xi with D = diag(a^lambda), all trials at once
-    E = rho.anisotropy
-    P = np.column_stack([E.e1, E.e2])
-    scale = a[None, :] ** np.array([[E.lambda1], [E.lambda2]])
-    lhs = evaluate(rho, np.linalg.inv(P).T @ (scale * (P.T @ xi)))
+    xi = (np.cos(theta), np.sin(theta))
+    lhs = evaluate(rho, (a ** rho.alpha0 * xi[0], a ** (2.0 - rho.alpha0) * xi[1]))
     ref = a * evaluate(rho, xi)
     worst = np.max(np.abs(lhs - ref) / ref)
     return HomogeneityReport(max_relative_error=float(worst), trials=trials)
@@ -84,10 +82,13 @@ def check_homogeneity(rho: HomogeneousFunction, trials: int, seed: int = 0) -> H
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
-    finite: bool
     estimate: float
     inner_ratio: float
     outer_ratio: float
+
+    @property
+    def finite(self) -> bool:
+        return self.inner_ratio < 1.0 and self.outer_ratio < 1.0
 
 
 _J_INNER = -48
@@ -97,7 +98,7 @@ _J_OUTER = 13  # outer box edge 2^14 > 1e4
 def _shell_sums(alpha0, hurst):
     """Integrals of min(1,|xi|^2) rho^{-2(H+1)} over the dyadic shells
     {r^{E^T}(cos t, sin t) : 2^j <= r < 2^{j+1}}, j = _J_INNER.._J_OUTER, for
-    E = diag(lam1, lam2) = diag(alpha0, 2 - alpha0), whatever the tag.
+    E = diag(lam1, lam2) = diag(alpha0, 2 - alpha0).
 
     Homogeneity factors each shell: rho(r^E theta) = r g(t), g = |cos t|^{1/lam1}
     + |sin t|^{1/lam2}, the Jacobian is r |lam1 cos^2 + lam2 sin^2| = r J(t),
@@ -150,17 +151,14 @@ def check_integrability(rho: HomogeneousFunction, hurst: float) -> Integrability
     two inward ratios. For the power-sum family this is hurst < min(alpha0,
     2 - alpha0): the sums are exact geometric series at both ends, and a
     scan over alpha0 in [0.02, 1.98] and hurst from 0.9 to 1.1 of the bound
-    gave no false verdict. The integral reads ``rho.alpha0``, never the tag.
-    ``hurst`` must be a finite real > 0, else ValueError.
+    gave no false verdict. ``hurst`` must be a finite real > 0, else ValueError.
     """
     if isinstance(hurst, bool) or not (isinstance(hurst, numbers.Real) and 0 < hurst < math.inf):
         raise ValueError(f"hurst must be a finite real > 0, got {hurst!r}")
     inner, outer = _shell_sums(rho.alpha0, float(hurst))
     ratios = [_limit_ratio(part[::-1]) for part in inner]  # going inward
     r_in, r_out = max(ratios), _limit_ratio(outer)
-    finite = bool(r_in < 1.0 and r_out < 1.0)
     total = (float(inner.sum() + outer.sum() + outer[-1] * r_out / (1.0 - r_out)
                    + sum(part[0] * r / (1.0 - r) for part, r in zip(inner, ratios)))
-             if finite else math.inf)
-    return IntegrabilityReport(finite=finite, estimate=total,
-                               inner_ratio=r_in, outer_ratio=r_out)
+             if r_in < 1.0 and r_out < 1.0 else math.inf)
+    return IntegrabilityReport(estimate=total, inner_ratio=r_in, outer_ratio=r_out)

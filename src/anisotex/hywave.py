@@ -289,10 +289,28 @@ def pooled_scale_statistics(pyramids, p) -> ScaleStats:
 
 @dataclass(frozen=True)
 class RatioScan:
+    """Decay rate (regression slope per unit anisotropic scale) per scale
+    ratio, each a tuple of floats; ValueError unless there is one finite rate
+    per ratio, and at least one ratio. ``slope_at_best`` is the largest rate
+    and ``best_ratio`` its ratio, the first on ties."""
+
     ratios: tuple
-    decay_rates: tuple        # regression slope per unit anisotropic scale
-    best_ratio: float
-    slope_at_best: float
+    decay_rates: tuple
+
+    def __post_init__(self):
+        for name in ("ratios", "decay_rates"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if not (self.decay_rates and all(map(math.isfinite, self.decay_rates))
+                and len(self.ratios) == len(self.decay_rates)):
+            raise ValueError("ratio scan needs one finite decay_rate per ratio")
+
+    @property
+    def slope_at_best(self) -> float:
+        return max(self.decay_rates)
+
+    @property
+    def best_ratio(self) -> float:
+        return self.ratios[self.decay_rates.index(self.slope_at_best)]
 
     @property
     def implied_alpha0(self) -> float:
@@ -329,7 +347,8 @@ def ratio_maximize(stats: ScaleStats) -> RatioScan:
     coordinate; the per-ratio slope is steepest-negative away from the
     texture's own ratio, so the maximizing ratio is the estimate.
     Coarsest-level blocks are excluded (periodization bias); rays with
-    fewer than 3 usable blocks are skipped.
+    fewer than 3 usable blocks are skipped. A ray whose blocks all share
+    one scale coordinate has no slope, and the scan raises ValueError.
     """
     L = math.log2(stats.grid_n)
     J1, J2 = stats.levels
@@ -344,21 +363,8 @@ def ratio_maximize(stats: ScaleStats) -> RatioScan:
         on = w > 0.0
         if np.count_nonzero(on) < 3:
             continue
-        slope, sxx, _ = _line_fit(np.maximum(t1, t2)[on], s[on], w[on])
-        if sxx <= 1e-12:
-            continue
-        rs.append(float(r))
-        slopes.append(slope)
+        rs.append(r)
+        slopes.append(_line_fit(np.maximum(t1, t2)[on], s[on], w[on])[0])  # the slope
     if not rs:
         raise ValueError("no usable rays: every candidate ratio had fewer than 3 blocks")
-    return _ratio_scan(rs, slopes)
-
-
-def _ratio_scan(ratios, decay_rates) -> RatioScan:
-    """The scan of per-ratio decay rates; the best ratio has the largest, the
-    first on ties. Raises ValueError unless they are finite and not empty."""
-    if not decay_rates or not all(map(math.isfinite, decay_rates)):
-        raise ValueError("ratio scan needs finite decay_rate values")
-    best_i = int(np.argmax(decay_rates))
-    return RatioScan(ratios=tuple(ratios), decay_rates=tuple(decay_rates),
-                     best_ratio=ratios[best_i], slope_at_best=decay_rates[best_i])
+    return RatioScan(rs, slopes)

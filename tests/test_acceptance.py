@@ -34,7 +34,6 @@ from anisotex import (
     synthesize,
     synthesize_ensemble,
     tent_prediction,
-    validate_anisotropy,
     variogram_oracle,
 )
 
@@ -189,8 +188,8 @@ def test_criterion_7_property_suites():
     for _ in range(200):
         l1 = rng.uniform(0.2, 1.0)
         th = rng.uniform(0, 2 * np.pi, size=2)
-        D = validate_anisotropy(l1, 2 - l1, (np.cos(th[0]), np.sin(th[0])),
-                                (np.cos(th[0] + 1 + th[1] % 1), np.sin(th[0] + 1 + th[1] % 1)))
+        D = Anisotropy(l1, 2 - l1, (np.cos(th[0]), np.sin(th[0])),
+                       (np.cos(th[0] + 1 + th[1] % 1), np.sin(th[0] + 1 + th[1] % 1)))
         a, b = rng.uniform(0.1, 10.0, size=2)
         assert np.allclose(matrix_power(D, a) @ matrix_power(D, b),
                            matrix_power(D, a * b), rtol=1e-10, atol=1e-10)

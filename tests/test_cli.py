@@ -362,10 +362,9 @@ class TestAnalyze:
 
 
 @pytest.mark.parametrize("spec,key", [
-    ("alpha0=0.6,hurst=0.4,n=256,grid_n=512", "'grid_n'"),
     ("alpha0=0.6,hurst=0.4,alpha0=1.0", "'alpha0'"),
     ("alpha0=0.6,hurst=0.4,seed=1, seed =2", "'seed'"),
-], ids=["n_and_grid_n", "repeated_alpha0", "repeated_seed"])
+], ids=["repeated_alpha0", "repeated_seed"])
 def test_conflicting_spec_keys_exit_2(spec, key, monkeypatch, tmp_path, capsys):
     # rejected while parsing, before any synthesis
     monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
@@ -378,9 +377,11 @@ def test_conflicting_spec_keys_exit_2(spec, key, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["scan"], "provide field files with --in or a --spec with --reps"),
     (["scan", "--spec", "alpha0=0.6,hurst=0.4,k=1"], "unknown keys in --spec: ['k']"),
+    (["scan", "--spec", "alpha0=0.6,hurst=0.4,n=256,grid_n=512"], "unknown keys in --spec: ['grid_n']"),
     (["scan", "--spec", "alpha0=0.6,hurst=0.4", "--reps", "0"], "reps must be >= 1"),
     (["analyze", "--in", "a.anif", "--in", "b.anif"], "analyze expects exactly one --in field file"),
-], ids=["scan_no_input", "scan_unknown_key", "scan_zero_reps", "analyze_two_inputs"])
+], ids=["scan_no_input", "scan_unknown_key", "scan_grid_n_is_unknown_key", "scan_zero_reps",
+        "analyze_two_inputs"])
 def test_usage_errors_exit_2(argv, message, monkeypatch, tmp_path, capsys):
     # refused before any synthesis or file read
     monkeypatch.setattr(synth, "_quarter_amplitudes", lambda *a: pytest.fail("mass grid built"))
@@ -530,7 +531,7 @@ class TestSelftest:
     def test_broken_admissibility_negative_control(self, monkeypatch, capsys):
         # a check that calls every spec finite must fail at hurst = 0.7 > 0.6
         monkeypatch.setattr(homog, "check_integrability",
-                            lambda rho, hurst: homog.IntegrabilityReport(True, 1.0, 0.5, 0.5))
+                            lambda rho, hurst: homog.IntegrabilityReport(1.0, 0.5, 0.5))
         rc = main(["selftest", "--quick"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -10,9 +10,7 @@ from anisotex import (
     AnisotropyError,
     FieldSpec,
     SampledField,
-    anisotropy_violations,
     matrix_power,
-    validate_anisotropy,
 )
 from anisotex.core import ALPHA0_FLOOR, _check_moment, _line_fit, _moment, check_order
 
@@ -26,7 +24,7 @@ def random_anisotropy(rng):
     th2 = th1 + rng.uniform(0.4, np.pi - 0.4)
     e1 = (np.cos(th1), np.sin(th1))
     e2 = (np.cos(th2), np.sin(th2))
-    return validate_anisotropy(l1, 2 - l1, e1, e2)
+    return Anisotropy(l1, 2 - l1, e1, e2)
 
 
 class TestMatrixPower:
@@ -78,48 +76,52 @@ class TestMatrixPower:
 
 class TestValidateAnisotropy:
     def test_isotropic_valid(self):
-        D = validate_anisotropy(1.0, 1.0, (1, 0), (0, 1))
+        D = Anisotropy(1, 1, (1, 0), (0, 1))
         assert D.eigenvalues == (1.0, 1.0)
-        assert_allclose(D.matrix(), np.eye(2), atol=1e-15)
+        assert (D.e1, D.e2) == ((1.0, 0.0), (0.0, 1.0))
 
     def test_diagonal_aniso_valid(self):
-        D = validate_anisotropy(0.6, 1.4, (1, 0), (0, 1))
-        assert_allclose(D.matrix(), np.diag([0.6, 1.4]), atol=1e-15)
+        D = Anisotropy(0.6, 1.4, (1, 0), (0, 1))
+        assert D == Anisotropy.diagonal(0.6)
+        assert (D.eigenvalues, D.e1, D.e2) == ((0.6, 1.4), (1.0, 0.0), (0.0, 1.0))
 
     def test_trace_violation(self):
+        # the raw constructor validates: there is no other way to build one
         with pytest.raises(AnisotropyError) as exc:
-            validate_anisotropy(0.5, 1.0, (1, 0), (0, 1))
-        assert any("trace" in v for v in exc.value.violations)
+            Anisotropy(0.5, 1.0)
+        assert exc.value.violations == ["trace = 1.5 != 2"]
 
     def test_all_violations_collected(self):
-        bad = anisotropy_violations(-0.5, 1.0, (2, 0), (2, 0))
+        with pytest.raises(AnisotropyError) as exc:
+            Anisotropy(-0.5, 1.0, (2, 0), (2, 0))
+        bad = exc.value.violations
         assert any("trace" in v for v in bad)
         assert any("not positive" in v for v in bad)
         assert any("norm" in v for v in bad)
         assert any("collinear" in v for v in bad)
 
     def test_second_eigenvalue_not_positive(self):
-        assert anisotropy_violations(2.5, -0.5, (1, 0), (0, 1)) == [
-            "eigenvalue lambda2 = -0.5 not positive"]
+        with pytest.raises(AnisotropyError) as exc:
+            Anisotropy(2.5, -0.5, (1, 0), (0, 1))
+        assert exc.value.violations == ["eigenvalue lambda2 = -0.5 not positive"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["lambda1", "lambda2", "e1_x", "e1_y", "e2_x", "e2_y"])
+    def test_non_finite_refused(self, slot, bad):
+        args = {"lambda1": 1.0, "lambda2": 1.0, "e1_x": 1.0, "e1_y": 0.0, "e2_x": 0.0, "e2_y": 1.0}
+        args[slot] = bad
+        with pytest.raises(AnisotropyError):
+            Anisotropy(args["lambda1"], args["lambda2"], (args["e1_x"], args["e1_y"]),
+                       (args["e2_x"], args["e2_y"]))
 
     def test_constructor_domain_errors(self):
-        with pytest.raises(AnisotropyError, match=r"diagonal parameter 2.5 outside \(0, 2\)"):
+        with pytest.raises(AnisotropyError, match="eigenvalue lambda2 = -0.5 not positive"):
             Anisotropy.diagonal(2.5)
-        for l1, l2 in ((-1.0, 0.5), (0.0, 0.0)):
-            with pytest.raises(AnisotropyError, match=f"cannot normalize trace {l1 + l2} <= 0"):
-                Anisotropy.from_eigen(l1, l2, (1, 0), (0, 1), normalize=True)
 
     def test_canonical_order(self):
-        D = validate_anisotropy(1.4, 0.6, (1, 0), (0, 1))
-        assert D.lambda1 == 0.6
-        assert D.e1 == (0.0, 1.0)
-
-    def test_trace_normalized_rescale_is_exact(self):
-        # scan invariant support: c * D renormalized must equal D to 1e-12
-        D = Anisotropy.diagonal(0.6)
-        D2 = Anisotropy.from_eigen(2 * 0.6, 2 * 1.4, (1, 0), (0, 1), normalize=True)
-        assert abs(D2.lambda1 - D.lambda1) <= 1e-12
-        assert abs(D2.lambda2 - D.lambda2) <= 1e-12
+        D = Anisotropy(1.4, 0.6, (1, 0), (0, 1))
+        assert D.eigenvalues == (0.6, 1.4)
+        assert (D.e1, D.e2) == ((0.0, 1.0), (1.0, 0.0))
 
 
 class TestFieldSpec:

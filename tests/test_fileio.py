@@ -159,7 +159,8 @@ class TestCsvRoundTrips:
         assert back.argmax_alpha == scan.argmax_alpha
         assert back.peak == pytest.approx(scan.peak)
 
-    @pytest.mark.parametrize("rows", ["", "0.5,nan,0.1\n"], ids=["empty", "nan_mean"])
+    @pytest.mark.parametrize("rows", ["", "0.5,nan,0.1\n", "0.5,0.3,0.1\n1.0,-inf,0.1\n"],
+                             ids=["empty", "nan_mean", "one_minus_inf"])
     def test_scan_table_without_finite_exponents(self, rows, tmp_path):
         # an all-NaN table used to escape as StopIteration from the argmax
         path = tmp_path / "scan.csv"
@@ -178,8 +179,9 @@ class TestCsvRoundTrips:
         assert back.argmax_alpha == scan.argmax_alpha == argmax
         assert back.peak == scan.peak
 
-    @pytest.mark.parametrize("rows", ["", "0.5,nan\n1.0,nan\n", "0.5,-1.0\n1.0,nan\n"],
-                             ids=["empty", "nan_rates", "one_nan"])
+    @pytest.mark.parametrize("rows", ["", "0.5,nan\n1.0,nan\n", "0.5,-1.0\n1.0,nan\n",
+                                      "0.5,-1.0\n1.0,inf\n"],
+                             ids=["empty", "nan_rates", "one_nan", "one_inf"])
     def test_ratio_table_without_finite_rates(self, rows, tmp_path):
         # a NaN table used to read back as best_ratio=1.0, slope_at_best=nan,
         # and an empty one raised numpy's argmax error without the path

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from anisotex import (
-    Anisotropy,
     HomogeneousFunction,
     check_homogeneity,
     check_integrability,
@@ -38,10 +37,12 @@ class TestPowerSum:
         assert evaluate(rho_power_sum(0.5), (4.0, 0.0)) == pytest.approx(16.0)
 
     def test_alpha0_domain(self):
-        with pytest.raises(ValueError):
-            rho_power_sum(0.0)
-        with pytest.raises(ValueError):
-            rho_power_sum(2.0)
+        for alpha0 in (0.0, 2.0, math.nan):
+            with pytest.raises(ValueError):
+                rho_power_sum(alpha0)
+        # the weight's own constructor refuses it too
+        with pytest.raises(ValueError, match=r"alpha0 must lie in \(0, 2\), got 2.5"):
+            HomogeneousFunction(2.5)
 
     def test_positive_minimum_on_unit_circle(self):
         theta = np.linspace(0.0, 2 * np.pi, 10_000, endpoint=False)
@@ -76,15 +77,6 @@ class TestHomogeneityCheck:
         xi = np.array([0.3, -0.7])
         M = matrix_power(rho.anisotropy, 1.0).T
         assert evaluate(rho, M @ xi) == evaluate(rho, xi)
-
-    def test_mistagged_function_detected(self):
-        # power-sum profile for alpha0=0.6 falsely tagged as isotropic:
-        # at a=4, xi=(1,0) the mismatch is (4^{1/0.6} - 4)/4 = 1.52 > 0.1
-        mistagged = HomogeneousFunction(Anisotropy.diagonal(1.0), 0.6)
-        expected_pointwise = (4.0 ** (1 / 0.6) - 4.0) / 4.0
-        assert expected_pointwise > 0.1
-        rep = check_homogeneity(mistagged, trials=1000)
-        assert rep.max_relative_error > 0.1
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -130,9 +122,11 @@ class TestIntegrability:
 
 def reference_shell_integral(rho, hurst, lo, hi):
     """The shell integral by a full 16 x 96 Gauss grid in the warped polar
-    coordinates of the tag, evaluating rho and min(1, |xi|^2) at every node."""
+    coordinates of its anisotropy, evaluating rho and min(1, |xi|^2) at every
+    node. The exponents lam1 and lam2 act on xi1 and xi2: each eigenvalue
+    goes to the axis of its eigenvector."""
     E = rho.anisotropy
-    lam1, lam2 = np.diag(E.matrix())
+    lam1, lam2 = np.square(np.column_stack(E.eigenvectors)) @ E.eigenvalues
     q = -2.0 * (hurst + 1.0)
     r, wr = _gauss_panel(lo, hi, 16)
     theta, wt = _gauss_panel(0.0, 2.0 * math.pi, 96)
@@ -191,13 +185,4 @@ class TestShellSums:
                 assert rep.finite == (frac < 1.0), (alpha0, frac)
         for hurst in (1e-3, 1e-6):
             assert check_integrability(rho_power_sum(0.6), hurst).finite
-
-    @pytest.mark.parametrize("hurst", [0.3, 0.9])
-    def test_mistagged_weight_reads_as_its_twin(self, hurst):
-        # the integral is a property of the weight, not of its tag, be the
-        # tag isotropic or rotated off the axes
-        s = math.sqrt(0.5)
-        twin = check_integrability(rho_power_sum(0.6), hurst)
-        for tag in (Anisotropy.diagonal(1.0), Anisotropy.from_eigen(0.6, 1.4, (s, s), (s, -s))):
-            assert check_integrability(HomogeneousFunction(tag, 0.6), hurst) == twin
 

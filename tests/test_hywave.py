@@ -397,6 +397,15 @@ class TestRatioMaximize:
         scan = ratio_maximize(stats)
         assert scan.implied_alpha0 == pytest.approx(1.0, abs=0.02)
 
+    # one ratio with two rates raised IndexError from best_ratio
+    @pytest.mark.parametrize("ratios,rates", [((0.8, 1.2), (-1.0, math.inf)),
+                                              ((0.8, 1.2), (math.nan, -1.0)), ((), ()),
+                                              ((0.8,), (-2.0, -1.0))],
+                             ids=["inf", "nan", "empty", "one_ratio_two_rates"])
+    def test_scan_refuses_non_finite_rates(self, ratios, rates):
+        with pytest.raises(ValueError, match="finite decay_rate"):
+            hywave.RatioScan(ratios, rates)
+
     def test_too_few_rays(self):
         # a single usable block cannot support any ray
         table = {(1, 1): -1.0, (1, 2): -math.inf}
