@@ -41,18 +41,14 @@ from .homog import (
 )
 from .hywave import (
     FILTERS,
-    BlockMoments,
     HyperbolicPyramid,
     RatioScan,
     ScaleStats,
-    block_moments,
     coefficient_energy,
     hyperbolic_transform,
     inverse_hyperbolic_transform,
-    pool_block_moments,
     pooled_scale_statistics,
     ratio_maximize,
-    scale_statistics,
 )
 from .synth import (
     ScalingCheckResult,
@@ -82,7 +78,6 @@ __all__ = [
     "axis_exponents", "scan_exponents",
     "FILTERS", "HyperbolicPyramid", "ScaleStats", "RatioScan",
     "hyperbolic_transform", "inverse_hyperbolic_transform",
-    "coefficient_energy", "scale_statistics", "pooled_scale_statistics",
-    "ratio_maximize", "BlockMoments", "block_moments", "pool_block_moments",
+    "coefficient_energy", "pooled_scale_statistics", "ratio_maximize",
     "EnsembleReduction", "reduce_fields", "reduce_synthesis",
 ]

@@ -94,13 +94,23 @@ def _fit_lags(n: int, step_len: float):
 
 @dataclass(frozen=True)
 class StructureFunction:
-    """Table of p-th order increment statistics along one direction."""
+    """Table of p-th order increment statistics along one direction;
+    ValueError unless the step is a nonzero integer pair, ``check_order``
+    accepts p, and there is one value per lag, each lag finite and > 0."""
 
     lattice_step: tuple       # integer step (u, v)
     p: float
     lags: tuple               # lag lengths t, exact lattice multiples
     values: tuple             # S(t), mean |increment|^p (max for p = inf)
     grid_n: int               # samples per axis of the field measured
+
+    def __post_init__(self):
+        u, v = self.lattice_step
+        if not (all(isinstance(c, (int, np.integer)) for c in (u, v)) and (u, v) != (0, 0)):
+            raise ValueError(f"direction {u},{v} is not a nonzero integer step")
+        check_order(self.p)
+        if not (len(self.lags) == len(self.values) and all(0 < t < math.inf for t in self.lags)):
+            raise ValueError("structure function needs one value per lag, each lag finite and > 0")
 
     @property
     def direction(self) -> tuple:

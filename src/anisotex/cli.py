@@ -181,7 +181,7 @@ def cmd_hywave(args) -> int:
     if args.levels is not None:
         levels = (args.levels, args.levels)
     pyr = hywave.hyperbolic_transform(field, filt=args.filter, levels=levels)
-    stats = hywave.scale_statistics(pyr, args.p)
+    stats = hywave.pooled_scale_statistics([pyr], args.p)
     scan = hywave.ratio_maximize(stats)
     fileio.write_scale_statistics(args.out + "_stats.csv", stats)
     fileio.write_ratio_scan(args.out + "_ratio.csv", scan)

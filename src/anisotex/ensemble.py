@@ -3,13 +3,14 @@
 The estimators read a field's anisotropy from statistics that are computed
 per realization and then averaged in realization order: the two axis
 exponents behind the scan (``besov.axis_exponents``) and the per-block
-moments behind the hyperbolic ridge (``hywave.block_moments``).
-``reduce_fields`` loads each realization inside a task of the worker pool
-(``synth._pool_map``), reduces it and drops it, so at most
-``synth.worker_count()`` fields are alive at once, whatever the ensemble
-size. It folds the reductions as ``scan_anisotropy`` and
-``pooled_scale_statistics`` fold them for a materialized ensemble, so both
-give the same results to the bit.
+moments behind the hyperbolic ridge's one block statistic
+(``hywave.pooled_scale_statistics``). ``reduce_fields`` loads each
+realization inside a task of the worker pool (``synth._pool_map``),
+reduces it and drops it, so at most ``synth.worker_count()`` fields are
+alive at once, whatever the ensemble size. It folds the reductions as
+``scan_anisotropy`` and ``pooled_scale_statistics`` fold them for a
+materialized ensemble, through the same helpers, so both give the same
+results to the bit.
 """
 from __future__ import annotations
 
@@ -55,13 +56,12 @@ def reduce_fields(load, items, alpha_grid, p, levels=None) -> EnsembleReduction:
         field = load(item)
         hs = besov.axis_exponents(field, p)
         if levels is None:
-            return hs, None
+            return hs, None, None
         pyr = hywave.hyperbolic_transform(field, filt="d4", levels=levels)
-        return hs, hywave.block_moments(pyr, p)
+        return hs, (pyr.grid_n, pyr.levels, pyr.filter), hywave._block_moments(pyr, p)
 
-    per = synth._pool_map(reduce, items)
-    exponents = tuple(hs for hs, _ in per)
-    stats = None if levels is None else hywave.pool_block_moments([m for _, m in per])
+    exponents, shapes, moments = zip(*synth._pool_map(reduce, items))
+    stats = None if levels is None else hywave._pool_moments(shapes, moments, p)
     return EnsembleReduction(exponents=exponents, scan=besov.scan_exponents(exponents, alphas),
                              stats=stats)
 

@@ -10,6 +10,7 @@ CSV dialect: header row, ``.`` decimal separator, LF line endings.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -116,9 +117,9 @@ def _read_header(fh, path) -> FieldSpec:
     if actual != expected:
         raise ValueError(f"{path}: truncated or oversized: header implies {expected} bytes "
                          f"(n = {n}, spec {jlen} bytes), file has {actual}")
-    text = _read_exact(fh, jlen, path, "spec").decode("utf-8")
+    data = _read_exact(fh, jlen, path, "spec")
     try:
-        spec = spec_from_dict(json.loads(text))
+        spec = spec_from_dict(json.loads(data.decode("utf-8")))
     except ValueError as e:
         raise ValueError(f"{path}: bad spec: {e}") from None
     if spec.grid_n != n:
@@ -155,22 +156,33 @@ def _write_csv(path, header, rows):
     _atomic_write(path, writer)
 
 
+def _names_path(reader):
+    """``reader`` with the path put before every ValueError that it raises."""
+    @functools.wraps(reader)
+    def read(path):
+        try:
+            return reader(path)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+    return read
+
+
 def _read_csv(path, header):
     """Rows of a CSV table, split on commas, after checking its header row."""
     with open(path, "r", encoding="utf-8") as fh:
         got = fh.readline().strip().split(",")
         missing = [c for c in header if c not in got]
         if missing:
-            raise ValueError(f"{path}: table lacks column {', '.join(missing)}")
+            raise ValueError(f"table lacks column {', '.join(missing)}")
         if got != header:
-            raise ValueError(f"{path}: unexpected header {got}")
+            raise ValueError(f"unexpected header {got}")
         return [line.strip().split(",") for line in fh]
 
 
-def _table_constant(path, values, name):
+def _table_constant(values, name):
     """The one value a per-row column such as grid_n holds throughout a table."""
     if len(set(values)) != 1:
-        raise ValueError(f"{path}: column {name} must hold one value, got {sorted(set(values))}")
+        raise ValueError(f"column {name} must hold one value, got {sorted(set(values))}")
     return values[0]
 
 
@@ -188,17 +200,15 @@ def write_structure_functions(path, sfs) -> None:
     _write_csv(path, _SF_HEADER, rows)
 
 
+@_names_path
 def read_structure_functions(path):
     """Group rows back into StructureFunction tables (per direction and p)."""
     groups = {}
     sizes = []
     for su, sv, sp, st, ss, sn in _read_csv(path, _SF_HEADER):
-        key = (int(su), int(sv), float(sp))
-        if key[:2] == (0, 0):
-            raise ValueError(f"{path}: direction 0,0 has no length")
-        groups.setdefault(key, []).append((float(st), float(ss)))
+        groups.setdefault((int(su), int(sv), float(sp)), []).append((float(st), float(ss)))
         sizes.append(int(sn))
-    grid_n = _table_constant(path, sizes, "grid_n") if sizes else 0
+    grid_n = _table_constant(sizes, "grid_n") if sizes else 0
     out = []
     for (u, v, p), pairs in groups.items():
         pairs.sort()
@@ -214,6 +224,7 @@ def write_scan(path, scan: ExponentScan) -> None:
     _write_csv(path, ["alpha", "exponent_mean", "exponent_stderr"], rows)
 
 
+@_names_path
 def read_scan(path) -> ExponentScan:
     alphas, means, errs = [], [], []
     for row in _read_csv(path, ["alpha", "exponent_mean", "exponent_stderr"]):
@@ -221,10 +232,7 @@ def read_scan(path) -> ExponentScan:
         alphas.append(a)
         means.append(m)
         errs.append(e)
-    try:
-        return ExponentScan(alphas, means, errs)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return ExponentScan(alphas, means, errs)
 
 
 _STATS_HEADER = ["j1", "j2", "p", "log2_stat", "grid_n", "levels_1", "levels_2"]
@@ -240,6 +248,7 @@ def write_scale_statistics(path, stats: ScaleStats) -> None:
     _write_csv(path, _STATS_HEADER, rows)
 
 
+@_names_path
 def read_scale_statistics(path) -> ScaleStats:
     table = {}
     ps, sizes, levels = [], [], []
@@ -249,10 +258,9 @@ def read_scale_statistics(path) -> ScaleStats:
         sizes.append(int(sn))
         levels.append((int(l1), int(l2)))
     if not table:
-        raise ValueError(f"{path}: empty scale-statistics table")
-    return ScaleStats(grid_n=_table_constant(path, sizes, "grid_n"),
-                      levels=_table_constant(path, levels, "levels"),
-                      p=_table_constant(path, ps, "p"), log2_stat=table)
+        raise ValueError("empty scale-statistics table")
+    return ScaleStats(grid_n=_table_constant(sizes, "grid_n"), levels=_table_constant(levels, "levels"),
+                      p=_table_constant(ps, "p"), log2_stat=table)
 
 
 def write_ratio_scan(path, scan: RatioScan) -> None:
@@ -261,16 +269,14 @@ def write_ratio_scan(path, scan: RatioScan) -> None:
     _write_csv(path, ["ratio", "decay_rate"], rows)
 
 
+@_names_path
 def read_ratio_scan(path) -> RatioScan:
     ratios, rates = [], []
     for row in _read_csv(path, ["ratio", "decay_rate"]):
         r, d = map(float, row)
         ratios.append(r)
         rates.append(d)
-    try:
-        return RatioScan(ratios, rates)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return RatioScan(ratios, rates)
 
 
 def write_json(path, obj) -> None:

@@ -5,9 +5,11 @@ wavelet decompositions, to depth J1 along axis 0 and depth J2 along
 axis 1. Its coefficients are one dict of blocks indexed by the depth
 pair (j1, j2), 0 <= j1 <= J1 and 0 <= j2 <= J2, where depth 0 along an
 axis stands for the approximation at full depth and depth j >= 1 for the
-detail at depth j. Per-block normalized l^p statistics of the detail x
-detail blocks (j1, j2 >= 1) feed a scale-ratio scan whose maximizer
-estimates the anisotropy ratio of the texture.
+detail at depth j. ``pooled_scale_statistics``, the one block statistic,
+reduces the detail x detail blocks (j1, j2 >= 1) of one or more pyramids
+to a normalized l^p statistic per block, and the scale-ratio scan
+``ratio_maximize`` reads it: its maximizer estimates the anisotropy ratio
+of the texture.
 
 Each periodic filter step runs over strips of about 2^15 output samples,
 so that its buffers stay in cache. A strip's even and odd input samples
@@ -204,87 +206,64 @@ def coefficient_energy(pyr: HyperbolicPyramid) -> float:
 
 @dataclass(frozen=True)
 class ScaleStats:
-    """log2 of the normalized l^p statistic per detail block."""
+    """log2 of the normalized l^p statistic per detail block; ValueError unless
+    ``check_order`` accepts p and every block (j1, j2) has 1 <= j_i <= levels_i."""
 
     grid_n: int
     levels: tuple
     p: float
     log2_stat: dict  # (j1, j2) -> log2((mean |d|^p)^{1/p}); -inf for empty blocks
 
-
-def scale_statistics(pyr: HyperbolicPyramid, p) -> ScaleStats:
-    """Per-coefficient l^p statistic of each detail x detail block, in log2.
-
-    All-zero blocks report -inf and are excluded from the ratio scan.
-    """
-    return pooled_scale_statistics([pyr], p)
+    def __post_init__(self):
+        check_order(self.p)
+        outside = sorted(k for k in self.log2_stat if not all(1 <= j <= J for j, J in zip(k, self.levels)))
+        if outside:
+            raise ValueError(f"blocks {outside} lie outside levels {self.levels}")
 
 
-@dataclass(frozen=True)
-class BlockMoments:
-    """Per-block p-th moments of one pyramid's detail x detail blocks.
-
-    ``moments[(j1, j2)]`` is (mean |d|^p, or max |d| for p = inf; whether
-    the block has a nonzero coefficient).
-    """
-
-    grid_n: int
-    filter: str
-    levels: tuple
-    p: float
-    moments: dict = field(repr=False)
-
-
-def block_moments(pyr: HyperbolicPyramid, p) -> BlockMoments:
-    """The p-th moment of every detail x detail block of one pyramid: one
-    realization's share of ``pooled_scale_statistics``. Enters its own
-    errstate, so it may run on a pool worker."""
-    check_order(p)
+def _block_moments(pyr: HyperbolicPyramid, p) -> dict:
+    """{(j1, j2): (mean |d|^p, or max |d| for p = inf; whether the block has a
+    nonzero coefficient)} over one pyramid's detail x detail blocks. Enters
+    its own errstate, so it may run on a pool worker."""
     out = {}
     for key, b in pyr.blocks.items():
         if 0 in key:
             continue
         m = _moment(b, p, np.empty_like(b))
         out[key] = (m, m != 0.0 or bool(np.any(b)))
-    return BlockMoments(grid_n=pyr.grid_n, filter=pyr.filter, levels=pyr.levels,
-                        p=float(p), moments=out)
+    return out
 
 
-def pool_block_moments(per) -> ScaleStats:
-    """Ensemble statistic: the ``block_moments`` of each pyramid pooled per
-    block in pyramid order, the mean of the moments (their max for
-    p = inf).
-
-    A pooled moment that overflows float64, or underflows to 0 on a block
-    that is not all zero, raises ValueError naming p.
-    """
+def _pool_moments(shapes, per, p) -> ScaleStats:
+    """``pooled_scale_statistics`` from the pyramids' (grid_n, levels, filter)
+    ``shapes`` and their ``_block_moments`` ``per``, in pyramid order."""
     if not per:
         raise ValueError("need at least one pyramid")
-    ref = per[0]
-    for bm in per[1:]:
-        if (bm.grid_n, bm.levels, bm.filter, bm.p) != (ref.grid_n, ref.levels, ref.filter, ref.p):
-            raise ValueError("pyramids do not share grid, levels, and filter (or moment order)")
-    p = ref.p
-    out = {}
-    for key in ref.moments:
-        pairs = [bm.moments[key] for bm in per]
+    if len(set(shapes)) > 1:
+        raise ValueError("pyramids do not share grid, levels, and filter")
+    p, out = float(p), {}
+    for key in per[0]:
+        pairs = [m[key] for m in per]
         ms = [m for m, _ in pairs]
         with np.errstate(over="ignore", under="ignore"):
             moment = max(ms) if p == math.inf else np.mean(ms)
         _check_moment(moment, p, lambda: any(nz for _, nz in pairs), f"the moment of block {key}")
         v = moment if p == math.inf else moment ** (1.0 / p)
         out[key] = math.log2(v) if v > 0 else -math.inf
-    return ScaleStats(grid_n=ref.grid_n, levels=ref.levels, p=p, log2_stat=out)
+    grid_n, levels, _ = shapes[0]
+    return ScaleStats(grid_n=grid_n, levels=levels, p=p, log2_stat=out)
 
 
 def pooled_scale_statistics(pyramids, p) -> ScaleStats:
-    """Ensemble statistic: per-block p-th moments pooled across pyramids
-    (``pool_block_moments`` of their ``block_moments``).
-
-    A moment that overflows float64, or underflows to 0 on a block that is
-    not all zero, raises ValueError naming p.
-    """
-    return pool_block_moments([block_moments(pyr, p) for pyr in pyramids])
+    """The hyperbolic block statistic of one or more pyramids: per detail x
+    detail block, the p-th moments pooled in pyramid order (their mean, max
+    for p = inf) as log2 of an l^p norm per coefficient; -inf for an
+    all-zero block. ValueError for an order ``check_order`` refuses, no
+    pyramid, pyramids that differ in grid, levels or filter, or a pooled
+    moment that leaves the float64 range (naming p)."""
+    check_order(p)
+    return _pool_moments([(pyr.grid_n, pyr.levels, pyr.filter) for pyr in pyramids],
+                         [_block_moments(pyr, p) for pyr in pyramids], p)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from anisotex import (
     ratio_maximize,
     reduce_synthesis,
     rho_power_sum,
-    scale_statistics,
     scan_anisotropy,
     spectral_coefficients,
     structure_function,
@@ -204,7 +203,7 @@ def test_criterion_7_property_suites():
 
     # l^p monotonicity in p
     pyr = hyperbolic_transform(v, filt="d4", levels=(4, 4))
-    tables = [scale_statistics(pyr, p).log2_stat for p in (1.0, 2.0, 4.0, math.inf)]
+    tables = [pooled_scale_statistics([pyr], p).log2_stat for p in (1.0, 2.0, 4.0, math.inf)]
     for key in tables[0]:
         seq = [t[key] for t in tables]
         assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
@@ -223,7 +222,7 @@ def test_criterion_7_property_suites():
     with pytest.raises(DegenerateDirectionError):
         directional_exponent(structure_function(const, (1, 0), 2.0))
     with pytest.raises(ValueError):
-        ratio_maximize(scale_statistics(hyperbolic_transform(const, "haar"), 2.0))
+        ratio_maximize(pooled_scale_statistics([hyperbolic_transform(const, "haar")], 2.0))
 
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0

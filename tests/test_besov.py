@@ -156,6 +156,23 @@ class TestStructureFunction:
         for t, s in zip(sf.lags, sf.values):
             assert s == pytest.approx((t / math.sqrt(2)) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("step,p,lags,values,message", [
+        ((0, 0), 2.0, (0.1, 0.2), (1.0, 2.0), "direction 0,0 is not a nonzero integer step"),
+        ((1.0, 0), 2.0, (0.1, 0.2), (1.0, 2.0), "not a nonzero integer step"),
+        ((math.nan, 1), 2.0, (0.1, 0.2), (1.0, 2.0), "not a nonzero integer step"),
+        ((1, 0), 0.5, (0.1, 0.2), (1.0, 2.0), "order p must be >= 1 or inf"),
+        ((1, 0), math.nan, (0.1, 0.2), (1.0, 2.0), "order p must be >= 1 or inf"),
+        ((1, 0), 2.0, (0.1, 0.2), (1.0,), "one value per lag"),
+        ((1, 0), 2.0, (0.0, 0.2), (1.0, 2.0), "each lag finite and > 0"),
+        ((1, 0), 2.0, (math.nan, 0.2), (1.0, 2.0), "each lag finite and > 0"),
+        ((1, 0), 2.0, (0.1, math.inf), (1.0, 2.0), "each lag finite and > 0"),
+    ], ids=["zero_step", "float_step", "nan_step", "order", "nan_order", "lengths",
+            "zero_lag", "nan_lag", "inf_lag"])
+    def test_table_validates_itself(self, step, p, lags, values, message):
+        # (0, 0) used to build and then raise ZeroDivisionError from direction
+        with pytest.raises(ValueError, match=message):
+            StructureFunction(lattice_step=step, p=p, lags=lags, values=values, grid_n=64)
+
     def test_default_lags_log_spaced(self):
         lags = default_lags(1024)
         ms = [round(t * 1024) for t in lags]

@@ -235,7 +235,7 @@ class TestLineFit:
 
 def former_moments(x, p):
     """The two p-th moment formulas the shared kernel replaced: the scratch
-    loop of structure_function, then block_moments' expression."""
+    loop of structure_function, then the pyramid block moments' expression."""
     inc = x.copy()
     if p == math.inf:
         sf = float(np.max(np.abs(inc, out=inc)))

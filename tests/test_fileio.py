@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,8 +10,8 @@ from anisotex import (
     FieldSpec,
     directional_exponent,
     hyperbolic_transform,
+    pooled_scale_statistics,
     ratio_maximize,
-    scale_statistics,
     scan_anisotropy,
     structure_function,
     synthesize,
@@ -113,6 +114,14 @@ class TestAnif:
         assert back.values.dtype == np.float64 and not back.values.flags.writeable
         assert fileio.read_spec(path) == f.spec
 
+    def test_spec_invalid_utf8(self, field, tmp_path):
+        # the spec bytes are decoded inside the check, so the error names the file
+        path = tmp_path / "f.anif"
+        path.write_bytes(b"ANIF" + struct.pack("<III", 1, 64, 1) + b"\xff"
+                         + field.values.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad spec: .*codec"):
+            fileio.read_field(path)
+
     def test_malformed_header(self, malformed_anif):
         path, message = malformed_anif
         with pytest.raises(ValueError, match=message):
@@ -206,7 +215,7 @@ class TestCsvRoundTrips:
 
     def test_scale_statistics(self, field, tmp_path):
         pyr = hyperbolic_transform(field, filt="haar", levels=(4, 4))
-        stats = scale_statistics(pyr, 2.0)
+        stats = pooled_scale_statistics([pyr], 2.0)
         path = tmp_path / "stats.csv"
         fileio.write_scale_statistics(path, stats)
         back = fileio.read_scale_statistics(path)
@@ -216,7 +225,7 @@ class TestCsvRoundTrips:
                 assert back.log2_stat[key] == pytest.approx(v)
 
     def test_scale_statistics_ratio_scan_after_read_back(self, field, tmp_path):
-        stats = scale_statistics(hyperbolic_transform(field, filt="d4", levels=(5, 5)), 2.0)
+        stats = pooled_scale_statistics([hyperbolic_transform(field, filt="d4", levels=(5, 5))], 2.0)
         path = tmp_path / "stats.csv"
         fileio.write_scale_statistics(path, stats)
         back = ratio_maximize(fileio.read_scale_statistics(path))
@@ -242,9 +251,36 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="grid_n must hold one value"):
             fileio.read_structure_functions(path)
 
+    _SF = "direction_u,direction_v,p,t,S,grid_n\n"
+    _STATS = "j1,j2,p,log2_stat,grid_n,levels_1,levels_2\n"
+
+    @pytest.mark.parametrize("reader,text,message", [
+        ("sf", _SF + "1,0,2.0,0.0625,1.0\n", "not enough values"),
+        ("sf", _SF + "1,0,0.5,0.0625,1.0,64\n", "order p must be >= 1 or inf"),
+        ("sf", _SF + "1,0,2.0,nan,1.0,64\n", "each lag finite and > 0"),
+        ("scan", "alpha,exponent_mean,exponent_stderr\n0.5,0.3\n", "not enough values"),
+        ("scan", "alpha,exponent_mean,exponent_stderr\n0.5,x,0.1\n", "could not convert"),
+        ("stats", _STATS + "1,2.5,2.0,-3.0,64,3,3\n", "invalid literal for int"),
+        ("stats", _STATS + "0,0,2.0,-3.0,64,3,3\n9,9,2.0,-4.0,64,3,3\n",
+         r"blocks \[\(0, 0\), \(9, 9\)\] lie outside levels \(3, 3\)"),
+        ("stats", _STATS + "1,1,0.5,-3.0,64,3,3\n", "order p must be >= 1 or inf"),
+        ("ratio", "ratio,decay_rate\n0.5\n", "not enough values"),
+        ("ratio", "ratio,decay_rate\n0.5,-1.0\n\xff\n", "codec can't decode"),
+    ], ids=["sf_short_row", "sf_order", "sf_nan_lag", "scan_short_row", "scan_cell_x",
+            "stats_j2_2.5", "stats_outside_levels", "stats_order", "ratio_short_row",
+            "ratio_invalid_utf8"])
+    def test_malformed_table_names_path(self, reader, text, message, tmp_path):
+        # rows that once raised ValueErrors without the path, or read back
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("latin-1"))
+        read = {"sf": fileio.read_structure_functions, "scan": fileio.read_scan,
+                "stats": fileio.read_scale_statistics, "ratio": fileio.read_ratio_scan}[reader]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            read(path)
+
     def test_ratio_scan(self, field, tmp_path):
         pyr = hyperbolic_transform(field, filt="haar", levels=(5, 5))
-        scan = ratio_maximize(scale_statistics(pyr, 2.0))
+        scan = ratio_maximize(pooled_scale_statistics([pyr], 2.0))
         path = tmp_path / "ratio.csv"
         fileio.write_ratio_scan(path, scan)
         back = fileio.read_ratio_scan(path)

@@ -11,7 +11,6 @@ from anisotex import (
     inverse_hyperbolic_transform,
     pooled_scale_statistics,
     ratio_maximize,
-    scale_statistics,
     synthesize,
 )
 from anisotex import hywave
@@ -265,7 +264,7 @@ class TestTransform:
 class TestScaleStatistics:
     def test_zero_blocks_flagged_minus_inf(self, zero_field):
         pyr = hyperbolic_transform(zero_field, filt="haar")
-        stats = scale_statistics(pyr, 2.0)
+        stats = pooled_scale_statistics([pyr], 2.0)
         assert all(v == -math.inf for v in stats.log2_stat.values())
         with pytest.raises(ValueError, match="usable"):
             ratio_maximize(stats)
@@ -275,13 +274,13 @@ class TestScaleStatistics:
         c = 0.37
         pyr.blocks[(2, 2)][:] = c
         for p in (1.0, 2.0, 4.0, math.inf):
-            stats = scale_statistics(pyr, p)
+            stats = pooled_scale_statistics([pyr], p)
             assert stats.log2_stat[(2, 2)] == pytest.approx(math.log2(c), rel=1e-12)
 
     def test_lp_monotone_in_p(self):
         pyr = hyperbolic_transform(random_field(128, seed=9), filt="d4", levels=(4, 4))
         orders = (1.0, 2.0, 4.0, math.inf)
-        tables = [scale_statistics(pyr, p).log2_stat for p in orders]
+        tables = [pooled_scale_statistics([pyr], p).log2_stat for p in orders]
         for key in tables[0]:
             seq = [t[key] for t in tables]
             assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
@@ -290,20 +289,10 @@ class TestScaleStatistics:
     def test_block_moments_leave_pyramid_untouched(self, p):
         pyr = hyperbolic_transform(random_field(64, seed=2), filt="d4", levels=(4, 4))
         before = {k: b.copy() for k, b in pyr.blocks.items()}
-        moments = hywave.block_moments(pyr, p).moments
+        stats = pooled_scale_statistics([pyr], p)
         for key, b in pyr.blocks.items():
             assert np.array_equal(b, before[key])
-            if 0 not in key:  # the expression block_moments used before the shared kernel
-                ref = np.max(np.abs(b)) if p == math.inf else np.mean((b if p == 2 else np.abs(b)) ** p)
-                assert moments[key][0] == ref
-
-    def test_pooled_matches_single(self):
-        v = random_field(64, seed=5)
-        pyr = hyperbolic_transform(v, filt="haar", levels=(3, 3))
-        single = scale_statistics(pyr, 2.0)
-        pooled = pooled_scale_statistics([pyr], 2.0)
-        for key in single.log2_stat:
-            assert pooled.log2_stat[key] == pytest.approx(single.log2_stat[key], rel=1e-12)
+        assert stats.log2_stat == whole_array_pooled_log2_stat([pyr], p)
 
     @pytest.mark.parametrize("filt,levels", [("haar", (2, 3)), ("d4", (3, 3))],
                              ids=["levels", "filter"])
@@ -326,13 +315,37 @@ class TestScaleStatistics:
 
     def test_pool_needs_a_pyramid(self):
         with pytest.raises(ValueError, match="need at least one pyramid"):
-            hywave.pool_block_moments([])
+            pooled_scale_statistics([], 2.0)
 
     @pytest.mark.parametrize("p", [0.5, -1.0, math.nan])
     def test_illegal_order(self, p):
         pyr = hyperbolic_transform(random_field(64), filt="haar", levels=(3, 3))
         with pytest.raises(ValueError, match="order p must be >= 1 or inf"):
             pooled_scale_statistics([pyr], p)
+
+
+class TestScaleStatsType:
+    @pytest.mark.parametrize("table,p,message", [
+        ({(0, 0): -1.0, (9, 9): -2.0}, 2.0, r"blocks \[\(0, 0\), \(9, 9\)\] lie outside levels"),
+        ({(1, 4): -1.0}, 2.0, "outside levels"),
+        ({(1, 1): -1.0}, 0.5, "order p must be >= 1 or inf"),
+        ({(1, 1): -1.0}, math.nan, "order p must be >= 1 or inf"),
+    ], ids=["outside_both", "outside_j2", "order", "nan_order"])
+    def test_refused(self, table, p, message):
+        with pytest.raises(ValueError, match=message):
+            ScaleStats(grid_n=64, levels=(3, 3), p=p, log2_stat=table)
+
+
+def test_public_names():
+    import anisotex
+
+    assert len(set(anisotex.__all__)) == len(anisotex.__all__)
+    for name in anisotex.__all__:
+        assert getattr(anisotex, name) is not None
+    # one block statistic: pooled_scale_statistics of a list of pyramids
+    for gone in ("BlockMoments", "block_moments", "pool_block_moments", "scale_statistics"):
+        assert gone not in anisotex.__all__
+        assert not hasattr(anisotex, gone) and not hasattr(hywave, gone)
 
 
 def planted_tent_stats(n, levels, alpha_star, hurst=0.4, const=2.0):
@@ -383,8 +396,8 @@ class TestRatioMaximize:
         f = synthesize(spec)
         p1 = hyperbolic_transform(f.values, filt="d4", levels=(7, 7))
         p2 = hyperbolic_transform(f.values.T, filt="d4", levels=(7, 7))
-        s1 = scale_statistics(p1, 2.0)
-        s2 = scale_statistics(p2, 2.0)
+        s1 = pooled_scale_statistics([p1], 2.0)
+        s2 = pooled_scale_statistics([p2], 2.0)
         for (j1, j2), v in s1.log2_stat.items():
             assert s2.log2_stat[(j2, j1)] == pytest.approx(v, rel=1e-12)
         r1 = ratio_maximize(s1)
