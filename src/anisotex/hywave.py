@@ -207,6 +207,7 @@ def coefficient_energy(pyr: HyperbolicPyramid) -> float:
 @dataclass(frozen=True)
 class ScaleStats:
     """log2 of the normalized l^p statistic per detail block; ValueError unless
+    ``grid_n`` is a power of two >= 2, each level lies in 1..log2(grid_n),
     ``check_order`` accepts p and every block (j1, j2) has 1 <= j_i <= levels_i."""
 
     grid_n: int
@@ -215,6 +216,13 @@ class ScaleStats:
     log2_stat: dict  # (j1, j2) -> log2((mean |d|^p)^{1/p}); -inf for empty blocks
 
     def __post_init__(self):
+        n = self.grid_n
+        if not (isinstance(n, (int, np.integer)) and n >= 2 and n & (n - 1) == 0):
+            raise ValueError(f"grid_n must be a power of two >= 2, got {n!r}")
+        top = int(n).bit_length() - 1  # log2(grid_n)
+        if not (len(self.levels) == 2 and all(isinstance(J, (int, np.integer)) and 1 <= J <= top
+                                              for J in self.levels)):
+            raise ValueError(f"levels must be two integers in 1..{top} = log2(grid_n), got {self.levels!r}")
         check_order(self.p)
         outside = sorted(k for k in self.log2_stat if not all(1 <= j <= J for j, J in zip(k, self.levels)))
         if outside:

@@ -38,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn, gamma as gamma_fn, gammainc, gammaincc, gammaln
 
 from .core import FieldSpec, SampledField, matrix_power
 
@@ -80,6 +79,65 @@ def _pool_map(fn, items):
 
 
 # ---------------------------------------------------------------------------
+# incomplete gamma
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _gamma_inc(a, x):
+    """The regularized incomplete gammas (P(a, x), Q(a, x)) at one a in (0, 6]
+    and an array x >= 0, each the complement of the other (DiDonato and
+    Morris, ACM TOMS 12, 1986). Each value depends on its own x alone, not
+    on the others in the call.
+
+    Where x < a + 1, P = x^a e^-x / Gamma(a + 1) sum_n x^n / ((a+1)...(a+n)),
+    the terms added to 1 in order up to the first below eps/2 at the largest
+    x: later terms are smaller still and leave the sum as it is. Elsewhere
+    Q = x^a e^-x / Gamma(a) / (b0 + a1/(b1 + a2/(b2 + ...))), b_i = x + 2i + 1 - a
+    and a_i = -i (i - a), evaluated back from its term N = 90/x + 8 (it is
+    exact to eps by about 86/x terms). Sorted by x, the values that take the
+    step of term k lead the array, so each step works on a slice. x^a e^-x
+    is the product of its two factors while e^-x is far from underflow, and
+    e^(a ln x - x) beyond.
+    """
+    x = np.asarray(x, dtype=float)
+    lead, near = np.empty(x.shape), x < 700.0  # x^a e^-x
+    lead[near] = x[near] ** a * np.exp(-x[near])
+    lead[~near] = np.exp(a * np.log(x[~near]) - x[~near])
+    P, Q = np.empty(x.shape), np.empty(x.shape)
+    low = x < a + 1.0
+    xs = x[low]
+    if xs.size:
+        K, term, top = 0, 1.0, float(xs.max())
+        while term >= 0.5 * _EPS:
+            K += 1
+            term *= top / (a + K)
+        t, s = np.ones(xs.shape), np.ones(xs.shape)
+        for ratio in xs / (a + np.arange(1.0, K + 1.0))[:, None]:
+            t *= ratio
+            s += t
+        P[low] = lead[low] / math.gamma(a + 1.0) * s
+        Q[low] = 1.0 - P[low]
+    order = np.argsort(x[~low])
+    xf = x[~low][order]
+    if xf.size:
+        N = np.ceil(90.0 / xf).astype(int) + 8  # largest first
+        upto = np.searchsorted(-N, -np.arange(N[0] + 1), side="right")  # upto[j]: the x with N >= j
+        xa = xf - a
+        h = np.full(xf.size, np.inf)  # b_N + a_(N+1) / inf is b_N
+        for k in range(N[0] + 1, 0, -1):  # h = b_(k-1) + a_k / h
+            hk = h[:upto[k - 1]]
+            np.divide(-k * (k - a), hk, out=hk)
+            hk += xa[:hk.size]
+            hk += 2.0 * k - 1.0
+        q = np.empty(xf.size)
+        q[order] = lead[~low][order] / math.gamma(a) / h
+        Q[~low], P[~low] = q, 1.0 - q
+    return P, Q
+
+
+# ---------------------------------------------------------------------------
 # spectral masses
 # ---------------------------------------------------------------------------
 
@@ -110,21 +168,22 @@ def _axis_factor(lam, n, v):
     periods take Euler-Maclaurin from the midpoints x0 = L (M + 1/2) +- 2 pi k:
     int_x0^inf g / L + L g'(x0) / 24 - 7 L^3 g'''(x0) / 5760, g(x) the
     integral over [x - pi, x + pi]. Its first term is the integral of
-    U(y) = int_y^inf e^(-t x^beta) dx over the cell about x0: one gammaincc
-    per node at the end of period M + 1, cell sums back to each right edge,
-    and a first-moment Gauss sum. Below tau = _TAU_FLAT, Q is flat at
-    2 Gamma(1 + lam) / n; where even cell 1 is skipped, only cell 0 is left
-    (2 Gamma(1 + lam)). Q is bounded at both ends of t, and t^lam, tau and
-    t x^beta come from logs, so no power overflows.
+    U(y) = int_y^inf e^(-t x^beta) dx over the cell about x0: one upper
+    incomplete gamma per node at the end of period M + 1, cell sums back to
+    each right edge, and a first-moment Gauss sum. Below tau = _TAU_FLAT, Q
+    is flat at 2 Gamma(1 + lam) / n; where even cell 1 is skipped, only cell
+    0 is left (2 Gamma(1 + lam)). Q is bounded at both ends of t; t^lam and
+    tau come from logs, and the Gauss values e^(t (-x^beta)) take -x^beta
+    once per axis (finite: x < 2 pi 9 n and beta <= 10), so no power overflows.
 
-    The incomplete-gamma head is computed once for every live node, and the
-    tails once per period count from the rows and first moments the chunks
-    keep: each chunk still sums its own M periods (the largest over its
-    nodes) and skips cells from its first node, so Q is the same bit for
-    bit as a chunk-by-chunk build.
+    One ``_gamma_inc`` call gives the head of every live node and the start
+    of every tail, and the tails are summed once per period count from the
+    rows and first moments the chunks keep: each chunk still sums its own M
+    periods (the largest over its nodes) and skips cells from its first
+    node, so Q is the same bit for bit as a chunk-by-chunk build.
     """
     beta, half, L = 1.0 / lam, n // 2, TWO_PI * n
-    g = gamma_fn(1.0 + lam)  # t^lam int_0^inf e^(-t x^beta) dx
+    g = math.gamma(1.0 + lam)  # t^lam int_0^inf e^(-t x^beta) dx
     ltau = v + beta * math.log(L)
     flat, bare = ltau < math.log(_TAU_FLAT), v + beta * math.log(math.pi) > math.log(_Z_SKIP)
     Q = np.zeros((v.size, half))
@@ -134,20 +193,24 @@ def _axis_factor(lam, n, v):
     periods = np.array(_PERIODS)[np.searchsorted(np.log(_TAU_STEPS), ltau[live], side="right")]
     j = np.arange(_J0, (periods.max(initial=1) + 1) * n)
     x, w = _gauss_panel(TWO_PI * (j - 0.5), TWO_PI * (j + 0.5), _MASS_NODES)
-    lx = beta * np.log(x)
+    nxb = -x ** beta  # t x^beta at the Gauss nodes is t times -nxb
     w, w1 = w[0], w[0] * (x[0] - TWO_PI * (_J0 - 0.5))  # weights and first moments, as in every cell
-    le = beta * np.log(math.pi * (2.0 * np.arange(_J0) + 1.0))  # right edges of cells 0.._J0-1
-    head = np.diff(g * gammainc(lam, np.exp(v[live, None] + le)), prepend=0.0)  # cells 0.._J0-1
+    chunk_M = np.maximum.reduceat(periods, np.arange(0, live.size, _NODE_CHUNK))
+    # per node, the right edges pi (2j + 1) of cells 0.._J0-1, then the end
+    # of period M + 1 of its chunk, where its tail's U starts
+    x_end = TWO_PI * ((np.repeat(chunk_M, _NODE_CHUNK)[:live.size] + 1) * n - 0.5)
+    edges = np.column_stack([np.tile(math.pi * (2.0 * np.arange(_J0) + 1.0), (live.size, 1)), x_end])
+    lower, upper = _gamma_inc(lam, np.exp(v[live, None] + beta * np.log(edges)))
+    head = np.diff(g * lower[:, :_J0], prepend=0.0)  # cells 0.._J0-1
+    ends = g * upper[:, _J0]
     k = np.arange(half)
-    tails = {}  # M: the nodes, rows A[:, M] and first-moment sums of chunks with a tail
+    tails = {}  # M: the nodes, rows A[:, M], first-moment sums and U at the end of chunks with a tail
     for c in range(0, live.size, _NODE_CHUNK):
-        i, M = live[c:c + _NODE_CHUNK], int(periods[c:c + _NODE_CHUNK].max())
+        i, M = live[c:c + _NODE_CHUNK], int(chunk_M[c // _NODE_CHUNK])
         lv = v[i, None]
         s = np.exp(lam * lv)
         cells = min((M + 1) * n, max(_J0, int(math.exp((math.log(_Z_SKIP) - lv[0, 0]) / beta) / TWO_PI) + 2))
-        f = np.add(lv[:, :, None], lx[:cells - _J0])
-        np.exp(f, out=f)
-        np.negative(f, out=f)
+        f = np.multiply(np.exp(lv)[:, :, None], nxb[:cells - _J0])
         np.exp(f, out=f)  # e^(-t x^beta) at the Gauss nodes
         A = np.zeros((i.size, (M + 1) * n))
         A[:, _J0:cells] = s * (f @ w)
@@ -159,16 +222,16 @@ def _axis_factor(lam, n, v):
         if cells > M * n:  # not every cell past M periods is skipped
             mom = np.zeros((i.size, n))
             mom[:, :cells - M * n] = s * (f[:, M * n - _J0:] @ w1)
-            tails.setdefault(M, []).append((i, A[:, M].copy(), mom))
+            tails.setdefault(M, []).append((i, A[:, M].copy(), mom, ends[c:c + _NODE_CHUNK]))
     for M, parts in tails.items():  # one batch per period count
-        i, row, mom = (np.concatenate(p) for p in zip(*parts))
+        i, row, mom, end = (np.concatenate(p) for p in zip(*parts))
         lv = v[i, None]  # cell M n + r of row is centred on x0 for k = |r - n/2|
         e = TWO_PI * (M * n + np.arange(n + 1) - 0.5)  # its edges
         z = np.exp(lv + beta * np.log(e))  # t x^beta
         fe = np.exp(-z)
         d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2  # f''
         right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))  # cells past each
-        U = g * gammaincc(lam, z[:, -1:]) + right
+        U = end[:, None] + right
         s = np.exp(lam * lv)
         tail = ((TWO_PI * U + mom) / L
                 + s * (L / 24.0 * np.diff(fe, axis=1) - 7.0 * L ** 3 / 5760.0 * np.diff(d2, axis=1)))
@@ -211,7 +274,7 @@ def _quarter_mass(alpha0, hurst, n):
     hi = math.ceil(max(math.log(_Z_SKIP) - math.log(math.pi) / l for l in lam) / h)
     v = h * np.arange(lo, hi + 1)
     Q1, Q2 = (_axis_factor(l, n, v) for l in lam)
-    Q1 *= (h / gamma_fn(H2 + 2.0)) * np.exp(H2 * v)[:, None]
+    Q1 *= (h / math.gamma(H2 + 2.0)) * np.exp(H2 * v)[:, None]
     Q1[Q1 < _TINY] = 0.0
     Q2[Q2 < _TINY] = 0.0
     # tiles per side, of near-equal widths: numpy sends a one-wide tile to
@@ -222,8 +285,8 @@ def _quarter_mass(alpha0, hurst, n):
     for r0, r1 in zip(e, e[1:]):
         for c0, c1 in zip(e, e[1:]):
             mass[r0:r1, c0:c1] += Q1[:, r0:r1].T @ Q2[:, c0:c1]
-    flat = 4.0 * gamma_fn(1.0 + lam[0]) * gamma_fn(1.0 + lam[1]) / n ** 2  # Q1 Q2 below v[0]
-    mass += flat * h / gamma_fn(H2 + 2.0) * math.exp(H2 * h * (lo - 1)) / -math.expm1(-H2 * h)
+    flat = 4.0 * math.gamma(1.0 + lam[0]) * math.gamma(1.0 + lam[1]) / n ** 2  # Q1 Q2 below v[0]
+    mass += flat * h / math.gamma(H2 + 2.0) * math.exp(H2 * h * (lo - 1)) / -math.expm1(-H2 * h)
     mass[0, 0] = 0.0
     return np.pad(mass, (0, 1))  # the Nyquist row and column
 
@@ -398,7 +461,7 @@ def _cosine_moment(s: float) -> float:
     """int_0^inf (1 - cos u) u^{-1-s} du for s in (0, 2)."""
     if abs(s - 1.0) < 1e-9:
         return math.pi / 2.0
-    return gamma_fn(2.0 - s) * math.cos(math.pi * s / 2.0) / (s * (1.0 - s))
+    return math.gamma(2.0 - s) * math.cos(math.pi * s / 2.0) / (s * (1.0 - s))
 
 
 def _axis_radial(b, lam, hurst):
@@ -412,7 +475,9 @@ def _axis_variogram(alpha0, hurst, axis, r):
     polar integral with I(a, 0) = _axis_radial(a, lam, H) is a Beta integral."""
     lam = alpha0 if axis == 0 else 2.0 - alpha0
     other = 2.0 - lam
-    return 8.0 * other * lam * beta_fn(lam + 2.0 * hurst, other) * _axis_radial(abs(r), lam, hurst)
+    p = lam + 2.0 * hurst
+    beta_fn = math.gamma(p) * math.gamma(other) / math.gamma(p + other)  # B(p, other)
+    return 8.0 * other * lam * beta_fn * _axis_radial(abs(r), lam, hurst)
 
 
 _V_STEP = 0.2        # step of the trapezoid rule in v (see variogram_oracle)
@@ -452,10 +517,10 @@ def _gauss_kernel(beta, y):
 def _series(beta, ly):
     """(D_beta(e^ly), error estimate) from the two series of ``_kernel``, NaN
     where neither estimate, rounding included, is below _TOL of the value."""
-    g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
+    g0, taylor, asymptotic, _ = _kernel_terms(beta)
     D, err = np.full(ly.shape, np.nan), np.zeros(ly.shape)
     j = np.arange(1.0, _TAYLOR_TERMS + 2)
-    lt = 2.0 * j * ly[:, None] + gammaln((2.0 * j + 1.0) / beta) - gammaln(2.0 * j + 1.0)
+    lt = 2.0 * j * ly[:, None] + taylor
     i = np.flatnonzero(lt[:, -1] - lt[:, 0] <= math.log(_TOL))
     t = 2.0 / beta * np.exp(lt[i])
     val, est = t[:, :-1] @ (-1.0) ** (j[:-1] + 1.0), t[:, -1] + _ROUND * t.sum(axis=1)
@@ -464,7 +529,7 @@ def _series(beta, ly):
 
     i = np.flatnonzero(np.isnan(D))
     k = np.arange(1.0, _SERIES_TERMS + 1)
-    ls = math.log(2.0) + gammaln(k * beta + 1.0) - gammaln(k + 1.0) - (k * beta + 1.0) * ly[i, None]
+    ls = asymptotic - (k * beta + 1.0) * ly[i, None]
     kmin = np.argmin(ls, axis=1)
     lmin = ls[np.arange(i.size), kmin]
     if beta > 1.0:  # ln |saddle| = ln G(0) - c y^(beta/(beta-1))
@@ -517,10 +582,8 @@ def _mid_kernel(beta, ly, table):
     for ck in c[:, :0:-1].T:
         b1, b2 = ck + 2.0 * t * b1 - b2, b1
     D = c[:, 0] + t * b1 - b2
-    y = np.exp(ly)
-    beyond = np.minimum(4.0 / beta * gamma_fn(1.0 / beta) * gammaincc(1.0 / beta, _U_EXP),
-                        y ** 2 / beta * gamma_fn(3.0 / beta) * gammaincc(3.0 / beta, _U_EXP))
-    return D, cerr[p] + beyond + _TOL * D
+    far1, far3 = _kernel_terms(beta)[3]
+    return D, cerr[p] + np.minimum(far1, np.exp(ly) ** 2 * far3) + _TOL * D
 
 
 def _kernel(beta, ly):
@@ -546,14 +609,29 @@ def _kernel(beta, ly):
 
 
 @functools.lru_cache(maxsize=16)
+def _kernel_terms(beta):
+    """The per-beta constants of ``_series`` and ``_mid_kernel``: G(0) =
+    2 Gamma(1 + 1/beta); ln Gamma((2j+1)/beta) - ln (2j)!, j = 1.._TAYLOR_TERMS + 1,
+    of the small-y series; ln 2 Gamma(k beta + 1) - ln k!, k = 1.._SERIES_TERMS,
+    of the large-y one; and the bounds 4/beta Gamma(1/beta, 40) and
+    Gamma(3/beta, 40)/beta (times y^2) on D's part from u^beta > 40."""
+    taylor = np.array([math.lgamma((2.0 * j + 1.0) / beta) - math.lgamma(2.0 * j + 1.0)
+                       for j in range(1, _TAYLOR_TERMS + 2)])
+    asymptotic = np.array([math.log(2.0) + math.lgamma(k * beta + 1.0) - math.lgamma(k + 1.0)
+                           for k in range(1, _SERIES_TERMS + 1)])
+    far = [math.gamma(a) * float(_gamma_inc(a, _U_EXP)[1]) / beta for a in (1.0 / beta, 3.0 / beta)]
+    return 2.0 * math.gamma(1.0 + 1.0 / beta), taylor, asymptotic, (4.0 * far[0], far[1])
+
+
+@functools.lru_cache(maxsize=16)
 def _kernel_range(beta):
     """(ln y_lo, ln y_hi, table) for D_beta: below y_lo, D is y^2 Gamma(3/beta)/beta
     within _TOL and D/G(0) < _TOL; above y_hi, |G(y)| < sqrt(_TOL) G(0)
     (checked on a grid in ln y). The table (``_table``) spans the grid points
     where neither series reaches _TOL, and one grid step beyond each end."""
-    g0 = 2.0 * gamma_fn(1.0 + 1.0 / beta)
-    lo = 0.5 * (math.log(_TOL) + min(math.log(12.0) + gammaln(3.0 / beta) - gammaln(5.0 / beta),
-                                     math.log(g0 * beta) - gammaln(3.0 / beta)))
+    g0 = _kernel_terms(beta)[0]
+    lo = 0.5 * (math.log(_TOL) + min(math.log(12.0) + math.lgamma(3.0 / beta) - math.lgamma(5.0 / beta),
+                                     math.log(g0 * beta) - math.lgamma(3.0 / beta)))
     ly = np.arange(-20.0, 60.0, 0.25)
     D, err = _series(beta, ly)
     i = np.flatnonzero(np.isnan(D))  # never empty for beta > 1/2
@@ -579,7 +657,7 @@ def _variogram(spec: FieldSpec, x):
         return _axis_variogram(alpha0, hurst, *((0, x1) if x2 == 0.0 else (1, x2))), 0.0
 
     lam, lx, h, H2 = (alpha0, 2.0 - alpha0), (math.log(x1), math.log(x2)), _V_STEP, 2.0 * hurst
-    g0 = [2.0 * gamma_fn(1.0 + l) for l in lam]
+    g0 = [2.0 * math.gamma(1.0 + l) for l in lam]
     rng = [_kernel_range(1.0 / l) for l in lam]
     k_lo = math.floor(min((lx[i] - rng[i][1]) / lam[i] for i in (0, 1)) / h)
     k_hi = math.ceil(max((lx[i] - rng[i][0]) / lam[i] for i in (0, 1)) / h)
@@ -593,12 +671,12 @@ def _variogram(spec: FieldSpec, x):
     # full and with the signs (-1)^k
     tail = alt = 0.0
     for c, r, k0, d in ((g0[0] * g0[1], H2, k_lo - 1, -1),
-                        (g0[0] * gamma_fn(3.0 * lam[1]) * lam[1] * x2 ** 2, H2 - 2.0 * lam[1], k_hi + 1, 1),
-                        (g0[1] * gamma_fn(3.0 * lam[0]) * lam[0] * x1 ** 2, H2 - 2.0 * lam[0], k_hi + 1, 1)):
+                        (g0[0] * math.gamma(3.0 * lam[1]) * lam[1] * x2 ** 2, H2 - 2.0 * lam[1], k_hi + 1, 1),
+                        (g0[1] * math.gamma(3.0 * lam[0]) * lam[0] * x1 ** 2, H2 - 2.0 * lam[0], k_hi + 1, 1)):
         a, q = c * math.exp(r * h * k0), math.exp(r * h * d)
         tail += a / (1.0 - q)
         alt += (-1.0) ** k0 * a / (1.0 + q)
-    pref = 2.0 * h / gamma_fn(H2 + 2.0)
+    pref = 2.0 * h / math.gamma(H2 + 2.0)
     # |alt sum| is half the gap between the step-2h rules on the even and odd nodes
     est = abs(float(np.sum((-1.0) ** k * f)) + alt)
     return pref * (float(f.sum()) + tail), pref * (est + float(fe.sum()) + _TOL * tail)

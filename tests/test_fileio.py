@@ -264,10 +264,15 @@ class TestCsvRoundTrips:
         ("stats", _STATS + "0,0,2.0,-3.0,64,3,3\n9,9,2.0,-4.0,64,3,3\n",
          r"blocks \[\(0, 0\), \(9, 9\)\] lie outside levels \(3, 3\)"),
         ("stats", _STATS + "1,1,0.5,-3.0,64,3,3\n", "order p must be >= 1 or inf"),
+        ("stats", _STATS + "".join(f"{j1},{j2},2.0,-3.0,0,3,3\n" for j1 in (1, 2) for j2 in (1, 2)),
+         "grid_n must be a power of two >= 2, got 0"),
+        ("stats", _STATS + "".join(f"{j1},{j2},2.0,-3.0,8,5,5\n" for j1 in (1, 2) for j2 in (1, 2)),
+         r"levels must be two integers in 1\.\.3 = log2\(grid_n\), got \(5, 5\)"),
         ("ratio", "ratio,decay_rate\n0.5\n", "not enough values"),
         ("ratio", "ratio,decay_rate\n0.5,-1.0\n\xff\n", "codec can't decode"),
     ], ids=["sf_short_row", "sf_order", "sf_nan_lag", "scan_short_row", "scan_cell_x",
-            "stats_j2_2.5", "stats_outside_levels", "stats_order", "ratio_short_row",
+            "stats_j2_2.5", "stats_outside_levels", "stats_order", "stats_grid_n_0",
+            "stats_levels_past_grid", "ratio_short_row",
             "ratio_invalid_utf8"])
     def test_malformed_table_names_path(self, reader, text, message, tmp_path):
         # rows that once raised ValueErrors without the path, or read back

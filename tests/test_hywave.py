@@ -335,6 +335,27 @@ class TestScaleStatsType:
         with pytest.raises(ValueError, match=message):
             ScaleStats(grid_n=64, levels=(3, 3), p=p, log2_stat=table)
 
+    # a grid_n of 0 once passed and ratio_maximize then failed in log2(0)
+    @pytest.mark.parametrize("grid_n,levels,message", [
+        (0, (3, 3), "grid_n must be a power of two >= 2, got 0"),
+        (1, (1, 1), "grid_n must be a power of two >= 2, got 1"),
+        (96, (3, 3), "grid_n must be a power of two >= 2, got 96"),
+        (64.0, (3, 3), "grid_n must be a power of two >= 2, got 64.0"),
+        (8, (5, 5), r"levels must be two integers in 1\.\.3 = log2\(grid_n\), got \(5, 5\)"),
+        (64, (0, 3), r"levels must be two integers in 1\.\.6"),
+        (64, (3, 7), r"levels must be two integers in 1\.\.6"),
+        (64, (3,), r"levels must be two integers in 1\.\.6"),
+    ], ids=["grid_0", "grid_1", "grid_96", "grid_float", "levels_past_grid", "level_0",
+            "level_7", "one_level"])
+    def test_sizes_refused(self, grid_n, levels, message):
+        with pytest.raises(ValueError, match=message):
+            ScaleStats(grid_n=grid_n, levels=levels, p=2.0, log2_stat={(1, 1): -1.0})
+
+    def test_sizes_at_their_ends(self):
+        # the smallest grid and levels down to one coefficient per block
+        assert ScaleStats(grid_n=2, levels=(1, 1), p=2.0, log2_stat={(1, 1): -1.0}).levels == (1, 1)
+        assert ScaleStats(grid_n=np.int64(64), levels=(6, 6), p=2.0, log2_stat={(6, 6): -1.0}).grid_n == 64
+
 
 def test_public_names():
     import anisotex

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats as sps
-from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, gammainc, gammaincc
+from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, gammainc, gammaincc, gammaln
 
 from anisotex import (
     FieldSpec,
@@ -321,9 +321,11 @@ def per_chunk_axis_factor(lam, n, v):
     Euler-Maclaurin tail computed chunk by chunk, a reference for the build
     that computes both once over the chunks' nodes (the tail once per
     period count). Each chunk sums M periods, M the largest over its nodes,
-    and skips cells from its first node on."""
+    and skips cells from its first node on. It takes the package's
+    Gamma, incomplete gamma and Gauss values e^(t (-x^beta)): it checks the
+    chunking, not the special functions."""
     beta, half, L = 1.0 / lam, n // 2, synth.TWO_PI * n
-    g = gamma_fn(1.0 + lam)
+    g = math.gamma(1.0 + lam)
     ltau = v + beta * math.log(L)
     flat = ltau < math.log(synth._TAU_FLAT)
     bare = v + beta * math.log(math.pi) > math.log(synth._Z_SKIP)
@@ -336,7 +338,7 @@ def per_chunk_axis_factor(lam, n, v):
     J0 = synth._J0
     j = np.arange(J0, (periods.max(initial=1) + 1) * n)
     x, w = synth._gauss_panel(synth.TWO_PI * (j - 0.5), synth.TWO_PI * (j + 0.5), synth._MASS_NODES)
-    lx = beta * np.log(x)
+    nxb = -x ** beta
     w, w1 = w[0], w[0] * (x[0] - synth.TWO_PI * (J0 - 0.5))
     le = beta * np.log(math.pi * (2.0 * np.arange(J0) + 1.0))
     k = np.arange(half)
@@ -346,10 +348,10 @@ def per_chunk_axis_factor(lam, n, v):
         s = np.exp(lam * lv)
         cells = min((M + 1) * n, max(J0, int(math.exp((math.log(synth._Z_SKIP) - lv[0, 0]) / beta)
                                              / synth.TWO_PI) + 2))
-        f = np.exp(-np.exp(np.add(lv[:, :, None], lx[:cells - J0])))
+        f = np.exp(np.exp(lv)[:, :, None] * nxb[:cells - J0])
         A = np.zeros((i.size, (M + 1) * n))
         A[:, J0:cells] = s * (f @ w)
-        A[:, :J0] = np.diff(g * gammainc(lam, np.exp(lv + le)), prepend=0.0)
+        A[:, :J0] = np.diff(g * synth._gamma_inc(lam, np.exp(lv + le))[0], prepend=0.0)
         A = A.reshape(i.size, M + 1, n)
         S = A[:, :M].sum(axis=1)
         S[:, :half] += A[:, M, :half]
@@ -361,7 +363,7 @@ def per_chunk_axis_factor(lam, n, v):
             fe = np.exp(-z)
             d2 = beta * z * (beta * z - beta + 1.0) * fe / e ** 2
             right = np.pad(np.cumsum(row[:, :0:-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
-            U = g * gammaincc(lam, z[:, -1:]) + right
+            U = g * synth._gamma_inc(lam, z[:, -1:])[1] + right
             mom = np.zeros_like(row)
             mom[:, :cells - M * n] = s * (f[:, M * n - J0:] @ w1)
             tail = ((synth.TWO_PI * U + mom) / L
@@ -635,6 +637,101 @@ class TestGaussPanel:
             assert np.array_equal(x[i], xi) and np.array_equal(w[i], wi)
             assert w[i].sum() == pytest.approx(hi[i] - lo[i], rel=1e-14)
             assert (w[i] * xi ** 5).sum() == pytest.approx((hi[i] ** 6 - lo[i] ** 6) / 6, rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+GAMMA_X = np.concatenate([np.geomspace(1e-300, 1e3, 601), np.linspace(0.5, 10.0, 96)])
+
+
+def scaled_error(got, ref, a, x):
+    """|got - ref| in units of eps (1 + |a ln x - x|) ref: scipy forms
+    x^a e^-x as e^(a ln x - x - ln Gamma(a)), whose rounding grows so."""
+    return np.abs(got - ref) / (EPS * (1.0 + np.abs(a * np.log(x) - x)) * ref)
+
+
+class TestSpecialFunctions:
+    # synth computes Gamma, ln Gamma and B with math and the regularized
+    # incomplete gammas itself; scipy.special is the reference. Largest
+    # differences measured over these arguments, in the units of
+    # scaled_error: P 11 and Q on the fraction side 20 (there scipy is the
+    # one off: at a = 0.25, x = 1.25 it is 1.5e-14 from 30-digit values, the
+    # package 3e-16); Q = 1 - P on the series side, 19 eps absolute. The
+    # bounds below are 16, 32 and 32.
+    @pytest.mark.parametrize("a", np.linspace(0.1, 1.9, 37))
+    def test_gamma_inc_at_build_orders(self, a):
+        # the build's lam over x = 0, 1e-300..1e3 and both sides of the
+        # switch from the series (x < a + 1) to the continued fraction
+        x = np.concatenate([[0.0], GAMMA_X, (a + 1.0) * (1.0 + np.array([-1e-6, -1e-15, 0.0, 1e-15, 1e-6]))])
+        P, Q = synth._gamma_inc(a, x)
+        assert P[0] == 0.0 and Q[0] == 1.0
+        P, Q, x = P[1:], Q[1:], x[1:]
+        rP, rQ = gammainc(a, x), gammaincc(a, x)
+        p = rP > 0.0  # not below scipy's underflow at x near 1e-300
+        assert np.all(scaled_error(P[p], rP[p], a, x[p]) <= 16.0) and np.all(P[~p] < 1e-300)
+        f = (x >= a + 1.0) & (rQ > 1e-300)  # the fraction side
+        assert np.all(scaled_error(Q[f], rQ[f], a, x[f]) <= 32.0)
+        assert np.all(np.abs(Q - rQ)[x < a + 1.0] <= 32.0 * EPS)
+        assert np.all(Q[x >= 800.0] == 0.0) and np.all(rQ[x >= 800.0] == 0.0)
+
+    @pytest.mark.parametrize("a", np.linspace(0.1, 5.7, 57))
+    def test_gamma_inc_at_oracle_point(self, a):
+        # the oracle's bound on u^beta > 40 takes Q(1/beta, 40) and Q(3/beta, 40)
+        P, Q = synth._gamma_inc(a, np.array([40.0]))
+        assert scaled_error(Q, gammaincc(a, 40.0), a, 40.0)[0] <= 32.0
+        assert abs(P[0] - gammainc(a, 40.0)) <= EPS
+
+    @pytest.mark.parametrize("a", [0.1, 0.6, 1.0, 1.9, 5.7])
+    def test_gamma_inc_values_stand_alone(self, a):
+        # each value is the same bit for bit in a call of its own: the build's
+        # one call and the per-chunk reference's calls agree
+        x = np.concatenate([[0.0], GAMMA_X])
+        P, Q = synth._gamma_inc(a, x)
+        for i in range(0, x.size, 7):
+            p, q = synth._gamma_inc(a, x[i:i + 1])
+            assert p[0] == P[i] and q[0] == Q[i]
+
+    @pytest.mark.parametrize("lam", np.linspace(0.1, 1.9, 19))
+    def test_kernel_terms(self, lam):
+        # the oracle's per-beta constants: logs within 4 eps of the size of
+        # their two terms, G(0) and the bounds on u^beta > 40 within 40 eps
+        beta = 1.0 / lam
+        g0, taylor, asymptotic, (far1, far3) = synth._kernel_terms(beta)
+        j = np.arange(1.0, synth._TAYLOR_TERMS + 2)
+        k = np.arange(1.0, synth._SERIES_TERMS + 1)
+        for got, one, two in ((taylor, gammaln((2.0 * j + 1.0) / beta), gammaln(2.0 * j + 1.0)),
+                              (asymptotic - math.log(2.0), gammaln(k * beta + 1.0), gammaln(k + 1.0))):
+            assert np.all(np.abs(got - (one - two)) <= 4.0 * EPS * (1.0 + np.abs(one) + two))
+        assert g0 == pytest.approx(2.0 * gamma_fn(1.0 + lam), rel=4.0 * EPS, abs=0.0)
+        assert far1 == pytest.approx(4.0 * lam * gamma_fn(lam) * gammaincc(lam, 40.0), rel=40.0 * EPS, abs=0.0)
+        assert far3 == pytest.approx(lam * gamma_fn(3.0 * lam) * gammaincc(3.0 * lam, 40.0), rel=40.0 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("alpha0", [0.1, 0.6, 1.0, 1.4, 1.9])
+    def test_axis_closed_form(self, alpha0):
+        # Gamma and B of the axis variogram at every axis and H of the domain
+        for hurst in np.linspace(0.005, 0.99 * min(alpha0, 2.0 - alpha0), 9):
+            for axis in (0, 1):
+                assert synth._axis_variogram(alpha0, hurst, axis, 0.3) == pytest.approx(
+                    axis_oracle(alpha0, hurst, axis, 0.3), rel=16.0 * EPS, abs=0.0)
+
+
+class TestNumpyOnly:
+    # the package imports numpy and the standard library alone: scipy's
+    # import took most of every CLI call's start-up
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, anisotex, anisotex.cli\n"
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+        assert run_child(code).strip() == "[]"
+
+    def test_runs_with_scipy_blocked(self):
+        # sys.modules["scipy"] = None makes every scipy import raise; the
+        # oracle and the 64^2 build run at a spec nothing has built before
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from anisotex import FieldSpec, cli, spectral_grid, variogram_oracle\n"
+                "assert cli.main(['selftest', '--quick']) == 0\n"
+                "spec = FieldSpec.make(0.7, 0.3, grid_n=64)\n"
+                "print(variogram_oracle(spec, (0.25, 0.25)) > 0.0, spectral_grid(spec).shape)\n")
+        assert run_child(code).splitlines()[-1] == "True (64, 64)"
 
 
 class TestVariogramOracle:
