@@ -16,7 +16,7 @@ so that its buffers stay in cache. A strip's even and odd input samples
 are copied to two flat buffers, every filter tap is one flat slice of a
 buffer, and the products are summed in the order of the whole-array
 formula, so no coefficient depends on the strip size. Every step halves
-the axis, so depth J needs the grid size n divisible by 2^J.
+the axis: the grid size n is a power of two and each depth J at most log2(n).
 """
 from __future__ import annotations
 
@@ -162,17 +162,25 @@ def default_levels(n: int) -> int:
     return max(1, int(math.log2(n)) - 1)
 
 
+def _check_grid_n(n):
+    """ValueError unless n is an integer power of two >= 2."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2 and n & (n - 1) == 0):
+        raise ValueError(f"grid_n must be a power of two >= 2, got {n!r}")
+
+
 def hyperbolic_transform(field_or_values, filt="d4", levels=None) -> HyperbolicPyramid:
     """Full separable transform with independent dyadic depths per axis.
 
     Rows are decomposed to depth J2 (axis 1), then every piece is
-    decomposed to depth J1 along axis 0; boundaries are periodic. A depth
-    J needs n divisible by 2^J.
+    decomposed to depth J1 along axis 0; boundaries are periodic. The grid
+    side n must be a power of two >= 2, as ``ScaleStats`` requires, and
+    each depth lie in 1..log2(n).
     """
     values = field_or_values.values if isinstance(field_or_values, SampledField) else np.asarray(field_or_values, dtype=float)
     n = values.shape[0]
     if values.shape != (n, n):
         raise ValueError(f"expected a square array, got {values.shape}")
+    _check_grid_n(n)
     if filt not in FILTERS:
         raise ValueError(f"unknown filter {filt!r}; choose from {sorted(FILTERS)}")
     h = FILTERS[filt]
@@ -181,7 +189,7 @@ def hyperbolic_transform(field_or_values, filt="d4", levels=None) -> HyperbolicP
         levels = (default_levels(n), default_levels(n))
     J1, J2 = levels
     for J in (J1, J2):
-        if not 1 <= J <= int(math.log2(n)) or n % 2 ** J:
+        if not 1 <= J <= n.bit_length() - 1:
             raise ValueError(f"infeasible levels {levels} for n = {n}")
 
     blocks = {(j1, j2): b for j2, piece in enumerate(_wavedec(values, h, g, J2, axis=1))
@@ -217,8 +225,7 @@ class ScaleStats:
 
     def __post_init__(self):
         n = self.grid_n
-        if not (isinstance(n, (int, np.integer)) and n >= 2 and n & (n - 1) == 0):
-            raise ValueError(f"grid_n must be a power of two >= 2, got {n!r}")
+        _check_grid_n(n)
         top = int(n).bit_length() - 1  # log2(grid_n)
         if not (len(self.levels) == 2 and all(isinstance(J, (int, np.integer)) and 1 <= J <= top
                                               for J in self.levels)):

@@ -20,7 +20,10 @@ stream per realization, scaled by the alias-folded amplitudes. A
 realization is stored only as its half-plane coefficients, in the
 (n, n/2 + 1) rfft layout: fields come from one real ``irfft2``, and point
 values from X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1), summed
-separably over per-axis phases (never a modes x points matrix).
+separably over per-axis phases (never a modes x points matrix). Point
+values of many realizations run on the worker pool, in runs of
+realizations whose products are tiled to stay on the calling thread; each
+value is the same whatever the worker or BLAS thread count.
 
 Remaining known bias: the zero-frequency cell (|xi| < pi) cannot be
 represented by a periodic model, so lattice variances fall below the
@@ -153,6 +156,7 @@ _PERIODS = (1, 2, 4, 8)          # 1 throughout moves 2e-3; steps 10x higher, 2e
 _NODE_CHUNK = 4         # nodes per batch, 0.4 MB of temporaries at n = 256: 16 raised peak RSS 5-9%
 _TINY = 1e-200          # zeroed before the product: subnormal operands slow BLAS ~100x
 _GEMM_TILE = 1 << 18    # multiply-adds per product tile: OpenBLAS runs a gemm this small on the calling thread
+_TILE_ROWS = 8          # rows per tile of a point product: fewer re-pack its phases for every tile
 
 
 def _axis_factor(lam, n, v):
@@ -395,9 +399,10 @@ def _block_draws(specs):
 
     The Gaussian stream comes from a Philox generator keyed by the seed: two
     standard normals per half-plane mode, the modes in block order and each
-    block row-major, even draws real parts. One complex buffer holds every
-    mode, reused across realizations (a yielded block is overwritten by the
-    next), and the blocks are consecutive slices of it. It is scaled in
+    block row-major, even draws real parts. Each call holds every mode in
+    one complex buffer, reused across its realizations (a yielded block is
+    overwritten by the next), and the blocks are consecutive slices of it;
+    ``_values_at`` makes one call, and so one buffer, per run. It is scaled in
     place, by 1/sqrt(2) on its float64 view, then each block by the cached
     quarter read at |k1| (the amplitudes are even): no amplitude grid is
     built and no square root taken per draw."""
@@ -416,6 +421,30 @@ def _block_draws(specs):
         yield zs
 
 
+def _tiled_product(z, p2, out):
+    """out = z @ p2 in tiles below _GEMM_TILE // 4 complex multiply-adds,
+    OpenBLAS's zgemm threshold, so that OpenBLAS keeps each on the calling
+    thread: _TILE_ROWS rows of z by a group of points, one stacked
+    ``matmul`` per group over the full row tiles and one over the rows
+    left. Groups start at multiples of four points, the column step of
+    OpenBLAS's complex kernels, so each entry is summed as in the whole
+    product (a group edge elsewhere moved the last bits of the columns
+    beside it). From n = 4096 (cols = 2048) even four points reach the
+    threshold, and OpenBLAS threads those tiles."""
+    rows, cols = z.shape
+    m = p2.shape[1]
+    quads = max(1, ((_GEMM_TILE // 4 - 1) // (_TILE_ROWS * cols) - 3) // 4)  # per group; the last takes up to 3 more points
+    groups = max(1, -(-(m // 4) // quads))
+    e = [4 * (m // 4 * i // groups) for i in range(groups)] + [m]
+    full = rows - rows % _TILE_ROWS
+    stacked, out3 = z[:full].reshape(-1, _TILE_ROWS, cols), out[:full].reshape(-1, _TILE_ROWS, m)
+    for c0, c1 in zip(e, e[1:]):
+        np.matmul(stacked, p2[:, c0:c1], out=out3[..., c0:c1])
+        if full < rows:
+            np.matmul(z[full:], p2[:, c0:c1], out=out[full:, c0:c1])
+    return out
+
+
 def _values_at(spec: FieldSpec, pts: np.ndarray, reps: int) -> np.ndarray:
     """(reps, m) values at the (m, 2) points ``pts`` of the realizations
     with seeds spec.seed + i (mod 2^64), contracted straight from the draw
@@ -424,15 +453,40 @@ def _values_at(spec: FieldSpec, pts: np.ndarray, reps: int) -> np.ndarray:
     The per-axis phases e^{2 pi i k x} are built once and cut into the two
     ``_draw_blocks``; each realization then costs, per block, one
     (rows, cols) x (cols, m) product and a column-wise dot over k1. No
-    (n, n/2 + 1) grid, scatter or index array is made per realization."""
-    n = spec.grid_n
+    (n, n/2 + 1) grid, scatter or index array is made per realization.
+
+    A product of _GEMM_TILE // 4 complex multiply-adds or more goes to
+    OpenBLAS's threads, which then spin and take a core from the worker
+    pool. So with more than one realization, such products are
+    ``_tiled_product``'s, whatever the worker count, and the realizations
+    run on the pool as worker_count() contiguous runs, each drawing its own
+    slice of them into its own ``_block_draws`` buffer (n^2 / 2 complex
+    values) and writing its own rows. Smaller products run whole on the
+    calling thread, all realizations in one run: there the pool cost more
+    than it saved (at n = 64 and 48 points). A single realization keeps the
+    whole product. With OpenBLAS 0.3.31 on x86-64 the tiles equal the whole
+    product bit for bit (checked at n = 128 to 2048, 7 to 1000 points)."""
+    n, m, half = spec.grid_n, pts.shape[0], spec.grid_n // 2
     e1 = np.exp(1j * TWO_PI * np.outer(np.fft.fftfreq(n, d=1.0 / n), pts[:, 0]))
-    e2 = np.exp(1j * TWO_PI * np.outer(np.arange(n // 2 + 1), pts[:, 1]))
+    e2 = np.exp(1j * TWO_PI * np.outer(np.arange(half + 1), pts[:, 1]))
     phases = [(e1[rows], e2[cols]) for rows, cols in _draw_blocks(n)]
-    out = np.empty((reps, pts.shape[0]))
-    for i, zs in enumerate(_block_draws(ensemble_specs(spec, reps))):
-        out[i] = 2.0 * sum(np.einsum("km,km->m", p1, z @ p2).real - z.sum().real
-                           for z, (p1, p2) in zip(zs, phases))
+    specs = ensemble_specs(spec, reps)
+    tiled = reps > 1 and half * (half - 1) * m >= _GEMM_TILE // 4
+    out = np.empty((reps, m))
+
+    def run(bounds):
+        i0, i1 = bounds
+        bufs = [np.empty((p1.shape[0], m), dtype=complex) if tiled else None for p1, _ in phases]
+        for i, zs in enumerate(_block_draws(specs[i0:i1]), i0):
+            out[i] = 2.0 * sum(np.einsum("km,km->m", p1, z @ p2 if b is None else _tiled_product(z, p2, b)).real
+                               - z.sum().real for z, (p1, p2), b in zip(zs, phases, bufs))
+
+    runs = min(worker_count(), reps) if tiled else 1
+    if runs == 1:
+        run((0, reps))
+    else:
+        e = [reps * j // runs for j in range(runs + 1)]
+        _pool_map(run, zip(e, e[1:]))
     return out
 
 
@@ -735,7 +789,9 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int) -> Scalin
     points in all), with tau = 0 always included; this cuts the estimator
     noise several-fold without changing its target. Points are evaluated
     by direct mode summation (no interpolation), contracted from each
-    realization's draws in draw order (``_values_at``). Returns a 95%
+    realization's draws in draw order (``_values_at``), the realizations
+    in contiguous runs on the worker pool; every value, and so the result,
+    is the same whatever the worker or BLAS thread count. Returns a 95%
     confidence half-width from the delta method on the per-realization pair
     statistics. ``reps`` must be at least 50, ``a`` positive and ``x`` of
     shape (2,); anything else raises ValueError.

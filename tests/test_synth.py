@@ -590,12 +590,15 @@ class TestSpectralGrid:
 
 class TestEvaluateAtPoints:
     def test_rows_are_single_realizations(self):
-        # row i is the realization with seed spec.seed + i mod 2^64, bit for bit
+        # row i is the realization with seed spec.seed + i mod 2^64, bit for
+        # bit; with 7 points the rows come from whole products, with 101 from
+        # tiles on the pool, while evaluate_at_points takes the whole product
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=2 ** 64 - 2)
-        pts = np.random.default_rng(4).uniform(size=(7, 2))
-        vals = synth._values_at(spec, pts, 3)
-        for i, seed in enumerate((2 ** 64 - 2, 2 ** 64 - 1, 0)):
-            assert np.array_equal(vals[i], evaluate_at_points(spec.with_seed(seed), pts))
+        for m in (7, 101):
+            pts = np.random.default_rng(4).uniform(size=(m, 2))
+            vals = synth._values_at(spec, pts, 3)
+            for i, seed in enumerate((2 ** 64 - 2, 2 ** 64 - 1, 0)):
+                assert np.array_equal(vals[i], evaluate_at_points(spec.with_seed(seed), pts))
 
     @pytest.mark.parametrize("points", [[(0.1, 0.2, 0.3)], [(0.1,)], 0.5, [(math.nan, 0.2)]])
     def test_malformed_points_rejected(self, points):
@@ -1047,7 +1050,55 @@ class TestVariogramOracle:
         assert 0.25 < deficit < 0.55
 
 
+# the three criterion-3 Monte Carlo probes at n = 256 with 50 realizations:
+# leaves in ``rows`` the (50, 48) values each call contracts (``_values_at``)
+# and in ``res`` the three results
+MC_PROBE_CODE = (
+    "from anisotex import FieldSpec, synth\n"
+    "spec = FieldSpec.make(0.6, 0.4, grid_n=256, seed=901)\n"
+    "rows, values_at = [], synth._values_at\n"
+    "synth._values_at = lambda *args: rows.append(values_at(*args)) or rows[-1]\n"
+    "res = [synth.monte_carlo_scaling_check(spec, a, x, 50)\n"
+    "       for a, x in ((2.0, (0.2, 0.1)), (4.0, (0.08, 0.03)), (0.5, (0.2, 0.2)))]\n"
+    "synth._values_at = values_at\n")
+
+
 class TestMonteCarloScaling:
+    def test_independent_of_worker_count(self, monkeypatch):
+        # the realizations run on the pool as worker_count() contiguous runs;
+        # each row is computed the same way in any of them
+        monkeypatch.setattr(synth, "_values_at", synth._values_at)  # restored even if a probe raises
+        found = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(synth, "worker_count", lambda: workers)
+            ns = {}
+            exec(MC_PROBE_CODE, ns)
+            found.append((ns["rows"], ns["res"]))
+        (rows, res), rest = found[0], found[1:]
+        assert [r.shape for r in rows] == [(50, 48)] * 3
+        for other_rows, other_res in rest:
+            assert other_res == res
+            assert all(np.array_equal(a, b) for a, b in zip(rows, other_rows))
+
+    # results must not depend on the BLAS thread count: with OpenBLAS's
+    # default thread count a whole 256^2 product would run threaded
+    def test_independent_of_blas_threads(self):
+        code = MC_PROBE_CODE + ("import hashlib\n"
+                                "print(hashlib.sha256(b''.join(r.tobytes() for r in rows)).hexdigest(), res)")
+        assert run_child(code, OPENBLAS_NUM_THREADS="1") == run_child(code, OPENBLAS_NUM_THREADS=None)
+
+    # the whole 256^2 products left an OpenBLAS thread spinning after the
+    # call (about 130 ms of CPU in the 0.3 s below on 2 cores). The first
+    # sleep lets any spin from the child's import end
+    def test_no_blas_thread_left_spinning(self):
+        pytest.importorskip("resource")
+        code = ("import resource, time; from anisotex import FieldSpec, synth\n"
+                "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2])\n"
+                "spec = FieldSpec.make(0.6, 0.4, grid_n=256, seed=901)\n"
+                "time.sleep(0.5); synth.monte_carlo_scaling_check(spec, 2.0, (0.2, 0.1), 50)\n"
+                "c = cpu(); time.sleep(0.3); print(cpu() - c)")
+        assert float(run_child(code)) < 0.03
+
     def test_unit_scale_is_exactly_one(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
         res = monte_carlo_scaling_check(spec, 1.0, (0.2, 0.2), 60)
