@@ -22,7 +22,7 @@ for a in (0.5, 2.0, 4.0):
         rhs = a ** (2 * spec.hurst) * variogram_oracle(spec, x)
         print(f"  a={a:<4} x={x}:  {lhs / rhs:.8f}")
 
-print("\nMonte Carlo (200 realizations, increments averaged over translates):")
+print("\nMonte Carlo (200 realizations, squared increments averaged over every translate of the torus):")
 for a, x in ((2.0, (0.15, 0.1)), (4.0, (0.08, 0.03)), (0.5, (0.2, 0.2))):
     res = monte_carlo_scaling_check(spec, a, x, 200)
     print(f"  a={a:<4} x={x}: ratio={res.ratio:.4f}  target={res.target:.4f} "

@@ -15,15 +15,15 @@ continuum scaling laws down to fine lags. Without it, the steep-exponent
 axis of an anisotropic weight loses its sub-grid spectral ridge and the
 sampled field is measurably too smooth along that axis.
 
-One function, ``_block_draws``, turns specs into coefficients: one Philox
-stream per realization, scaled by the alias-folded amplitudes. A
-realization is stored only as its half-plane coefficients, in the
-(n, n/2 + 1) rfft layout: fields come from one real ``irfft2``, and point
-values from X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1), summed
-separably over per-axis phases (never a modes x points matrix). Point
-values of many realizations run on the worker pool, in runs of
-realizations whose products are tiled to stay on the calling thread; each
-value is the same whatever the worker or BLAS thread count.
+One function, ``_block_draws``, draws: one Philox stream of standard
+normals per realization. ``_coefficients`` scales them by the alias-folded
+amplitudes into the half plane of the (n, n/2 + 1) rfft layout: fields come
+from one real ``irfft2``, point values from X(x) = 2 Re sum_half c_k
+(e^{i <x, xi_k>} - 1), summed separably over per-axis phases (never a modes
+x points matrix). The Monte Carlo scaling check evaluates no point: on the
+torus [0,1]^2 its mean squared increments are weighted sums of the squared
+draws (``_torus_variograms``). The mass product's tiles (``_quarter_mass``)
+are the only code that depends on OpenBLAS's threading.
 
 Remaining known bias: the zero-frequency cell (|xi| < pi) cannot be
 represented by a periodic model, so lattice variances fall below the
@@ -45,7 +45,7 @@ import numpy as np
 from .core import FieldSpec, SampledField, matrix_power
 
 TWO_PI = 2.0 * math.pi
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # scales _block_draws' float64 view: numpy's complex / sqrt(2), bit for bit
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)  # scales the draws' float64 view: numpy's complex / sqrt(2), bit for bit
 MAX_WORKERS = 4  # the most threads worker_count allows
 
 @functools.lru_cache(maxsize=None)
@@ -86,6 +86,22 @@ def _pool_map(fn, items):
 # ---------------------------------------------------------------------------
 
 _EPS = np.finfo(float).eps
+_HALF_LN_2PI = "0.9189385332046727417803297364056176398614"
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))  # B_2..B_16
+
+
+def _lgamma1p(a):
+    """ln Gamma(1 + a), a >= 0, within 2e-22 before rounding (math.lgamma is up
+    to 3 eps off on (0, 1), where the value is below 0.13): Stirling's series
+    to B_16 at z = 17 + a in 40-digit decimals, less ln (1 + a)...(16 + a).
+    decimal is imported here, off the package's import path."""
+    from decimal import Context, Decimal, localcontext
+    with localcontext(Context(prec=40)):
+        a = Decimal(a)
+        z = a + 17
+        s = (z - Decimal("0.5")) * z.ln() - z + Decimal(_HALF_LN_2PI) - math.prod(a + j for j in range(1, 17)).ln()
+        return float(s + sum(Decimal(num) / (den * 2 * k * (2 * k - 1) * z ** (2 * k - 1))
+                             for k, (num, den) in enumerate(_BERNOULLI, 1)))
 
 
 def _gamma_inc(a, x):
@@ -94,9 +110,13 @@ def _gamma_inc(a, x):
     Morris, ACM TOMS 12, 1986). Each value depends on its own x alone, not
     on the others in the call.
 
-    Where x < a + 1, P = x^a e^-x / Gamma(a + 1) sum_n x^n / ((a+1)...(a+n)),
+    Below x = a + 1, or x = 3/4 for a < 1 (nearer a + 1, where Q(0.1, 1.1)
+    is 0.02, the Q series below cancels), P = x^a e^-x / Gamma(a + 1) sum_n x^n / ((a+1)...(a+n)),
     the terms added to 1 in order up to the first below eps/2 at the largest
-    x: later terms are smaller still and leave the sum as it is. Elsewhere
+    x: later terms are smaller still and leave the sum as it is. There
+    Q = 1 - P for a >= 1 (Q > 0.1), and for a < 1 DiDonato and Morris's
+    small-x series Q = u - a (1 - u) sum_{n=1..20} (-x)^n / (n! (a + n)),
+    u = -expm1(a ln x - ln Gamma(1 + a)) (``_lgamma1p``). Elsewhere
     Q = x^a e^-x / Gamma(a) / (b0 + a1/(b1 + a2/(b2 + ...))), b_i = x + 2i + 1 - a
     and a_i = -i (i - a), evaluated back from its term N = 90/x + 8 (it is
     exact to eps by about 86/x terms). Sorted by x, the values that take the
@@ -109,7 +129,7 @@ def _gamma_inc(a, x):
     lead[near] = x[near] ** a * np.exp(-x[near])
     lead[~near] = np.exp(a * np.log(x[~near]) - x[~near])
     P, Q = np.empty(x.shape), np.empty(x.shape)
-    low = x < a + 1.0
+    low = x < (a + 1.0 if a >= 1.0 else 0.75)
     xs = x[low]
     if xs.size:
         K, term, top = 0, 1.0, float(xs.max())
@@ -122,6 +142,11 @@ def _gamma_inc(a, x):
             s += t
         P[low] = lead[low] / math.gamma(a + 1.0) * s
         Q[low] = 1.0 - P[low]
+        if a < 1.0:  # at x < 3/4 the 20th term of S is below 3e-22 of S
+            n = np.arange(1.0, 21.0)
+            S = np.polynomial.polynomial.polyval(xs, np.r_[0.0, np.cumprod(-1.0 / n) / (a + n)])
+            z = a * np.log(xs, out=np.full(xs.shape, -np.inf), where=xs > 0.0) - _lgamma1p(a)  # x = 0: Q = 1
+            Q[low] = -np.expm1(z) - a * np.exp(z) * S
     order = np.argsort(x[~low])
     xf = x[~low][order]
     if xf.size:
@@ -156,7 +181,6 @@ _PERIODS = (1, 2, 4, 8)          # 1 throughout moves 2e-3; steps 10x higher, 2e
 _NODE_CHUNK = 4         # nodes per batch, 0.4 MB of temporaries at n = 256: 16 raised peak RSS 5-9%
 _TINY = 1e-200          # zeroed before the product: subnormal operands slow BLAS ~100x
 _GEMM_TILE = 1 << 18    # multiply-adds per product tile: OpenBLAS runs a gemm this small on the calling thread
-_TILE_ROWS = 8          # rows per tile of a point product: fewer re-pack its phases for every tile
 
 
 def _axis_factor(lam, n, v):
@@ -342,12 +366,12 @@ def _draw_blocks(n):
 
 
 def _half_spectrum(spec: FieldSpec) -> np.ndarray:
-    """Half-plane coefficients of one realization, those of ``_block_draws``,
+    """Half-plane coefficients of one realization, those of ``_coefficients``,
     placed in the (n, n/2 + 1) rfft layout, zero elsewhere (the k2 = 0
     column at k1 < 0 included)."""
     n = spec.grid_n
     H = np.zeros((n, n // 2 + 1), dtype=complex)
-    for z, (rows, cols) in zip(next(_block_draws([spec])), _draw_blocks(n)):
+    for z, (rows, cols) in zip(_coefficients(spec), _draw_blocks(n)):
         H[rows, cols] = z
     return H
 
@@ -394,100 +418,40 @@ def synthesize_ensemble(spec: FieldSpec, reps: int):
 
 def _block_draws(specs):
     """Yield, for each of ``specs`` (realizations of one spec, differing in
-    seed only), its half-plane coefficients as one array per
-    ``_draw_blocks`` block. This is the only code that draws coefficients.
+    seed only), its half-plane draws as one complex array per
+    ``_draw_blocks`` block. This is the only code that draws.
 
     The Gaussian stream comes from a Philox generator keyed by the seed: two
     standard normals per half-plane mode, the modes in block order and each
-    block row-major, even draws real parts. Each call holds every mode in
-    one complex buffer, reused across its realizations (a yielded block is
-    overwritten by the next), and the blocks are consecutive slices of it;
-    ``_values_at`` makes one call, and so one buffer, per run. It is scaled in
-    place, by 1/sqrt(2) on its float64 view, then each block by the cached
-    quarter read at |k1| (the amplitudes are even): no amplitude grid is
-    built and no square root taken per draw."""
+    block row-major, even draws real parts. The draws are yielded unscaled
+    (``_coefficients`` scales them). Each call holds every mode in one
+    complex buffer, reused across its realizations (a yielded block is
+    overwritten by the next), and the blocks are consecutive slices of it."""
     half = specs[0].grid_n // 2
-    amp = _amplitudes(specs[0])
     size = half * (half - 1)  # the modes of each block
     buf = np.empty(2 * size, dtype=complex)
-    flat = buf.view(float)
     zs = [buf[:size].reshape(half, half - 1), buf[size:].reshape(half - 1, half)]
-    scales = [amp[half - 1::-1, 1:half], amp[1:half, :half]]
     for spec in specs:
-        np.random.Generator(np.random.Philox(key=spec.seed)).standard_normal(out=flat)
-        flat *= _INV_SQRT2
-        for z, a in zip(zs, scales):
-            z *= a
+        np.random.Generator(np.random.Philox(key=spec.seed)).standard_normal(out=buf.view(float))
         yield zs
 
 
-def _tiled_product(z, p2, out):
-    """out = z @ p2 in tiles below _GEMM_TILE // 4 complex multiply-adds,
-    OpenBLAS's zgemm threshold, so that OpenBLAS keeps each on the calling
-    thread: _TILE_ROWS rows of z by a group of points, one stacked
-    ``matmul`` per group over the full row tiles and one over the rows
-    left. Groups start at multiples of four points, the column step of
-    OpenBLAS's complex kernels, so each entry is summed as in the whole
-    product (a group edge elsewhere moved the last bits of the columns
-    beside it). From n = 4096 (cols = 2048) even four points reach the
-    threshold, and OpenBLAS threads those tiles."""
-    rows, cols = z.shape
-    m = p2.shape[1]
-    quads = max(1, ((_GEMM_TILE // 4 - 1) // (_TILE_ROWS * cols) - 3) // 4)  # per group; the last takes up to 3 more points
-    groups = max(1, -(-(m // 4) // quads))
-    e = [4 * (m // 4 * i // groups) for i in range(groups)] + [m]
-    full = rows - rows % _TILE_ROWS
-    stacked, out3 = z[:full].reshape(-1, _TILE_ROWS, cols), out[:full].reshape(-1, _TILE_ROWS, m)
-    for c0, c1 in zip(e, e[1:]):
-        np.matmul(stacked, p2[:, c0:c1], out=out3[..., c0:c1])
-        if full < rows:
-            np.matmul(z[full:], p2[:, c0:c1], out=out[full:, c0:c1])
-    return out
+def _block_views(quarter):
+    """Views of an even quarter grid read at |k1| over the two ``_draw_blocks``."""
+    half = quarter.shape[0] - 1
+    return quarter[half - 1::-1, 1:half], quarter[1:half, :half]
 
 
-def _values_at(spec: FieldSpec, pts: np.ndarray, reps: int) -> np.ndarray:
-    """(reps, m) values at the (m, 2) points ``pts`` of the realizations
-    with seeds spec.seed + i (mod 2^64), contracted straight from the draw
-    order of ``_block_draws``.
-
-    The per-axis phases e^{2 pi i k x} are built once and cut into the two
-    ``_draw_blocks``; each realization then costs, per block, one
-    (rows, cols) x (cols, m) product and a column-wise dot over k1. No
-    (n, n/2 + 1) grid, scatter or index array is made per realization.
-
-    A product of _GEMM_TILE // 4 complex multiply-adds or more goes to
-    OpenBLAS's threads, which then spin and take a core from the worker
-    pool. So with more than one realization, such products are
-    ``_tiled_product``'s, whatever the worker count, and the realizations
-    run on the pool as worker_count() contiguous runs, each drawing its own
-    slice of them into its own ``_block_draws`` buffer (n^2 / 2 complex
-    values) and writing its own rows. Smaller products run whole on the
-    calling thread, all realizations in one run: there the pool cost more
-    than it saved (at n = 64 and 48 points). A single realization keeps the
-    whole product. With OpenBLAS 0.3.31 on x86-64 the tiles equal the whole
-    product bit for bit (checked at n = 128 to 2048, 7 to 1000 points)."""
-    n, m, half = spec.grid_n, pts.shape[0], spec.grid_n // 2
-    e1 = np.exp(1j * TWO_PI * np.outer(np.fft.fftfreq(n, d=1.0 / n), pts[:, 0]))
-    e2 = np.exp(1j * TWO_PI * np.outer(np.arange(half + 1), pts[:, 1]))
-    phases = [(e1[rows], e2[cols]) for rows, cols in _draw_blocks(n)]
-    specs = ensemble_specs(spec, reps)
-    tiled = reps > 1 and half * (half - 1) * m >= _GEMM_TILE // 4
-    out = np.empty((reps, m))
-
-    def run(bounds):
-        i0, i1 = bounds
-        bufs = [np.empty((p1.shape[0], m), dtype=complex) if tiled else None for p1, _ in phases]
-        for i, zs in enumerate(_block_draws(specs[i0:i1]), i0):
-            out[i] = 2.0 * sum(np.einsum("km,km->m", p1, z @ p2 if b is None else _tiled_product(z, p2, b)).real
-                               - z.sum().real for z, (p1, p2), b in zip(zs, phases, bufs))
-
-    runs = min(worker_count(), reps) if tiled else 1
-    if runs == 1:
-        run((0, reps))
-    else:
-        e = [reps * j // runs for j in range(runs + 1)]
-        _pool_map(run, zip(e, e[1:]))
-    return out
+def _coefficients(spec: FieldSpec):
+    """One realization's half-plane coefficients per ``_draw_blocks`` block: its
+    draws scaled in place by 1/sqrt(2) on their float64 view, then by the
+    amplitudes (no square root per draw)."""
+    zs = next(_block_draws([spec]))
+    for z, a in zip(zs, _block_views(_amplitudes(spec))):
+        flat = z.view(float)
+        flat *= _INV_SQRT2
+        z *= a
+    return zs
 
 
 def evaluate_at_points(spec: FieldSpec, points) -> np.ndarray:
@@ -495,16 +459,21 @@ def evaluate_at_points(spec: FieldSpec, points) -> np.ndarray:
 
     Separable direct summation of X(x) = 2 Re sum_half c_k (e^{i <x, xi_k>} - 1)
     over the coefficients ``synthesize`` uses: lattice points reproduce its
-    values, off-lattice points are exact for the lattice model. ``points``
-    is one point of shape (2,) or m points of shape (m, 2), all finite;
-    anything else raises ValueError.
+    values, off-lattice points are exact for the lattice model. The per-axis
+    phases e^{2 pi i k x} are cut into the two ``_draw_blocks``: one product
+    and one column-wise dot per block. ``points`` is one point of shape (2,)
+    or m points of shape (m, 2), all finite; anything else raises ValueError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
         raise ValueError(f"points must have shape (2,) or (m, 2), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    return _values_at(spec, np.atleast_2d(pts), 1)[0]
+    pts, n = np.atleast_2d(pts), spec.grid_n
+    e1 = np.exp(1j * TWO_PI * np.outer(np.fft.fftfreq(n, d=1.0 / n), pts[:, 0]))
+    e2 = np.exp(1j * TWO_PI * np.outer(np.arange(n // 2 + 1), pts[:, 1]))
+    return 2.0 * sum(np.einsum("km,km->m", e1[rows], z @ e2[cols]).real - z.sum().real
+                     for z, (rows, cols) in zip(_coefficients(spec), _draw_blocks(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +738,46 @@ def variogram_oracle(spec: FieldSpec, x) -> float:
 # Monte Carlo scaling check
 # ---------------------------------------------------------------------------
 
-_TRANSLATES = 16  # base points per realization of the Monte Carlo scaling check
+def _torus_variograms(spec: FieldSpec, lags: np.ndarray, reps: int) -> np.ndarray:
+    """(reps, m) torus variograms at the (m, 2) ``lags`` of the realizations
+    with seeds spec.seed + i (mod 2^64). The lattice field is periodic on
+    [0,1]^2, so by Parseval the mean of (X(tau + y) - X(tau))^2 over every
+    translate tau, or over the n^2 lattice points, is
+    u(y) = 4 sum_half |c_k|^2 (1 - cos 2 pi k.y), whose expectation is the
+    lattice variogram 2 sum_k mass_k (1 - cos 2 pi k.y). Per call, the
+    weights amp^2 / 2 of |c_k|^2 = amp^2 (re^2 + im^2) / 2 are read off the
+    quarter at |k1|, and 1 - cos(a + b) = 1 - cos a cos b + sin a sin b is
+    split into per-axis factors; per block, a realization then costs a
+    squaring pass over its draws, their pairing, a weighting and an einsum
+    (no BLAS). The realizations run on the pool as worker_count() contiguous
+    runs, each with its own ``_block_draws`` buffer; each row is computed
+    the same way in any run."""
+    n, m = spec.grid_n, lags.shape[0]
+    a = TWO_PI * np.outer(lags[:, 0], np.fft.fftfreq(n, d=1.0 / n))
+    b = TWO_PI * np.outer(lags[:, 1], np.arange(n // 2 + 1.0))
+    rf = np.vstack([np.ones(n), -np.cos(a), np.sin(a)])  # per axis: the factors of 1, cos and sin
+    cf = np.vstack([np.ones(n // 2 + 1), np.cos(b), np.sin(b)])
+    weights = _block_views(0.5 * _amplitudes(spec) ** 2)
+    blocks = [(w, cf[:, cols], rf[:, rows]) for (rows, cols), w in zip(_draw_blocks(n), weights)]
+    specs, out = ensemble_specs(spec, reps), np.empty((reps, m))
+
+    def run(bounds):
+        i0, i1 = bounds
+        buf = np.empty(blocks[0][0].size)  # a block's weighted |draw|^2
+        for i, zs in enumerate(_block_draws(specs[i0:i1]), i0):
+            s = 0.0
+            for z, (w, c, r) in zip(zs, blocks):
+                sq = z.view(float)
+                np.square(sq, out=sq)
+                q = np.add(sq[:, 0::2], sq[:, 1::2], out=buf.reshape(w.shape))
+                q *= w
+                s = s + np.einsum("ki,ki->k", np.einsum("ij,kj->ki", q, c), r)
+            out[i] = 4.0 * (s[0] + s[1:m + 1] + s[m + 1:])
+
+    runs = min(worker_count(), reps)
+    e = [reps * j // runs for j in range(runs + 1)]
+    _pool_map(run, zip(e, e[1:]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -784,17 +792,13 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int) -> Scalin
 
     Under the model the ratio targets a^{2 H}. The model has exactly
     stationary increments (true for the lattice field as well), so each
-    realization's variance estimate averages squared increments
-    (X(tau + y) - X(tau))^2 over _TRANSLATES = 16 base points tau (48
-    points in all), with tau = 0 always included; this cuts the estimator
-    noise several-fold without changing its target. Points are evaluated
-    by direct mode summation (no interpolation), contracted from each
-    realization's draws in draw order (``_values_at``), the realizations
-    in contiguous runs on the worker pool; every value, and so the result,
-    is the same whatever the worker or BLAS thread count. Returns a 95%
-    confidence half-width from the delta method on the per-realization pair
-    statistics. ``reps`` must be at least 50, ``a`` positive and ``x`` of
-    shape (2,); anything else raises ValueError.
+    realization's variance estimate at a lag is its squared increments
+    averaged over every translate (``_torus_variograms``), which cuts the
+    estimator noise without changing its target; the result is the same
+    whatever the worker or BLAS thread count. Returns a 95% confidence
+    half-width from the delta method on the per-realization pair statistics.
+    ``reps`` must be at least 50, ``a`` positive and ``x`` of shape (2,);
+    anything else raises ValueError.
     """
     if reps < 50:
         raise ValueError("reps must be >= 50")
@@ -811,14 +815,7 @@ def monte_carlo_scaling_check(spec: FieldSpec, a: float, x, reps: int) -> Scalin
     if np.allclose(y, x):
         return ScalingCheckResult(ratio=1.0, ci_halfwidth=0.0, target=target)
 
-    rng = np.random.Generator(np.random.Philox(key=(spec.seed, 0x7a06)))
-    k = _TRANSLATES
-    box = np.maximum(0.0, 1.0 - np.maximum(x, y))
-    taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
-    vals = _values_at(spec, np.vstack([taus, taus + y, taus + x]), reps)
-    base, at_y, at_x = vals[:, :k], vals[:, k:2 * k], vals[:, 2 * k:]
-    u = np.mean((at_y - base) ** 2, axis=1)
-    w = np.mean((at_x - base) ** 2, axis=1)
+    u, w = _torus_variograms(spec, np.vstack([y, x]), reps).T
     um, wm = u.mean(), w.mean()
     ratio = um / wm
     cov = np.cov(u, w)

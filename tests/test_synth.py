@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats as sps
-from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, gammainc, gammaincc, gammaln
+from scipy.special import beta as beta_fn, betainc, erfc, gamma as gamma_fn, gammainc, gammaincc, gammaln
 
 from anisotex import (
     FieldSpec,
@@ -156,29 +156,36 @@ def reference_evaluate_at_points(spec, points):
     return out
 
 
+def cosine_sums(weights, lags):
+    """2 sum_k w_k (1 - cos 2 pi k.y) over an n x n grid of weights in FFT
+    order, at each of the (m, 2) ``lags``. With the masses as weights it is
+    the lattice variogram; with one realization's |C_k|^2 it is, by
+    Parseval, that realization's mean of (X(tau + y) - X(tau))^2 over every
+    translate tau of the torus."""
+    k = np.fft.fftfreq(weights.shape[0], d=1.0 / weights.shape[0])
+    return np.array([2.0 * np.sum(weights * (1.0 - np.cos(2.0 * math.pi * (k[:, None] * y1 + k[None, :] * y2))))
+                     for y1, y2 in lags])
+
+
 def reference_monte_carlo(spec, a, x, reps):
-    """The original Monte Carlo loop, one point evaluation per realization,
-    over 16 base points; returns (ratio, ci_halfwidth)."""
+    """The Monte Carlo loop over the reference grids, one realization at a
+    time; returns (ratio, ci_halfwidth)."""
     x = np.asarray(x, dtype=float)
     y = np.array([a ** spec.alpha0 * x[0], a ** (2.0 - spec.alpha0) * x[1]])
-    rng = np.random.Generator(np.random.Philox(key=(spec.seed, 0x7a06)))
-    k = 16
-    box = np.maximum(0.0, 1.0 - np.maximum(x, y))
-    taus = np.vstack([np.zeros(2), rng.uniform(0.0, 1.0, size=(k - 1, 2)) * box])
-    pts = np.vstack([taus, taus + y, taus + x])
-    u = np.empty(reps)
-    w = np.empty(reps)
-    for i in range(reps):
-        vals = reference_evaluate_at_points(spec.with_seed(spec.seed + i), pts)
-        base, at_y, at_x = vals[:k], vals[k:2 * k], vals[2 * k:]
-        u[i] = np.mean((at_y - base) ** 2)
-        w[i] = np.mean((at_x - base) ** 2)
+    u, w = np.array([cosine_sums(np.abs(reference_spectral_coefficients(spec.with_seed(spec.seed + i))) ** 2, (y, x))
+                     for i in range(reps)]).T
     um, wm = u.mean(), w.mean()
     ratio = um / wm
     cov = np.cov(u, w)
     var_ratio = ratio ** 2 * (cov[0, 0] / um ** 2 + cov[1, 1] / wm ** 2
                               - 2.0 * cov[0, 1] / (um * wm)) / reps
     return ratio, 1.96 * math.sqrt(max(var_ratio, 0.0))
+
+
+# criterion 3's Monte Carlo probes (a, x) and the lags (a^E x, x) of each at
+# alpha0 = 0.6
+MC_PROBES = [(2.0, (0.2, 0.1)), (4.0, (0.08, 0.03)), (0.5, (0.2, 0.2))]
+MC_LAGS = np.array([lag for a, x in MC_PROBES for lag in ((a ** 0.6 * x[0], a ** 1.4 * x[1]), x)])
 
 
 class TestSynthesize:
@@ -510,8 +517,9 @@ class TestSpectralGrid:
         assert specs[1].seed == (seed + 1) % 2 ** 64
         for s, zs in zip(specs, synth._block_draws(specs)):
             H = synth._half_spectrum(s)
-            for z, (rows, cols) in zip(zs, synth._draw_blocks(n)):
-                assert np.array_equal(z, H[rows, cols])
+            amps = synth._block_views(synth._amplitudes(s))
+            for z, a, (rows, cols) in zip(zs, amps, synth._draw_blocks(n)):
+                assert np.array_equal(z / math.sqrt(2.0) * a, H[rows, cols])
 
     def test_repeated_key_not_rebuilt(self):
         from anisotex.synth import _quarter_amplitudes
@@ -590,15 +598,21 @@ class TestSpectralGrid:
 
 class TestEvaluateAtPoints:
     def test_rows_are_single_realizations(self):
-        # row i is the realization with seed spec.seed + i mod 2^64, bit for
-        # bit; with 7 points the rows come from whole products, with 101 from
-        # tiles on the pool, while evaluate_at_points takes the whole product
-        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=2 ** 64 - 2)
-        for m in (7, 101):
-            pts = np.random.default_rng(4).uniform(size=(m, 2))
-            vals = synth._values_at(spec, pts, 3)
-            for i, seed in enumerate((2 ** 64 - 2, 2 ** 64 - 1, 0)):
-                assert np.array_equal(vals[i], evaluate_at_points(spec.with_seed(seed), pts))
+        # row i of the torus variograms is the realization with seed
+        # spec.seed + i mod 2^64, as evaluate_at_points sees it: its squared
+        # increments averaged over the 4096 lattice translates (Parseval on
+        # the torus), at the lags of the criterion-3 probes
+        n = 64
+        spec = FieldSpec.make(0.6, 0.4, grid_n=n, seed=2 ** 64 - 2)
+        rows = synth._torus_variograms(spec, MC_LAGS, 3)
+        i1, i2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        taus = np.column_stack([i1.ravel(), i2.ravel()]) / n
+        for row, seed in zip(rows, (2 ** 64 - 2, 2 ** 64 - 1, 0)):
+            one = spec.with_seed(seed)
+            assert np.array_equal(row, synth._torus_variograms(one, MC_LAGS, 1)[0])
+            base = evaluate_at_points(one, taus)
+            means = [np.mean((evaluate_at_points(one, taus + lag) - base) ** 2) for lag in MC_LAGS]
+            assert_allclose(row, means, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("points", [[(0.1, 0.2, 0.3)], [(0.1,)], 0.5, [(math.nan, 0.2)]])
     def test_malformed_points_rejected(self, points):
@@ -658,8 +672,8 @@ class TestSpecialFunctions:
     # differences measured over these arguments, in the units of
     # scaled_error: P 11 and Q on the fraction side 20 (there scipy is the
     # one off: at a = 0.25, x = 1.25 it is 1.5e-14 from 30-digit values, the
-    # package 3e-16); Q = 1 - P on the series side, 19 eps absolute. The
-    # bounds below are 16, 32 and 32.
+    # package 3e-16); Q below x = a + 1 19 eps absolute. The bounds below
+    # are 16, 32 and 32.
     @pytest.mark.parametrize("a", np.linspace(0.1, 1.9, 37))
     def test_gamma_inc_at_build_orders(self, a):
         # the build's lam over x = 0, 1e-300..1e3 and both sides of the
@@ -675,6 +689,21 @@ class TestSpecialFunctions:
         assert np.all(scaled_error(Q[f], rQ[f], a, x[f]) <= 32.0)
         assert np.all(np.abs(Q - rQ)[x < a + 1.0] <= 32.0 * EPS)
         assert np.all(Q[x >= 800.0] == 0.0) and np.all(rQ[x >= 800.0] == 0.0)
+
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
+    def test_gamma_inc_q_below_switch(self, a):
+        # below the switch (x < 3/4 for a < 1) Q takes its own series, not
+        # 1 - P, which lost digits where Q is small. Within 8 eps relative of
+        # scipy; at a = 0.5 of erfc(sqrt x), up to x = a + 1, since scipy's
+        # gammaincc is up to 140 eps off there from x = 0.45 (against
+        # 40-digit values the package is within 3 eps)
+        x = np.concatenate([[1e-300, 1e-10], np.geomspace(1e-6, 0.75, 50, endpoint=False),
+                            np.linspace(0.01, 0.75, 50, endpoint=False)])
+        ref = gammaincc(a, x)
+        if a == 0.5:
+            x = np.concatenate([x, np.linspace(0.75, 1.5, 60, endpoint=False)])
+            ref = erfc(np.sqrt(x))
+        assert np.all(np.abs(synth._gamma_inc(a, x)[1] - ref) <= 8.0 * EPS * ref)
 
     @pytest.mark.parametrize("a", np.linspace(0.1, 5.7, 57))
     def test_gamma_inc_at_oracle_point(self, a):
@@ -1051,23 +1080,23 @@ class TestVariogramOracle:
 
 
 # the three criterion-3 Monte Carlo probes at n = 256 with 50 realizations:
-# leaves in ``rows`` the (50, 48) values each call contracts (``_values_at``)
-# and in ``res`` the three results
+# leaves in ``rows`` the (50, 2) torus variograms of each call
+# (``_torus_variograms``) and in ``res`` the three results
 MC_PROBE_CODE = (
     "from anisotex import FieldSpec, synth\n"
     "spec = FieldSpec.make(0.6, 0.4, grid_n=256, seed=901)\n"
-    "rows, values_at = [], synth._values_at\n"
-    "synth._values_at = lambda *args: rows.append(values_at(*args)) or rows[-1]\n"
+    "rows, torus = [], synth._torus_variograms\n"
+    "synth._torus_variograms = lambda *args: rows.append(torus(*args)) or rows[-1]\n"
     "res = [synth.monte_carlo_scaling_check(spec, a, x, 50)\n"
     "       for a, x in ((2.0, (0.2, 0.1)), (4.0, (0.08, 0.03)), (0.5, (0.2, 0.2)))]\n"
-    "synth._values_at = values_at\n")
+    "synth._torus_variograms = torus\n")
 
 
 class TestMonteCarloScaling:
     def test_independent_of_worker_count(self, monkeypatch):
         # the realizations run on the pool as worker_count() contiguous runs;
         # each row is computed the same way in any of them
-        monkeypatch.setattr(synth, "_values_at", synth._values_at)  # restored even if a probe raises
+        monkeypatch.setattr(synth, "_torus_variograms", synth._torus_variograms)  # restored even if a probe raises
         found = []
         for workers in (1, 2, 4):
             monkeypatch.setattr(synth, "worker_count", lambda: workers)
@@ -1075,21 +1104,21 @@ class TestMonteCarloScaling:
             exec(MC_PROBE_CODE, ns)
             found.append((ns["rows"], ns["res"]))
         (rows, res), rest = found[0], found[1:]
-        assert [r.shape for r in rows] == [(50, 48)] * 3
+        assert [r.shape for r in rows] == [(50, 2)] * 3
         for other_rows, other_res in rest:
             assert other_res == res
             assert all(np.array_equal(a, b) for a, b in zip(rows, other_rows))
 
-    # results must not depend on the BLAS thread count: with OpenBLAS's
-    # default thread count a whole 256^2 product would run threaded
+    # results must not depend on the BLAS thread count: the check calls no
+    # BLAS routine, whatever OpenBLAS's thread count
     def test_independent_of_blas_threads(self):
         code = MC_PROBE_CODE + ("import hashlib\n"
                                 "print(hashlib.sha256(b''.join(r.tobytes() for r in rows)).hexdigest(), res)")
         assert run_child(code, OPENBLAS_NUM_THREADS="1") == run_child(code, OPENBLAS_NUM_THREADS=None)
 
-    # the whole 256^2 products left an OpenBLAS thread spinning after the
-    # call (about 130 ms of CPU in the 0.3 s below on 2 cores). The first
-    # sleep lets any spin from the child's import end
+    # a guard: the point products this check once ran left an OpenBLAS
+    # thread spinning after the call (about 130 ms of CPU in the 0.3 s below
+    # on 2 cores). The first sleep lets any spin from the child's import end
     def test_no_blas_thread_left_spinning(self):
         pytest.importorskip("resource")
         code = ("import resource, time; from anisotex import FieldSpec, synth\n"
@@ -1098,6 +1127,23 @@ class TestMonteCarloScaling:
                 "time.sleep(0.5); synth.monte_carlo_scaling_check(spec, 2.0, (0.2, 0.1), 50)\n"
                 "c = cpu(); time.sleep(0.3); print(cpu() - c)")
         assert float(run_child(code)) < 0.03
+
+    def test_lattice_variogram_ratios(self):
+        # what the check estimates at n = 256, free of seeds: the lattice
+        # variogram's V(a^E x) / V(x) / a^(2H) - 1 at the criterion-3
+        # probes, short of 0 by the zero-frequency cell the lattice lacks
+        spec = FieldSpec.make(0.6, 0.4, grid_n=256)
+        V = cosine_sums(spectral_grid(spec) ** 2, MC_LAGS)
+        rel = [V[2 * i] / V[2 * i + 1] / a ** 0.8 - 1.0 for i, (a, _) in enumerate(MC_PROBES)]
+        assert rel == pytest.approx([-0.0418, -0.0262, 0.0185], abs=5e-5)
+
+    def test_torus_mean_is_lattice_variogram(self):
+        # the expectation of each torus variogram is the lattice variogram:
+        # the mean of 1000 realizations lies within 3 standard errors of it
+        spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=77)
+        rows = synth._torus_variograms(spec, MC_LAGS, 1000)
+        se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+        assert np.all(np.abs(rows.mean(axis=0) - cosine_sums(spectral_grid(spec) ** 2, MC_LAGS)) <= 3.0 * se)
 
     def test_unit_scale_is_exactly_one(self):
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=1)
@@ -1117,9 +1163,10 @@ class TestMonteCarloScaling:
         assert res.target == pytest.approx(2.0 ** 0.8)
         assert res.ratio == pytest.approx(res.target, rel=0.2)
 
-    @pytest.mark.parametrize("a,x", [(2.0, (0.2, 0.1)), (4.0, (0.08, 0.03)), (0.5, (0.2, 0.2))])
+    @pytest.mark.parametrize("a,x", MC_PROBES)
     def test_matches_reference_loop(self, a, x):
-        # the criterion-3 probes, at a small grid
+        # the criterion-3 probes, at a small grid, against the torus
+        # variograms of the reference scatter's full grids
         spec = FieldSpec.make(0.6, 0.4, grid_n=64, seed=901)
         res = monte_carlo_scaling_check(spec, a, x, 50)
         ratio, ci = reference_monte_carlo(spec, a, x, 50)
